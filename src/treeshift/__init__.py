@@ -13,7 +13,6 @@ from .errors import (
     ConsistencyError,
     GroupMismatchError,
     InsufficientDepthError,
-    InsufficientPrefixError,
     InvalidGeneratorError,
     NotInImageError,
     RankMismatchError,

@@ -21,10 +21,9 @@ from .embed import (
     separate_witness,
 )
 from .errors import InsufficientDepthError, TreeshiftError
-from .freegroup import Word, letter_str, parse_letter, parse_word, signed_letters
+from .freegroup import Word, enumerate_ball, letter_str, parse_letter, parse_word, signed_letters
 from .groups import group_from_json, induced_config
 from .pseudogroup import (
-    S_EMPTY,
     builtin_n0_shift,
     cgs_from_json,
     cgs_to_json,
@@ -117,6 +116,8 @@ def cmd_embed(args) -> int:
 
 
 def cmd_decode(args) -> int:
+    if not (args.alpha or args.scenario):
+        raise TreeshiftError("decode needs --alpha or --scenario")
     tree = tree_from_json(load_json(args.tree))
     if args.alpha:
         encoding = encoding_from_json(load_json(args.alpha))
@@ -182,8 +183,8 @@ def cmd_itinerary(args) -> int:
     itin = itinerary(cgs, point, args.depth)
     names = [pm.name for pm in cgs.positive]
     values = {
-        _named_word_str(w, names): (None if itin.values[w] is S_EMPTY else itin.values[w])
-        for w in sorted(itin.values, key=Word.sort_key)
+        _named_word_str(w, names): itin.values.get(w)
+        for w in enumerate_ball(itin.source_rank, itin.depth)
     }
     sys.stdout.write(dumps_json({"depth": itin.depth, "values": values}))
     return 0
@@ -240,9 +241,7 @@ def cmd_separate(args) -> int:
         sys.stdout.write(dumps_json({"witness": None,
                                      "note": "trees ball-equal to their common depth"}))
         return 0
-    from .trees import act as act_fn
-
-    rebased = box_distance(act_fn(t1, witness), act_fn(t2, witness))
+    rebased = box_distance(act(t1, witness), act(t2, witness))
     sys.stdout.write(dumps_json({
         "witness": str(witness),
         "length": len(witness),

@@ -32,7 +32,7 @@ from .errors import (
     RankMismatchError,
     ValidationError,
 )
-from .freegroup import Word, enumerate_ball, identity, letter_str, parse_word, signed_letters
+from .freegroup import Word, enumerate_ball, identity, letter_str, signed_letters
 from .shift import Alphabet, Config
 from .trees import BoxDistance, PointedTree, act, box_distance
 
@@ -158,11 +158,11 @@ def encoding_from_json(obj: dict, alphabet: Alphabet | None = None) -> EdgeEncod
     table = {}
     for key, value in obj["table"].items():
         gen_text, _, sym_text = key.partition(",")
-        if not gen_text.startswith("t"):
+        if not (gen_text.startswith("t") and gen_text[1:].isdecimal()):
             raise ValidationError(f"table key {key!r} must look like 't0,<symbol>'")
         g = int(gen_text[1:]) + 1
         s = alphabet.match(sym_text)
-        if not value.startswith("g"):
+        if not (isinstance(value, str) and value.startswith("g") and value[1:].isdecimal()):
             raise ValidationError(f"table value {value!r} must look like 'g0'")
         table[(g, s)] = int(value[1:]) + 1
     return edge_encoding(source_rank, alphabet, target_rank, table)
@@ -175,10 +175,6 @@ class Embedding:
     tree: PointedTree
     vertex_of: Mapping[Word, Word]
     depth: int
-
-    @cached_property
-    def word_of(self) -> dict[Word, Word]:
-        return {v: w for w, v in self.vertex_of.items()}
 
 
 def _run_embedding(source_rank: int, depth: int, symbol_at: Callable[[Word], Any],
@@ -396,8 +392,3 @@ def separate_witness(t1: PointedTree, t2: PointedTree) -> Word | None:
     if rebased != BoxDistance(0, exact=True):
         raise ConsistencyError(f"witness {g} failed to separate: {rebased}")
     return g
-
-
-def parse_source_word(text: str, source_rank: int) -> Word:
-    """Parse a word over the source generators (rendered t0, t1', ...)."""
-    return parse_word(text, source_rank, prefix="t")

@@ -35,7 +35,3 @@ class NotInImageError(TreeshiftError):
 
 class ConsistencyError(TreeshiftError):
     """Decoding met contradictory or missing symbol evidence."""
-
-
-class InsufficientPrefixError(TreeshiftError):
-    """A stream could not be evaluated far enough to decide membership."""

@@ -24,11 +24,6 @@ def make_letter(index: int, inverse: bool = False) -> int:
     return -(index + 1) if inverse else index + 1
 
 
-def letter_index(letter: int) -> int:
-    """0-based generator index of a letter."""
-    return abs(letter) - 1
-
-
 def letter_key(letter: int) -> tuple[int, int]:
     """Sort key realising the canonical letter order g0 < g0' < g1 < g1' < ..."""
     return (abs(letter) - 1, 0 if letter > 0 else 1)

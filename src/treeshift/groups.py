@@ -142,7 +142,7 @@ def induced_config(model: GroupModel, sigma: "shift.Config") -> "shift.Config":
     return shift.Config(
         group=fm,
         alphabet=sigma.alphabet,
-        rule=lambda w: sigma.eval(model.normalize(w)),
+        rule=sigma.eval_word,
         label=f"induced({sigma.label})",
     )
 

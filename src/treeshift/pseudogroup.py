@@ -6,10 +6,15 @@ and every generator is a partial map presented as "consume a fixed prefix,
 emit a replacement" on a cylinder-union domain.  That makes domains,
 images, compositions and the partition all decidable from finite prefixes.
 
+Points are eventually periodic streams ``pre cycle cycle ...``: every
+rewrite of such a stream is again eventually periodic, so each point keeps
+one finite normal form however often it has been moved.
+
 An itinerary records, for each reduced word over the generators, which
-partition piece the composed map sends a point to; words whose composition
-is undefined at the point get the reserved empty symbol, and once a word
-goes empty every extension of it stays empty.  Itineraries feed the same
+partition piece the composed map sends a point to.  Words whose composition
+is undefined at the point are dead, and once a word is dead every extension
+of it is dead too; so the itinerary stores the live words only and reports
+the reserved empty symbol for the rest.  Itineraries feed the same
 tree-building recursion as total configurations, restricted to the live
 words, which is why vertex degrees may drop below the regular 2M.
 """
@@ -17,15 +22,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter, itemgetter
 from typing import Any, Callable, Iterable, Mapping
 
 from .embed import EdgeEncoding, Embedding, _run_embedding, validate_alpha
 from .errors import (
     ActionUndefinedError,
     InsufficientDepthError,
+    RankMismatchError,
     ValidationError,
 )
-from .freegroup import Word, enumerate_spheres, identity
+from .freegroup import Word, identity, signed_letters
 from .shift import Alphabet
 from .trees import PointedTree
 
@@ -47,54 +54,62 @@ class _EmptySymbol:
 S_EMPTY = _EmptySymbol()
 
 
+@dataclass(frozen=True, eq=False, slots=True)
 class SymbolStream:
-    """Deterministic one-sided symbol stream, evaluable to any finite prefix."""
+    """The one-sided stream ``pre cycle cycle ...``; ``cycle`` is nonempty."""
 
-    def __init__(self, fn: Callable[[int], Any], label: str = "stream"):
-        self._fn = fn
-        self.label = label
+    pre: tuple
+    cycle: tuple
 
-    def __repr__(self) -> str:
-        head = " ".join(str(s) for s in self.prefix(8))
-        return f"SymbolStream({self.label}: {head} ...)"
+    def __post_init__(self) -> None:
+        if not self.cycle:
+            raise ValidationError("cycle must be nonempty")
 
     def symbol_at(self, i: int) -> Any:
-        return self._fn(i)
+        pre = self.pre
+        return pre[i] if i < len(pre) else self.cycle[(i - len(pre)) % len(self.cycle)]
 
     def prefix(self, k: int) -> tuple:
-        return tuple(self._fn(i) for i in range(k))
+        pre, cycle = self.pre, self.cycle
+        if k <= len(pre):
+            return pre[:k]
+        return (pre + cycle * -(-(k - len(pre)) // len(cycle)))[:k]
 
     def starts_with(self, prefix: tuple) -> bool:
         return self.prefix(len(prefix)) == tuple(prefix)
 
-    def drop(self, k: int) -> "SymbolStream":
-        fn = self._fn
-        return SymbolStream(lambda i: fn(i + k), label=f"{self.label}>>{k}")
+    def rewrite(self, consume: int, emit: tuple) -> "SymbolStream":
+        """Remove the first ``consume`` symbols, then put ``emit`` in front."""
+        pre, cycle = self.pre, self.cycle
+        if consume <= len(pre):
+            return SymbolStream(emit + pre[consume:], cycle)
+        turn = (consume - len(pre)) % len(cycle)
+        return SymbolStream(emit, cycle[turn:] + cycle[:turn])
 
-    def prepend(self, prefix: tuple) -> "SymbolStream":
-        fn = self._fn
-        prefix = tuple(prefix)
-        if not prefix:
-            return self
-        return SymbolStream(
-            lambda i: prefix[i] if i < len(prefix) else fn(i - len(prefix)),
-            label=f"{prefix}+{self.label}")
+    def drop(self, k: int) -> "SymbolStream":
+        return self.rewrite(k, ())
 
     @staticmethod
-    def eventually_periodic(pre: Iterable, cycle: Iterable, label: str | None = None) -> "SymbolStream":
-        pre = tuple(pre)
-        cycle = tuple(cycle)
-        if not cycle:
-            raise ValidationError("cycle must be nonempty")
-        if label is None:
-            label = f"{''.join(map(str, pre))}({''.join(map(str, cycle))})*"
-        return SymbolStream(
-            lambda i: pre[i] if i < len(pre) else cycle[(i - len(pre)) % len(cycle)],
-            label=label)
+    def eventually_periodic(pre: Iterable, cycle: Iterable) -> "SymbolStream":
+        return SymbolStream(tuple(pre), tuple(cycle))
 
     @staticmethod
     def constant(symbol) -> "SymbolStream":
-        return SymbolStream(lambda i: symbol, label=f"{symbol}*")
+        return SymbolStream((), (symbol,))
+
+
+def _minimal(items: Iterable, prefix_of: Callable[[Any], tuple]) -> list:
+    """Drop each item whose prefix extends a kept one; keep the rest, shortest first."""
+    def order(item) -> tuple:
+        p = prefix_of(item)
+        return len(p), tuple(map(str, p))
+
+    kept: list = []
+    for item in sorted(set(items), key=order):
+        p = prefix_of(item)
+        if not any(p[: len(prefix_of(k))] == prefix_of(k) for k in kept):
+            kept.append(item)
+    return kept
 
 
 @dataclass(frozen=True)
@@ -124,11 +139,7 @@ class CylinderUnion:
 
     @staticmethod
     def of(parts: Iterable[Cylinder]) -> "CylinderUnion":
-        kept: list[Cylinder] = []
-        for c in sorted(set(parts), key=lambda c: (len(c.prefix), tuple(map(str, c.prefix)))):
-            if not any(c.prefix[: len(k.prefix)] == k.prefix for k in kept):
-                kept.append(c)
-        return CylinderUnion(tuple(kept))
+        return CylinderUnion(tuple(_minimal(parts, attrgetter("prefix"))))
 
     @staticmethod
     def full() -> "CylinderUnion":
@@ -177,7 +188,7 @@ class PartialMap:
     def apply(self, stream: SymbolStream) -> SymbolStream:
         if not self.defined_at(stream):
             raise ActionUndefinedError(f"{self.name} undefined at {stream!r}")
-        return stream.drop(len(self.consume)).prepend(self.emit)
+        return stream.rewrite(len(self.consume), self.emit)
 
     def image_cylinder(self, part: Cylinder) -> Cylinder:
         return Cylinder(self.emit + part.prefix[len(self.consume):])
@@ -286,16 +297,8 @@ class ComposedMap:
     def apply(self, stream: SymbolStream) -> SymbolStream:
         for dp, ip in self.pieces:
             if stream.starts_with(dp):
-                return stream.drop(len(dp)).prepend(ip)
+                return stream.rewrite(len(dp), ip)
         raise ActionUndefinedError(f"composite along {self.word} undefined at {stream!r}")
-
-
-def _normalize_pieces(pieces: list[tuple[tuple, tuple]]) -> list[tuple[tuple, tuple]]:
-    kept: list[tuple[tuple, tuple]] = []
-    for dp, ip in sorted(set(pieces), key=lambda p: (len(p[0]), tuple(map(str, p[0])))):
-        if not any(dp[: len(kdp)] == kdp for kdp, _ in kept):
-            kept.append((dp, ip))
-    return kept
 
 
 def compose_word(cgs: CylinderPseudogroup, g: Word) -> ComposedMap:
@@ -321,16 +324,18 @@ def compose_word(cgs: CylinderPseudogroup, g: Word) -> ComposedMap:
                     extension = q[len(ip):]
                 ip_ext = ip + extension
                 new.append((dp + extension, pm.emit + ip_ext[consume:]))
-        pieces = _normalize_pieces(new)
+        pieces = _minimal(new, itemgetter(0))
     return ComposedMap(g, tuple(pieces))
 
 
 @dataclass(frozen=True, eq=False)
 class Itinerary:
-    """Symbols of the partition pieces visited along every reduced word.
+    """Symbols of the partition pieces visited along every live reduced word.
 
-    Total on the ball of its depth; the empty symbol marks undefined
-    compositions and, once present, persists along every extension.
+    ``values`` holds exactly the words of length <= depth whose composition
+    is defined at the point.  That set is prefix-closed and stored whole, so
+    a word within the depth that is missing from it is dead, and ``value``
+    gives it the empty symbol.
     """
 
     source_rank: int
@@ -339,43 +344,43 @@ class Itinerary:
     values: Mapping[Word, Any]
 
     def value(self, w: Word) -> Any:
+        if w.rank != self.source_rank:
+            raise RankMismatchError(f"word rank {w.rank} vs itinerary rank {self.source_rank}")
         if len(w) > self.depth:
             raise InsufficientDepthError(f"itinerary stored to depth {self.depth}, asked at {w}")
-        return self.values[w]
+        return self.values.get(w, S_EMPTY)
 
     def defined(self, w: Word) -> bool:
         return self.value(w) is not S_EMPTY
 
     def validate_propagation(self) -> list[str]:
-        problems = []
-        for w, s in self.values.items():
-            if s is S_EMPTY or len(w) == 0:
-                continue
-            if self.values[w.parent] is S_EMPTY:
-                problems.append(f"{w} is live below the dead word {w.parent}")
-        return problems
+        return [f"{w} is live below the dead word {w.parent}"
+                for w in self.values if w.letters and w.parent not in self.values]
 
 
 def itinerary(cgs: CylinderPseudogroup, stream: SymbolStream, depth: int) -> Itinerary:
-    """Track the point through every reduced word of length <= depth."""
+    """Track the point along every live reduced word of length <= depth.
+
+    The walk expands only the live frontier, one level at a time, so its
+    work grows with the live words rather than with the whole ball.
+    """
     rank = cgs.generator_count
-    values: dict[Word, Any] = {}
-    images: dict[Word, SymbolStream] = {identity(rank): stream}
-    values[identity(rank)] = cgs.classify(stream)
-    for level in enumerate_spheres(rank, depth)[1:]:
-        for w in level:
-            parent = w.parent
-            if values[parent] is S_EMPTY:
-                values[w] = S_EMPTY
-                continue
-            pm = cgs.map_for_letter(w.last)
-            point = images[parent]
-            if pm.defined_at(point):
-                moved = pm.apply(point)
-                images[w] = moved
-                values[w] = cgs.classify(moved)
-            else:
-                values[w] = S_EMPTY
+    root = identity(rank)
+    values: dict[Word, Any] = {root: cgs.classify(stream)}
+    frontier = [(root, stream)]
+    for _ in range(depth):
+        nxt = []
+        for w, point in frontier:
+            for x in signed_letters(rank):
+                if w.letters and w.letters[-1] == -x:
+                    continue
+                pm = cgs.map_for_letter(x)
+                if pm.defined_at(point):
+                    moved = pm.apply(point)
+                    child = Word(rank, w.letters + (x,))
+                    values[child] = cgs.classify(moved)
+                    nxt.append((child, moved))
+        frontier = nxt
     return Itinerary(rank, depth, cgs.symbols, values)
 
 
@@ -393,11 +398,7 @@ def embed_pseudo(itin: Itinerary, enc: EdgeEncoding, depth: int) -> Embedding:
     if depth < 0:
         raise ValidationError(f"depth {depth} is negative")
 
-    def symbol_at(w: Word):
-        s = itin.values[w]
-        return None if s is S_EMPTY else s
-
-    kappa = _run_embedding(itin.source_rank, depth, symbol_at, enc)
+    kappa = _run_embedding(itin.source_rank, depth, itin.values.get, enc)
     tree = PointedTree(enc.target_rank, depth, frozenset(kappa.values()))
     return Embedding(tree, kappa, depth)
 
@@ -427,11 +428,7 @@ def builtin_n0_shift(alph: Alphabet) -> CylinderPseudogroup:
 
 
 def _prefix_from_json(obj, alph: Alphabet) -> tuple:
-    if isinstance(obj, str):
-        tokens = list(obj)
-    else:
-        tokens = list(obj)
-    return tuple(alph.match(t) for t in tokens)
+    return tuple(alph.match(t) for t in obj)
 
 
 def cgs_to_json(cgs: CylinderPseudogroup) -> dict:

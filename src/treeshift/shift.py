@@ -79,13 +79,13 @@ class Config:
     def eval(self, g) -> Any:
         if g.group_key != self.group.key:
             raise GroupMismatchError(f"element {g} does not belong to {self.group!r}")
-        value = self.rule(self.group.multiply(self.translate, g).payload)
+        return self.eval_word(g.rep)
+
+    def eval_word(self, w: Word) -> Any:
+        value = self.rule(self.group.normalize(self.translate.rep * w).payload)
         if value not in self.alphabet:
             raise ValidationError(f"rule produced {value!r} outside the alphabet")
         return value
-
-    def eval_word(self, w: Word) -> Any:
-        return self.eval(self.group.normalize(w))
 
     def shifted(self, gamma) -> "Config":
         if isinstance(gamma, Word):
@@ -116,7 +116,14 @@ def periodic_config(group, alph: Alphabet, table, periods=None, label="periodic"
     if periods is None:
         if d != 1:
             raise ValidationError("periods are required when d > 1")
+        if not isinstance(table, (list, tuple)):
+            raise ValidationError("table must be a list")
         periods = [len(table)]
+    if not isinstance(periods, (list, tuple)) or len(periods) != d:
+        raise ValidationError(f"periods {periods!r} must hold one period per axis (d = {d})")
+    if not all(isinstance(p, int) and p >= 1 for p in periods):
+        raise ValidationError(f"periods {list(periods)} must be positive integers")
+    _check_table(table, periods, "table")
 
     def rule(vec):
         cell = table
@@ -125,6 +132,16 @@ def periodic_config(group, alph: Alphabet, table, periods=None, label="periodic"
         return cell
 
     return Config(group, alph, rule, label=label)
+
+
+def _check_table(cell, periods, path: str) -> None:
+    """The nested table must hold periods[0] entries, each a periods[1:] table."""
+    if not periods:
+        return
+    if not isinstance(cell, (list, tuple)) or len(cell) != periods[0]:
+        raise ValidationError(f"{path} must be a list of {periods[0]} entries")
+    for i, sub in enumerate(cell):
+        _check_table(sub, periods[1:], f"{path}[{i}]")
 
 
 def finite_support_config(group, alph: Alphabet, support: dict, default, label="finite") -> Config:
@@ -251,10 +268,6 @@ def config_metric_interval(s1: Config, s2: Config, tail_cutoff: int) -> MetricIn
     return MetricInterval(total, total + tail)
 
 
-# the integer-case metric under its conventional name
-config_metric_z = config_metric_interval
-
-
 def expansivity_witness(s1: Config, s2: Config, cap: int) -> int | None:
     """A shift n with metric lower bound >= 1 after translating both by n.
 
@@ -272,10 +285,6 @@ def expansivity_witness(s1: Config, s2: Config, cap: int) -> int | None:
     return None
 
 
-def config_to_json(sigma: Config) -> dict:
-    raise ValidationError("configurations are rules, not data; serialize their spec instead")
-
-
 def config_from_json(group, alph: Alphabet, obj: dict) -> Config:
     """Build a configuration from its JSON spec.
 
@@ -287,7 +296,7 @@ def config_from_json(group, alph: Alphabet, obj: dict) -> Config:
     if kind == "periodic":
         periods = obj.get("periods")
         if periods is None and "period" in obj:
-            periods = [int(obj["period"])]
+            periods = [obj["period"]]
 
         def match_cell(cell):
             if isinstance(cell, list):

@@ -311,14 +311,13 @@ def relabel_tree(t: PointedTree, letter_map: dict[int, int]) -> PointedTree:
     return PointedTree(t.rank, t.radius, moved)
 
 
-def random_tree(rank: int, radius: int, seed: int, fill: float = 0.6) -> PointedTree:
-    """Seeded random prefix-closed tree grown level by level."""
-    rng = random.Random(seed)
-    vertices = {identity(rank)}
-    frontier = [identity(rank)]
-    for _ in range(radius):
+def _grow(rank: int, vertices: set[Word], frontier: list[Word], levels: int,
+          rng: random.Random, fill: float) -> frozenset[Word]:
+    """Grow ``levels`` levels below a canonically ordered frontier, keeping
+    each child with probability ``fill`` (one draw per child, in canonical order)."""
+    for _ in range(levels):
         nxt = []
-        for v in sorted(frontier, key=Word.sort_key):
+        for v in frontier:
             for x in signed_letters(rank):
                 if v.letters and v.letters[-1] == -x:
                     continue
@@ -327,7 +326,14 @@ def random_tree(rank: int, radius: int, seed: int, fill: float = 0.6) -> Pointed
                     vertices.add(child)
                     nxt.append(child)
         frontier = nxt
-    return PointedTree(rank, radius, frozenset(vertices))
+    return frozenset(vertices)
+
+
+def random_tree(rank: int, radius: int, seed: int, fill: float = 0.6) -> PointedTree:
+    """Seeded random prefix-closed tree grown level by level."""
+    root = identity(rank)
+    return PointedTree(rank, radius, _grow(rank, {root}, [root], radius,
+                                           random.Random(seed), fill))
 
 
 def regrown_tree(t: PointedTree, keep_below: int, seed: int, fill: float = 0.6) -> PointedTree:
@@ -336,26 +342,11 @@ def regrown_tree(t: PointedTree, keep_below: int, seed: int, fill: float = 0.6) 
     Useful for producing pairs that agree on a deep ball: the result shares
     every level < keep_below with t.
     """
-    rng = random.Random(seed)
-    vertices = {v for v in t.vertices if len(v) < keep_below}
-    frontier = sorted((v for v in vertices if len(v) == keep_below - 1), key=Word.sort_key)
-    if keep_below == 0:
-        vertices = {identity(t.rank)}
-        frontier = [identity(t.rank)]
-    for _ in range(max(t.radius - max(keep_below - 1, 0), 0)):
-        nxt = []
-        for v in frontier:
-            if len(v) >= t.radius:
-                continue
-            for x in signed_letters(t.rank):
-                if v.letters and v.letters[-1] == -x:
-                    continue
-                if rng.random() < fill:
-                    child = Word(t.rank, v.letters + (x,))
-                    vertices.add(child)
-                    nxt.append(child)
-        frontier = nxt
-    return PointedTree(t.rank, t.radius, frozenset(vertices))
+    start = max(keep_below - 1, 0)
+    vertices = {v for v in t.vertices if len(v) <= start}
+    frontier = sorted((v for v in vertices if len(v) == start), key=Word.sort_key)
+    return PointedTree(t.rank, t.radius, _grow(t.rank, vertices, frontier, t.radius - start,
+                                               random.Random(seed), fill))
 
 
 def tree_to_json(t: PointedTree) -> dict:

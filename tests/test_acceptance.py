@@ -21,6 +21,23 @@ from treeshift.verify import (
 
 SEED = 7
 
+# the line `treeshift verify --suite all --seed 7` prints for each suite;
+# any change to a check's output must show up here
+LINES = {
+    "continuity": "PASS  continuity         100 pairs, 0 failures",
+    "equivariance": "PASS  equivariance       600 generator checks, 0 failures; "
+                    "identity-symbol variant unusable in 175 of them",
+    "ladder-orbit": "PASS  ladder-orbit       2 nodes, edges ['g0', 'g1']",
+    "lattice-collapse": "PASS  lattice-collapse   50 oracles, 0 failures",
+    "metric-axioms": "PASS  metric-axioms      500 triples (0 axiom failures), "
+                     "100 oracle pairs (0 discrepancies)",
+    "pseudogroup": "PASS  pseudogroup        example values ok, tree ok, "
+                   "20 sampled points (0 failures)",
+    "round-trip": "PASS  round-trip         200 oracles, 0 failures",
+    "separation": "PASS  separation         100 pairs, 0 failures",
+    "tree-shape": "PASS  tree-shape         200 trees, 0 failures",
+}
+
 
 def report(number: int, result, elapsed: float) -> None:
     flag = "PASS" if result.ok else "FAIL"
@@ -33,6 +50,7 @@ def run_criterion(number, check, budget=None):
     elapsed = time.monotonic() - started
     report(number, result, elapsed)
     assert result.ok, result.details
+    assert result.line() == LINES[result.name]
     if budget is not None:
         assert elapsed < budget, f"criterion {number} took {elapsed:.2f}s, budget {budget}s"
 

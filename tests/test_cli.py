@@ -222,3 +222,38 @@ class TestVerifyAndErrors:
         code, _, err = run(capsys, "embed", "--scenario", str(path), "--depth", "1")
         assert code == 1
         assert "generators" in err
+
+
+class TestMalformedInput:
+    """Each malformed input ends in exit 1 with an error line, not a traceback."""
+
+    @staticmethod
+    def assert_clean_failure(code, err):
+        assert code == 1
+        assert err.splitlines()[-1].startswith("error:")
+        assert "Traceback" not in err
+
+    def test_period_longer_than_table(self, tmp_path, capsys):
+        bad = dict(E1_SCENARIO, config={"rule": "periodic", "period": 3, "table": [0, 1]})
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        code, _, err = run(capsys, "embed", "--scenario", str(path), "--depth", "2")
+        self.assert_clean_failure(code, err)
+        assert "table" in err
+
+    def test_non_numeric_encoding_value(self, tmp_path, capsys):
+        bad = dict(E1_SCENARIO, alpha={"M": 1, "alphabet": [0, 1], "n": 2,
+                                       "table": {"t0,0": "gx", "t0,1": "g1"}})
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        code, _, err = run(capsys, "embed", "--scenario", str(path), "--depth", "2")
+        self.assert_clean_failure(code, err)
+        assert "'gx'" in err
+
+    def test_decode_without_encoding(self, scenario_file, tmp_path, capsys):
+        code, out, _ = run(capsys, "embed", "--scenario", scenario_file, "--depth", "1")
+        tree_path = tmp_path / "tree.json"
+        tree_path.write_text(out)
+        code, _, err = run(capsys, "decode", "--tree", str(tree_path), "--depth", "1")
+        self.assert_clean_failure(code, err)
+        assert "--alpha or --scenario" in err

@@ -60,6 +60,28 @@ class TestBuiltin:
         assert N0.classify(OMEGA.drop(1)) == 1
 
 
+class TestSymbolStream:
+    def test_empty_cycle_rejected(self):
+        with pytest.raises(ValidationError):
+            SymbolStream.eventually_periodic((0,), ())
+
+    def test_rewrite_past_the_head_rotates_the_cycle(self):
+        point = SymbolStream.eventually_periodic((1,), (0, 0, 1))   # 1 0 0 1 0 0 1 ...
+        moved = point.rewrite(3, (1, 1))
+        assert moved.prefix(8) == (1, 1) + point.prefix(9)[3:]
+
+    def test_ten_thousand_rewrites(self):
+        point = OMEGA
+        for i in range(10_000):
+            s = point.symbol_at(0)
+            if i % 2:
+                point = N0.negative[1 - s].apply(point)       # prepend the other symbol
+            else:
+                point = N0.positive[s].apply(point)           # drop the leading symbol
+        assert point.symbol_at(0) == 0
+        assert point.prefix(6) == OMEGA.prefix(6)
+
+
 class TestComposeWord:
     def test_empty_word_is_identity(self):
         composed = compose_word(N0, identity(2))
@@ -160,6 +182,40 @@ class TestItinerary:
             i1 = itinerary(N0, p1, first_diff)
             i2 = itinerary(N0, p2, first_diff)
             assert any(i1.value(w) != i2.value(w) for w in enumerate_ball(2, first_diff))
+
+
+class TestLiveItinerary:
+    # a multi-symbol rewrite system: a maps 01 -> 1, b maps 1 -> 00 on 10 and 11
+    STRINGS = cgs_from_json({
+        "alphabet": ["0", "1"],
+        "generators": [
+            {"name": "a", "domain": ["01"], "rewrite": {"consume": "01", "emit": "1"}},
+            {"name": "b", "domain": ["10", "11"], "rewrite": {"consume": "1", "emit": "00"}},
+        ],
+        "partition": {"0": ["0"], "1": ["1"]},
+    })
+
+    def test_stores_live_words_only(self):
+        cgs = builtin_n0_shift(alphabet(["0", "1"]))
+        point = SymbolStream.eventually_periodic(("1", "0"), ("0", "1", "1"))
+        itin = itinerary(cgs, point, 9)
+        assert len(itin.values) == 1534
+        assert all(s is not S_EMPTY for s in itin.values.values())
+        assert itin.validate_propagation() == []
+
+    @pytest.mark.parametrize("system", ["n0", "strings"])
+    def test_matches_compose_word(self, system):
+        cgs = builtin_n0_shift(alphabet(["0", "1"])) if system == "n0" else self.STRINGS
+        points = [("", "01"), ("10", "011"), ("0", "1"), ("110", "0100")]
+        for pre, cycle in points:
+            point = stream_from_json({"pre": list(pre), "cycle": list(cycle)},
+                                     cgs.base_alphabet)
+            itin = itinerary(cgs, point, 6)
+            for w in enumerate_ball(2, 6):
+                composed = compose_word(cgs, w)
+                expected = (cgs.classify(composed.apply(point))
+                            if composed.defined_at(point) else S_EMPTY)
+                assert itin.value(w) == expected, (system, pre, cycle, w)
 
 
 class TestEmbedPseudo:

@@ -167,3 +167,18 @@ class TestJson:
     def test_unknown_rule(self):
         with pytest.raises(ValidationError):
             config_from_json(Z, BITS, {"rule": "markov"})
+
+    @pytest.mark.parametrize("spec", [
+        {"rule": "periodic", "period": 3, "table": [0, 1]},
+        {"rule": "periodic", "period": 0, "table": []},
+        {"rule": "periodic", "periods": [2, 2], "table": [0, 1]},
+    ])
+    def test_periodic_table_must_match_periods(self, spec):
+        with pytest.raises(ValidationError):
+            config_from_json(Z, BITS, spec)
+
+    def test_nested_table_must_match_periods(self):
+        z2 = integer_lattice(d=2)
+        with pytest.raises(ValidationError, match=r"table\[1\]"):
+            config_from_json(z2, BITS, {"rule": "periodic", "periods": [2, 2],
+                                        "table": [[0, 1], [1]]})
