@@ -20,7 +20,7 @@ from .embed import (
     encoding_from_json,
     separate_witness,
 )
-from .errors import InsufficientDepthError, TreeshiftError
+from .errors import InsufficientDepthError, TreeshiftError, json_field
 from .freegroup import Word, enumerate_ball, letter_str, parse_letter, parse_word, signed_letters
 from .groups import group_from_json, induced_config
 from .pseudogroup import (
@@ -83,10 +83,10 @@ def load_json(path: str):
 
 def load_scenario(path: str) -> Scenario:
     obj = load_json(path)
-    group = group_from_json(obj["group"])
-    alph = Alphabet(tuple(obj["alphabet"]))
-    config = config_from_json(group, alph, obj["config"])
-    encoding = encoding_from_json(obj["alpha"], alphabet=alph)
+    group = group_from_json(json_field(obj, "group", "scenario"))
+    alph = Alphabet(tuple(json_field(obj, "alphabet", "scenario")))
+    config = config_from_json(group, alph, json_field(obj, "config", "scenario"))
+    encoding = encoding_from_json(json_field(obj, "alpha", "scenario"), alphabet=alph)
     if encoding.source_rank != group.generator_count:
         raise TreeshiftError(
             f"alpha covers {encoding.source_rank} generators but the group has "
@@ -124,10 +124,7 @@ def cmd_decode(args) -> int:
     else:
         encoding = load_scenario(args.scenario).encoding
     decoded = decode_tree(tree, encoding, args.depth)
-    values = {
-        _source_word_str(w): decoded.values[w]
-        for w in sorted(decoded.values, key=Word.sort_key)
-    }
+    values = {_source_word_str(w): s for w, s in decoded.values.items()}
     sys.stdout.write(dumps_json({"depth": decoded.depth, "values": values}))
     return 0
 
@@ -358,7 +355,7 @@ def main(argv=None) -> int:
     except InsufficientDepthError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except (TreeshiftError, KeyError) as exc:
+    except TreeshiftError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

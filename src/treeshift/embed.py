@@ -31,8 +31,10 @@ from .errors import (
     NotInImageError,
     RankMismatchError,
     ValidationError,
+    json_field,
+    json_int,
 )
-from .freegroup import Word, enumerate_ball, identity, letter_str, signed_letters
+from .freegroup import Word, enumerate_ball, identity, letter_str
 from .shift import Alphabet, Config
 from .trees import BoxDistance, PointedTree, act, box_distance
 
@@ -146,17 +148,17 @@ def encoding_to_json(enc: EdgeEncoding) -> dict:
 
 
 def encoding_from_json(obj: dict, alphabet: Alphabet | None = None) -> EdgeEncoding:
-    declared = Alphabet(tuple(obj["alphabet"]))
+    declared = Alphabet(tuple(json_field(obj, "alphabet", "encoding")))
     if alphabet is None:
         alphabet = declared
     elif len(alphabet) != len(declared) or any(
             str(a) != str(b) for a, b in zip(alphabet.symbols, declared.symbols)):
         raise ValidationError(
             f"encoding alphabet {declared.symbols} does not match {alphabet.symbols}")
-    source_rank = int(obj["M"])
-    target_rank = int(obj["n"])
+    source_rank = json_int(obj, "M", "encoding")
+    target_rank = json_int(obj, "n", "encoding")
     table = {}
-    for key, value in obj["table"].items():
+    for key, value in json_field(obj, "table", "encoding").items():
         gen_text, _, sym_text = key.partition(",")
         if not (gen_text.startswith("t") and gen_text[1:].isdecimal()):
             raise ValidationError(f"table key {key!r} must look like 't0,<symbol>'")
@@ -178,29 +180,28 @@ class Embedding:
 
 
 def _run_embedding(source_rank: int, depth: int, symbol_at: Callable[[Word], Any],
-                   enc: EdgeEncoding) -> dict[Word, Word]:
+                   enc: EdgeEncoding) -> Embedding:
     """Level-synchronous recursion shared by the total and partial embeddings.
 
     ``symbol_at`` returns None for source words the embedding must skip
     (undefined itinerary entries); a skipped word prunes its whole subtree.
+    It is called once per source word, so callers need no cache.
     """
     root = identity(source_rank)
-    if symbol_at(root) is None:
+    root_symbol = symbol_at(root)
+    if root_symbol is None:
         raise ValidationError("the empty word carries no symbol; nothing to embed")
     kappa: dict[Word, Word] = {root: identity(enc.target_rank)}
-    frontier = [root]
+    frontier = [(root, root_symbol)]
     for level in range(1, depth + 1):
         nxt = []
-        for parent in frontier:
-            parent_symbol = symbol_at(parent)
+        for parent, parent_symbol in frontier:
             parent_vertex = kappa[parent]
-            for x in signed_letters(source_rank):
-                if parent.letters and parent.letters[-1] == -x:
-                    continue
-                child = Word(source_rank, parent.letters + (x,))
+            for child in parent.children():
                 child_symbol = symbol_at(child)
                 if child_symbol is None:
                     continue
+                x = child.last
                 if x > 0:
                     target_letter = enc.encode(x, parent_symbol)
                 else:
@@ -210,11 +211,11 @@ def _run_embedding(source_rank: int, depth: int, symbol_at: Callable[[Word], Any
                     raise ConsistencyError(
                         f"cancellation while embedding {child}; encoding is not injective")
                 kappa[child] = vertex
-                nxt.append(child)
+                nxt.append((child, child_symbol))
         frontier = nxt
     if len(set(kappa.values())) != len(kappa):
         raise ConsistencyError("embedding produced colliding vertices")
-    return kappa
+    return Embedding(PointedTree(enc.target_rank, depth, frozenset(kappa.values())), kappa, depth)
 
 
 def embed_config(sigma: Config, enc: EdgeEncoding, depth: int) -> Embedding:
@@ -228,16 +229,7 @@ def embed_config(sigma: Config, enc: EdgeEncoding, depth: int) -> Embedding:
         raise ValidationError(
             "embed_config needs a configuration over the free group of the encoding's "
             "source rank; pull general groups back with groups.induced_config first")
-    cache: dict[Word, Any] = {}
-
-    def symbol_at(w: Word):
-        if w not in cache:
-            cache[w] = sigma.eval_word(w)
-        return cache[w]
-
-    kappa = _run_embedding(enc.source_rank, depth, symbol_at, enc)
-    tree = PointedTree(enc.target_rank, depth, frozenset(kappa.values()))
-    return Embedding(tree, kappa, depth)
+    return _run_embedding(enc.source_rank, depth, sigma.eval_word, enc)
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,6 +238,7 @@ class DecodedConfig:
 
     Symbols are known exactly on words of length <= depth; anything longer
     would need edges beyond the decoded ball, so asking for it raises.
+    ``values`` holds every word of length <= depth, in canonical order.
     """
 
     source_rank: int
@@ -277,37 +270,35 @@ def decode_tree(tree: PointedTree | Embedding, enc: EdgeEncoding, depth: int) ->
     if depth > tree.radius:
         raise InsufficientDepthError(f"decode depth {depth} exceeds tree radius {tree.radius}")
     source_rank = enc.source_rank
-    lam: dict[Word, Word] = {identity(tree.rank): identity(source_rank)}
+    basepoint = identity(tree.rank)
+    lam: dict[Word, Word] = {basepoint: identity(source_rank)}
     values: dict[Word, Any] = {}
-
-    def vote(word: Word, symbol, origin: str) -> None:
-        if word in values and values[word] != symbol:
-            raise ConsistencyError(
-                f"conflicting symbols {values[word]!r} and {symbol!r} at {word} ({origin})")
-        values[word] = symbol
-
-    for d in range(depth):
-        for v in sorted(tree.level(d), key=Word.sort_key):
+    frontier = [basepoint]
+    for _ in range(depth):
+        nxt = []
+        for v in frontier:
             wv = lam[v]
             for u in tree.children(v):
                 x = u.last
-                if x > 0:
-                    gen, sym = enc.decode(x)
-                    wu = wv.append(gen)
-                    vote(wv, sym, f"edge {v} -> {u}")
-                else:
-                    gen, sym = enc.decode(-x)
-                    wu = wv.append(-gen)
-                    vote(wu, sym, f"edge {v} -> {u}")
+                gen, sym = enc.decode(abs(x))
+                wu = wv.append(gen if x > 0 else -gen)
+                reader = wv if x > 0 else wu  # the word whose symbol the edge label carries
+                if values.setdefault(reader, sym) != sym:
+                    raise ConsistencyError(f"conflicting symbols {values[reader]!r} and {sym!r} "
+                                           f"at {reader} (edge {v} -> {u})")
                 if len(wu) != len(wv) + 1:
                     raise ConsistencyError(f"edge {v} -> {u} folds back; not an image tree")
                 lam[u] = wu
-            if len(wv) <= depth - 1 and wv not in values:
-                raise ConsistencyError(
-                    f"no outward positive continuation at {v}; cannot read symbol at {wv}")
+                nxt.append(u)
+        frontier = nxt
     if len(set(lam.values())) != len(lam):
         raise ConsistencyError("decoded vertex words collide; not an image tree")
-    domain = {w: values[w] for w in enumerate_ball(source_rank, depth - 1)}
+    domain = {}
+    for w in enumerate_ball(source_rank, depth - 1):
+        if w not in values:
+            raise ConsistencyError(f"cannot read the symbol at {w}: no vertex decodes to it, "
+                                   "or none that does has an outward positive continuation")
+        domain[w] = values[w]
     return DecodedConfig(source_rank, depth - 1, enc.alphabet, domain, lam)
 
 
@@ -386,8 +377,7 @@ def separate_witness(t1: PointedTree, t2: PointedTree) -> Word | None:
     if not d.exact:
         return None
     r = d.r
-    discrepancies = sorted(t1.level(r + 1) ^ t2.level(r + 1), key=Word.sort_key)
-    g = discrepancies[0].prefix(r)
+    g = min(t1.level(r + 1) ^ t2.level(r + 1), key=Word.sort_key).prefix(r)
     rebased = box_distance(act(t1, g), act(t2, g))
     if rebased != BoxDistance(0, exact=True):
         raise ConsistencyError(f"witness {g} failed to separate: {rebased}")

@@ -1,4 +1,4 @@
-"""Exception taxonomy shared across the package."""
+"""Exception taxonomy shared across the package, and the JSON field checks."""
 
 
 class TreeshiftError(Exception):
@@ -35,3 +35,20 @@ class NotInImageError(TreeshiftError):
 
 class ConsistencyError(TreeshiftError):
     """Decoding met contradictory or missing symbol evidence."""
+
+
+def json_field(obj, key: str, what: str):
+    """``obj[key]`` of the JSON object ``obj``, which messages call ``what``."""
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{what} must be a JSON object, got {type(obj).__name__}")
+    if key not in obj:
+        raise ValidationError(f"{what} has no {key!r} field")
+    return obj[key]
+
+
+def json_int(obj, key: str, what: str) -> int:
+    value = json_field(obj, key, what)
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{what} field {key!r} must be an integer, got {value!r}") from None

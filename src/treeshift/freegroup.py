@@ -8,11 +8,15 @@ ranks is an error, never a coercion.
 Rendering: generator i prints as ``g{i}``, its inverse as ``g{i}'``, and the
 empty word as ``e``.  The canonical order on words is length first, then
 lexicographic by (generator index, sign) with the positive sign first.
+
+Letters are checked where they enter: ``Word(rank, letters)``, :func:`parse_word`,
+:func:`reduce`, and the letter given to :meth:`Word.append`.  Every other
+operation builds its result from reduced words through the unchecked :func:`_word`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import InvalidGeneratorError, RankMismatchError
 
@@ -47,14 +51,12 @@ def parse_letter(token: str, rank: int, prefix: str = "g") -> int:
 
 def signed_letters(rank: int) -> list[int]:
     """All 2*rank letters in canonical order."""
-    out = []
-    for i in range(rank):
-        out.append(i + 1)
-        out.append(-(i + 1))
-    return out
+    return [x for i in range(1, rank + 1) for x in (i, -i)]
 
 
 def _check_letters(letters: Sequence[int], rank: int) -> None:
+    if rank < 1:
+        raise InvalidGeneratorError(f"rank must be >= 1, got {rank}")
     for x in letters:
         if x == 0 or abs(x) > rank:
             raise InvalidGeneratorError(f"letter {x} invalid for rank {rank}")
@@ -68,8 +70,6 @@ class Word:
     letters: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.rank < 1:
-            raise InvalidGeneratorError(f"rank must be >= 1, got {self.rank}")
         _check_letters(self.letters, self.rank)
         for a, b in zip(self.letters, self.letters[1:]):
             if a == -b:
@@ -100,29 +100,39 @@ class Word:
         return self.letters[-1]
 
     def prefix(self, k: int) -> "Word":
-        return Word(self.rank, self.letters[:k])
+        return _word(self.rank, self.letters[:k])
 
     @property
     def parent(self) -> "Word":
         """The word with the last letter removed."""
         return self.prefix(len(self.letters) - 1)
 
-    def prefixes(self) -> Iterator["Word"]:
-        """All proper and improper prefixes, shortest first."""
-        for k in range(len(self.letters) + 1):
-            yield self.prefix(k)
-
     def append(self, letter: int) -> "Word":
         """Right-multiply by a single letter (reduces if it cancels)."""
+        _check_letters((letter,), self.rank)
         if self.letters and self.letters[-1] == -letter:
-            return Word(self.rank, self.letters[:-1])
-        return Word(self.rank, self.letters + (letter,))
+            return _word(self.rank, self.letters[:-1])
+        return _word(self.rank, self.letters + (letter,))
+
+    def children(self) -> list["Word"]:
+        """The one-letter extensions that do not cancel, in canonical order."""
+        letters = self.letters
+        back = -letters[-1] if letters else 0
+        return [_word(self.rank, letters + (x,)) for x in signed_letters(self.rank) if x != back]
 
     def inverse(self) -> "Word":
-        return Word(self.rank, tuple(-x for x in reversed(self.letters)))
+        return _word(self.rank, tuple(-x for x in reversed(self.letters)))
 
     def sort_key(self) -> tuple:
         return (len(self.letters), tuple(letter_key(x) for x in self.letters))
+
+
+def _word(rank: int, letters: tuple[int, ...]) -> Word:
+    """Word from letters already known to be in range and freely reduced."""
+    w = object.__new__(Word)
+    object.__setattr__(w, "rank", rank)
+    object.__setattr__(w, "letters", letters)
+    return w
 
 
 def identity(rank: int) -> Word:
@@ -131,21 +141,26 @@ def identity(rank: int) -> Word:
 
 def reduce(letters: Iterable[int], rank: int) -> Word:
     """Freely reduce an arbitrary letter sequence."""
+    letters = tuple(letters)
+    _check_letters(letters, rank)
     out: list[int] = []
     for x in letters:
-        if x == 0 or abs(x) > rank:
-            raise InvalidGeneratorError(f"letter {x} invalid for rank {rank}")
         if out and out[-1] == -x:
             out.pop()
         else:
             out.append(x)
-    return Word(rank, tuple(out))
+    return _word(rank, tuple(out))
 
 
 def multiply(w1: Word, w2: Word) -> Word:
+    """Product of reduced words: letters can cancel only where the two meet."""
     if w1.rank != w2.rank:
         raise RankMismatchError(f"cannot multiply rank {w1.rank} by rank {w2.rank}")
-    return reduce(w1.letters + w2.letters, w1.rank)
+    a, b = w1.letters, w2.letters
+    k, n = 0, min(len(a), len(b))
+    while k < n and a[-1 - k] == -b[k]:
+        k += 1
+    return _word(w1.rank, a[:len(a) - k] + b[k:])
 
 
 def invert(w: Word) -> Word:
@@ -154,21 +169,11 @@ def invert(w: Word) -> Word:
 
 def enumerate_spheres(rank: int, radius: int) -> list[list[Word]]:
     """Words of length exactly 0, 1, ..., radius, each level in canonical order."""
-    if rank < 1:
-        raise InvalidGeneratorError(f"rank must be >= 1, got {rank}")
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
-    letters = signed_letters(rank)
     levels = [[identity(rank)]]
     for _ in range(radius):
-        level = []
-        for w in levels[-1]:
-            lw = w.letters
-            for x in letters:
-                if lw and lw[-1] == -x:
-                    continue
-                level.append(Word(rank, lw + (x,)))
-        levels.append(level)
+        levels.append([c for w in levels[-1] for c in w.children()])
     return levels
 
 

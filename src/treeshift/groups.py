@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from . import shift
-from .errors import GroupMismatchError, RankMismatchError, ValidationError
+from .errors import GroupMismatchError, RankMismatchError, ValidationError, json_field, json_int
 from .freegroup import Word, identity as word_identity
 
 
@@ -82,7 +82,10 @@ def integer_lattice(d: int | None = None, images=None) -> GroupModel:
         if d is None:
             raise ValidationError("integer_lattice needs d or images")
         images = [[1 if j == i else 0 for j in range(d)] for i in range(d)]
-    images = tuple(tuple(int(c) for c in v) for v in images)
+    try:
+        images = tuple(tuple(int(c) for c in v) for v in images)
+    except (TypeError, ValueError):
+        raise ValidationError(f"lattice images {images!r} must be lists of integers") from None
     if d is None:
         d = len(images[0]) if images else 0
     if any(len(v) != d for v in images):
@@ -157,9 +160,9 @@ def group_to_json(model: GroupModel) -> dict:
 
 
 def group_from_json(obj: dict) -> GroupModel:
-    kind = obj.get("kind")
+    kind = json_field(obj, "kind", "group")
     if kind == "free":
-        return free_group(int(obj["M"]))
+        return free_group(json_int(obj, "M", "group"))
     if kind == "lattice":
-        return integer_lattice(d=int(obj["d"]), images=obj.get("images"))
+        return integer_lattice(d=json_int(obj, "d", "group"), images=obj.get("images"))
     raise ValidationError(f"unknown group kind {kind!r}")

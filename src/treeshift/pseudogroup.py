@@ -31,10 +31,10 @@ from .errors import (
     InsufficientDepthError,
     RankMismatchError,
     ValidationError,
+    json_field,
 )
-from .freegroup import Word, identity, signed_letters
+from .freegroup import Word, identity
 from .shift import Alphabet
-from .trees import PointedTree
 
 
 class _EmptySymbol:
@@ -364,6 +364,8 @@ def itinerary(cgs: CylinderPseudogroup, stream: SymbolStream, depth: int) -> Iti
     The walk expands only the live frontier, one level at a time, so its
     work grows with the live words rather than with the whole ball.
     """
+    if depth < 0:
+        raise ValidationError(f"depth {depth} is negative")
     rank = cgs.generator_count
     root = identity(rank)
     values: dict[Word, Any] = {root: cgs.classify(stream)}
@@ -371,13 +373,10 @@ def itinerary(cgs: CylinderPseudogroup, stream: SymbolStream, depth: int) -> Iti
     for _ in range(depth):
         nxt = []
         for w, point in frontier:
-            for x in signed_letters(rank):
-                if w.letters and w.letters[-1] == -x:
-                    continue
-                pm = cgs.map_for_letter(x)
+            for child in w.children():
+                pm = cgs.map_for_letter(child.last)
                 if pm.defined_at(point):
                     moved = pm.apply(point)
-                    child = Word(rank, w.letters + (x,))
                     values[child] = cgs.classify(moved)
                     nxt.append((child, moved))
         frontier = nxt
@@ -398,9 +397,7 @@ def embed_pseudo(itin: Itinerary, enc: EdgeEncoding, depth: int) -> Embedding:
     if depth < 0:
         raise ValidationError(f"depth {depth} is negative")
 
-    kappa = _run_embedding(itin.source_rank, depth, itin.values.get, enc)
-    tree = PointedTree(enc.target_rank, depth, frozenset(kappa.values()))
-    return Embedding(tree, kappa, depth)
+    return _run_embedding(itin.source_rank, depth, itin.values.get, enc)
 
 
 def builtin_n0_shift(alph: Alphabet) -> CylinderPseudogroup:
@@ -451,18 +448,18 @@ def cgs_to_json(cgs: CylinderPseudogroup) -> dict:
 
 
 def cgs_from_json(obj: dict) -> CylinderPseudogroup:
-    alph = Alphabet(tuple(obj["alphabet"]))
+    alph = Alphabet(tuple(json_field(obj, "alphabet", "generating system")))
     positive = []
     negative = []
-    for entry in obj["generators"]:
+    for entry in json_field(obj, "generators", "generating system"):
         domain = CylinderUnion.of(
-            Cylinder(_prefix_from_json(p, alph)) for p in entry["domain"])
-        rewrite = entry["rewrite"]
+            Cylinder(_prefix_from_json(p, alph)) for p in json_field(entry, "domain", "generator"))
+        rewrite = json_field(entry, "rewrite", "generator")
         pm = PartialMap(
-            name=entry["name"],
+            name=json_field(entry, "name", "generator"),
             domain=domain,
-            consume=_prefix_from_json(rewrite["consume"], alph),
-            emit=_prefix_from_json(rewrite["emit"], alph),
+            consume=_prefix_from_json(json_field(rewrite, "consume", "rewrite"), alph),
+            emit=_prefix_from_json(json_field(rewrite, "emit", "rewrite"), alph),
             inverse_name=entry.get("inverse", entry["name"] + "'"),
         )
         positive.append(pm)
@@ -470,7 +467,7 @@ def cgs_from_json(obj: dict) -> CylinderPseudogroup:
     partition = tuple(
         (alph.match(token), CylinderUnion.of(
             Cylinder(_prefix_from_json(p, alph)) for p in prefixes))
-        for token, prefixes in obj["partition"].items())
+        for token, prefixes in json_field(obj, "partition", "generating system").items())
     cgs = CylinderPseudogroup(alph, tuple(positive), tuple(negative), partition)
     problems = validate_cgs(cgs)
     if problems:
@@ -479,6 +476,6 @@ def cgs_from_json(obj: dict) -> CylinderPseudogroup:
 
 
 def stream_from_json(obj: dict, alph: Alphabet) -> SymbolStream:
+    cycle = json_field(obj, "cycle", "point")
     pre = tuple(alph.match(t) for t in obj.get("pre", []))
-    cycle = tuple(alph.match(t) for t in obj.get("cycle", []))
-    return SymbolStream.eventually_periodic(pre, cycle)
+    return SymbolStream.eventually_periodic(pre, (alph.match(t) for t in cycle))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterable
 
-from .errors import GroupMismatchError, ValidationError
+from .errors import GroupMismatchError, ValidationError, json_field
 from .freegroup import Word, enumerate_spheres
 
 
@@ -292,7 +292,7 @@ def config_from_json(group, alph: Alphabet, obj: dict) -> Config:
     ``{"rule": "periodic", "periods": [2, 2], "table": [[0, 1], [1, 0]]}``
     ``{"rule": "finite", "support": {"0": 1}, "default": 0}``
     """
-    kind = obj.get("rule")
+    kind = json_field(obj, "rule", "config")
     if kind == "periodic":
         periods = obj.get("periods")
         if periods is None and "period" in obj:
@@ -303,13 +303,15 @@ def config_from_json(group, alph: Alphabet, obj: dict) -> Config:
                 return [match_cell(c) for c in cell]
             return alph.match(cell)
 
-        return periodic_config(group, alph, match_cell(obj["table"]), periods)
+        table = match_cell(json_field(obj, "table", "config"))
+        return periodic_config(group, alph, table, periods)
     if kind == "finite":
         support = {}
         for key, value in obj.get("support", {}).items():
             payload = _parse_payload_key(group, key)
             support[payload] = alph.match(value)
-        return finite_support_config(group, alph, support, alph.match(obj["default"]))
+        default = alph.match(json_field(obj, "default", "config"))
+        return finite_support_config(group, alph, support, default)
     raise ValidationError(f"unknown config rule {kind!r}")
 
 
@@ -318,7 +320,10 @@ def _parse_payload_key(group, key: str):
 
     if group.kind == "lattice":
         d = group.key[1]
-        parts = [int(p) for p in str(key).split(",")]
+        try:
+            parts = [int(p) for p in str(key).split(",")]
+        except ValueError:
+            raise ValidationError(f"support key {key!r} must be integers joined by ','") from None
         if len(parts) != d:
             raise ValidationError(f"support key {key!r} has wrong dimension")
         return tuple(parts)

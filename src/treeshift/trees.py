@@ -28,8 +28,10 @@ from .errors import (
     InsufficientDepthError,
     RankMismatchError,
     ValidationError,
+    json_field,
+    json_int,
 )
-from .freegroup import Word, identity, letter_str, parse_word, signed_letters
+from .freegroup import Word, identity, letter_str, parse_word
 
 
 @dataclass(frozen=True)
@@ -51,19 +53,12 @@ class PointedTree:
             raise InsufficientDepthError(f"level {d} beyond radius {self.radius}")
         return self._levels[d]
 
-    @cached_property
-    def _children(self) -> dict[Word, tuple[Word, ...]]:
-        out: dict[Word, list[Word]] = {v: [] for v in self.vertices}
-        for v in self.vertices:
-            if len(v) > 0:
-                out[v.parent].append(v)
-        return {v: tuple(sorted(kids, key=Word.sort_key)) for v, kids in out.items()}
-
     def children(self, v: Word) -> tuple[Word, ...]:
-        return self._children[v]
+        """The vertices one letter below v, in canonical order."""
+        return tuple(c for c in v.children() if c in self.vertices)
 
     def degree(self, v: Word) -> int:
-        d = len(self._children[v])
+        d = len(self.children(v))
         return d if v.is_identity else d + 1
 
     def __contains__(self, w: Word) -> bool:
@@ -217,7 +212,7 @@ def orbit_graph(t: PointedTree, step_bound: int, working_radius: int) -> OrbitGr
     if working_radius + step_bound > t.radius:
         raise InsufficientDepthError(
             f"need radius >= {working_radius + step_bound}, have {t.radius}")
-    letters = signed_letters(t.rank)
+    basepoint = identity(t.rank)
     keys: dict[frozenset[Word], int] = {}
     nodes: list[PointedTree] = []
 
@@ -238,10 +233,8 @@ def orbit_graph(t: PointedTree, step_bound: int, working_radius: int) -> OrbitGr
         if depth >= step_bound or i in expanded:
             continue
         expanded.add(i)
-        for x in letters:
-            step = Word(t.rank, (x,))
-            if step not in tree.vertices:
-                continue
+        for step in tree.children(basepoint):
+            x = step.last
             image = act(tree, step)
             j = node_id(image)
             edges.add((i, x, j) if x > 0 else (j, -x, i))
@@ -311,18 +304,15 @@ def relabel_tree(t: PointedTree, letter_map: dict[int, int]) -> PointedTree:
     return PointedTree(t.rank, t.radius, moved)
 
 
-def _grow(rank: int, vertices: set[Word], frontier: list[Word], levels: int,
+def _grow(vertices: set[Word], frontier: list[Word], levels: int,
           rng: random.Random, fill: float) -> frozenset[Word]:
     """Grow ``levels`` levels below a canonically ordered frontier, keeping
     each child with probability ``fill`` (one draw per child, in canonical order)."""
     for _ in range(levels):
         nxt = []
         for v in frontier:
-            for x in signed_letters(rank):
-                if v.letters and v.letters[-1] == -x:
-                    continue
+            for child in v.children():
                 if rng.random() < fill:
-                    child = Word(rank, v.letters + (x,))
                     vertices.add(child)
                     nxt.append(child)
         frontier = nxt
@@ -332,8 +322,7 @@ def _grow(rank: int, vertices: set[Word], frontier: list[Word], levels: int,
 def random_tree(rank: int, radius: int, seed: int, fill: float = 0.6) -> PointedTree:
     """Seeded random prefix-closed tree grown level by level."""
     root = identity(rank)
-    return PointedTree(rank, radius, _grow(rank, {root}, [root], radius,
-                                           random.Random(seed), fill))
+    return PointedTree(rank, radius, _grow({root}, [root], radius, random.Random(seed), fill))
 
 
 def regrown_tree(t: PointedTree, keep_below: int, seed: int, fill: float = 0.6) -> PointedTree:
@@ -345,7 +334,7 @@ def regrown_tree(t: PointedTree, keep_below: int, seed: int, fill: float = 0.6) 
     start = max(keep_below - 1, 0)
     vertices = {v for v in t.vertices if len(v) <= start}
     frontier = sorted((v for v in vertices if len(v) == start), key=Word.sort_key)
-    return PointedTree(t.rank, t.radius, _grow(t.rank, vertices, frontier, t.radius - start,
+    return PointedTree(t.rank, t.radius, _grow(vertices, frontier, t.radius - start,
                                                random.Random(seed), fill))
 
 
@@ -358,13 +347,8 @@ def tree_to_json(t: PointedTree) -> dict:
 
 
 def tree_from_json(obj: dict) -> PointedTree:
-    try:
-        rank = int(obj["rank"])
-        radius = int(obj["radius"])
-        vertices = obj["vertices"]
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed tree object: {exc}") from exc
-    return make_tree(rank, radius, vertices)
+    return make_tree(json_int(obj, "rank", "tree"), json_int(obj, "radius", "tree"),
+                     json_field(obj, "vertices", "tree"))
 
 
 def tree_to_dot(t: PointedTree) -> str:

@@ -16,7 +16,7 @@ from .embed import (
     random_encoding,
     separate_witness,
 )
-from .freegroup import Word, enumerate_ball, identity
+from .freegroup import Word, enumerate_ball, identity, signed_letters
 from .groups import free_group, induced_config, integer_lattice
 from .pseudogroup import (
     S_EMPTY,
@@ -107,7 +107,7 @@ def check_equivariance_suite(seed: int = 0) -> CheckResult:
     checks = 0
     alternate_disagrees = 0
     for M, m, sigma, enc, depth in _embedding_sample(seed):
-        for h in [x for g in range(1, M + 1) for x in (g, -g)]:
+        for h in signed_letters(M):
             report = check_equivariance(sigma, enc, h, depth)
             checks += 1
             if not report.ball_equal:

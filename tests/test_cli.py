@@ -257,3 +257,63 @@ class TestMalformedInput:
         code, _, err = run(capsys, "decode", "--tree", str(tree_path), "--depth", "1")
         self.assert_clean_failure(code, err)
         assert "--alpha or --scenario" in err
+
+    @pytest.mark.parametrize("change", [
+        {"alpha": dict(E1_SCENARIO["alpha"], M="x")},
+        {"alpha": dict(E1_SCENARIO["alpha"], n=[2])},
+        {"group": {"kind": "lattice", "d": "two"}},
+        {"group": {"kind": "free", "M": "x"}},
+        {"config": {"rule": "finite", "support": {"x": 1}, "default": 0}},
+    ], ids=["encoding-M", "encoding-n", "group-d", "group-M", "support-key"])
+    def test_non_integer_field(self, tmp_path, capsys, change):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(dict(E1_SCENARIO, **change)))
+        code, _, err = run(capsys, "embed", "--scenario", str(path), "--depth", "2")
+        self.assert_clean_failure(code, err)
+
+    def test_missing_scenario_key(self, tmp_path, capsys):
+        bad = {k: v for k, v in E1_SCENARIO.items() if k != "config"}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        code, _, err = run(capsys, "embed", "--scenario", str(path), "--depth", "2")
+        self.assert_clean_failure(code, err)
+        assert "scenario has no 'config' field" in err.splitlines()[-1]
+
+    def test_scenario_is_a_list(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps([E1_SCENARIO]))
+        code, _, err = run(capsys, "embed", "--scenario", str(path), "--depth", "2")
+        self.assert_clean_failure(code, err)
+
+    @pytest.mark.parametrize("point,depth", [
+        ([["0"], ["1"]], "2"),
+        ({"pre": [], "cycle": ["0", "1"]}, "-1"),
+    ], ids=["point-is-a-list", "negative-depth"])
+    def test_itinerary_input(self, tmp_path, capsys, point, depth):
+        path = tmp_path / "point.json"
+        path.write_text(json.dumps(point))
+        code, _, err = run(capsys, "itinerary", "--builtin-n0", "0,1",
+                           "--point", str(path), "--depth", depth)
+        self.assert_clean_failure(code, err)
+
+    def test_non_integer_tree_rank(self, tmp_path, capsys):
+        path = tmp_path / "tree.json"
+        path.write_text(json.dumps({"rank": "two", "radius": 0, "vertices": ["e"]}))
+        code, _, err = run(capsys, "act", "--tree", str(path), "--word", "e")
+        self.assert_clean_failure(code, err)
+
+    def test_decode_partial_tree(self, tmp_path, capsys):
+        point = tmp_path / "point.json"
+        point.write_text('{"pre": ["0", "0"], "cycle": ["0", "1", "0"]}')
+        alpha = tmp_path / "alpha.json"
+        alpha.write_text(json.dumps({
+            "M": 2, "alphabet": ["0", "1"], "n": 4,
+            "table": {"t0,0": "g0", "t0,1": "g1", "t1,0": "g2", "t1,1": "g3"},
+        }))
+        _, out, _ = run(capsys, "embed-pseudo", "--builtin-n0", "0,1", "--point", str(point),
+                        "--alpha", str(alpha), "--depth", "3")
+        tree = tmp_path / "tree.json"
+        tree.write_text(out)
+        code, _, err = run(capsys, "decode", "--tree", str(tree), "--alpha", str(alpha),
+                           "--depth", "3")
+        self.assert_clean_failure(code, err)

@@ -143,3 +143,44 @@ class TestEnumerateBall:
     def test_spheres_partition_by_length(self):
         for level, words in enumerate(enumerate_spheres(2, 3)):
             assert all(len(w) == level for w in words)
+
+
+def reduced_words(rank=2, max_len=8):
+    return letters_strategy(rank, max_len).map(lambda letters: reduce(letters, rank))
+
+
+class TestTrustBoundary:
+    """Operations on reduced words skip the public check; their results must
+    still pass it."""
+
+    @staticmethod
+    def assert_checked(w):
+        assert w == Word(w.rank, w.letters)
+
+    @given(reduced_words(), reduced_words())
+    def test_multiply_matches_reduce(self, a, b):
+        assert multiply(a, b) == reduce(a.letters + b.letters, 2)
+        self.assert_checked(multiply(a, b))
+
+    @given(reduced_words(), st.sampled_from([A, Ai, B, Bi]), st.integers(-2, 10))
+    def test_results_pass_the_public_check(self, w, letter, k):
+        for result in (w.append(letter), w.prefix(k), w.parent, w.inverse(), *w.children()):
+            self.assert_checked(result)
+
+    @given(reduced_words(rank=3, max_len=3))
+    def test_children_are_the_next_sphere_below(self, w):
+        n = len(w) + 1
+        below = [u for u in enumerate_ball(3, n) if len(u) == n and u.letters[:-1] == w.letters]
+        assert w.children() == below
+        assert {c.letters for c in w.children()} == {
+            letters for letters in brute_ball_words(3, n)
+            if len(letters) == n and letters[:-1] == w.letters}
+
+    @pytest.mark.parametrize("letter", [0, 3, -3])
+    def test_append_checks_its_letter(self, letter):
+        with pytest.raises(InvalidGeneratorError):
+            identity(2).append(letter)
+
+    def test_reduce_checks_rank(self):
+        with pytest.raises(InvalidGeneratorError):
+            reduce([], 0)

@@ -291,3 +291,11 @@ class TestSerialization:
 def test_random_trees_are_valid(seed, radius):
     t = random_tree(2, radius, seed)
     assert validate_tree(t) == []
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_children_match_parent_links(seed):
+    t = random_tree(1 + seed % 3, 4, seed)
+    for v in t.vertices:
+        below = sorted((u for u in t.vertices if u.letters and u.parent == v), key=Word.sort_key)
+        assert t.children(v) == tuple(below)
