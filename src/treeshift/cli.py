@@ -21,7 +21,7 @@ from .embed import (
     separate_witness,
 )
 from .errors import InsufficientDepthError, TreeshiftError, json_field
-from .freegroup import Word, enumerate_ball, letter_str, parse_letter, parse_word, signed_letters
+from .freegroup import letter_str, parse_letter, parse_word, signed_letters, walk_ball
 from .groups import group_from_json, induced_config
 from .pseudogroup import (
     builtin_n0_shift,
@@ -98,16 +98,6 @@ def _emit_tree(tree, fmt: str) -> str:
     return tree_to_dot(tree) if fmt == "dot" else dumps_json(tree_to_json(tree))
 
 
-def _source_word_str(w: Word) -> str:
-    return "e" if w.is_identity else " ".join(letter_str(x, prefix="t") for x in w.letters)
-
-
-def _named_word_str(w: Word, names: list[str]) -> str:
-    if w.is_identity:
-        return "e"
-    return " ".join(names[abs(x) - 1] + ("" if x > 0 else "'") for x in w.letters)
-
-
 def cmd_embed(args) -> int:
     scenario = load_scenario(args.scenario)
     result = embed_config(scenario.free_config(), scenario.encoding, args.depth)
@@ -124,7 +114,9 @@ def cmd_decode(args) -> int:
     else:
         encoding = load_scenario(args.scenario).encoding
     decoded = decode_tree(tree, encoding, args.depth)
-    values = {_source_word_str(w): s for w, s in decoded.values.items()}
+    # decoded.values holds the whole ball in canonical order, as the walk names it
+    names = walk_ball(decoded.source_rank, decoded.depth, lambda x: letter_str(x, prefix="t"))
+    values = {text: s for (_, text), s in zip(names, decoded.values.values(), strict=True)}
     sys.stdout.write(dumps_json({"depth": decoded.depth, "values": values}))
     return 0
 
@@ -179,10 +171,13 @@ def cmd_itinerary(args) -> int:
     point = stream_from_json(load_json(args.point), cgs.base_alphabet)
     itin = itinerary(cgs, point, args.depth)
     names = [pm.name for pm in cgs.positive]
-    values = {
-        _named_word_str(w, names): itin.values.get(w)
-        for w in enumerate_ball(itin.source_rank, itin.depth)
-    }
+    live = {w.letters: s for w, s in itin.values.items()}
+
+    def token(x: int) -> str:
+        return names[abs(x) - 1] + ("" if x > 0 else "'")
+
+    values = {text: live.get(letters)
+              for letters, text in walk_ball(itin.source_rank, itin.depth, token)}
     sys.stdout.write(dumps_json({"depth": itin.depth, "values": values}))
     return 0
 

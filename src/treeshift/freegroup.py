@@ -10,13 +10,16 @@ empty word as ``e``.  The canonical order on words is length first, then
 lexicographic by (generator index, sign) with the positive sign first.
 
 Letters are checked where they enter: ``Word(rank, letters)``, :func:`parse_word`,
-:func:`reduce`, and the letter given to :meth:`Word.append`.  Every other
-operation builds its result from reduced words through the unchecked :func:`_word`.
+:func:`word_parser`, :func:`reduce`, and the letter given to :meth:`Word.append`.
+Every other operation builds its result from reduced words through the unchecked
+:func:`_word`.  :func:`walk_ball` names words without building them: it walks
+letter tuples in canonical order, which hash and compare in C.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from operator import add
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from .errors import InvalidGeneratorError, RankMismatchError
 
@@ -114,17 +117,54 @@ class Word:
             return _word(self.rank, self.letters[:-1])
         return _word(self.rank, self.letters + (letter,))
 
-    def children(self) -> list["Word"]:
-        """The one-letter extensions that do not cancel, in canonical order."""
-        letters = self.letters
-        back = -letters[-1] if letters else 0
-        return [_word(self.rank, letters + (x,)) for x in signed_letters(self.rank) if x != back]
+    def children(self, inside: Collection[tuple[int, ...]] | None = None) -> list["Word"]:
+        """The one-letter extensions that do not cancel, in canonical order;
+        given ``inside``, only those whose letter tuples it contains."""
+        rank = self.rank
+        return [_word(rank, c) for c in _extensions(self.letters, signed_letters(rank), inside)]
 
     def inverse(self) -> "Word":
         return _word(self.rank, tuple(-x for x in reversed(self.letters)))
 
     def sort_key(self) -> tuple:
         return (len(self.letters), tuple(letter_key(x) for x in self.letters))
+
+
+def _extensions(letters: tuple[int, ...], alphabet: list[int],
+                inside: Collection[tuple[int, ...]] | None) -> list[tuple[int, ...]]:
+    """The child rule: ``letters`` extended by each letter of ``alphabet`` (in
+    canonical order) that does not cancel its last one, kept if in ``inside``."""
+    back = -letters[-1] if letters else 0
+    if inside is None:
+        return [letters + (x,) for x in alphabet if x != back]
+    return [c for x in alphabet if x != back and (c := letters + (x,)) in inside]
+
+
+def walk_ball(rank: int, radius: int, token: Callable[[int], str] = letter_str,
+              inside: Collection[tuple[int, ...]] | None = None
+              ) -> Iterator[tuple[tuple[int, ...], str]]:
+    """``(letters, text)`` for the reduced words of length <= radius, in
+    canonical order, one level held at a time.
+
+    ``text`` renders a word as its letters' tokens joined by spaces (``"e"``
+    for the empty word), each built from its parent's text plus one token.
+    Given ``inside``, the walk stays among the letter tuples it contains and
+    descends only from those, so a set that is not prefix-closed loses the
+    words below a gap.
+    """
+    _check_letters((), rank)
+    alphabet = signed_letters(rank)
+    tokens = {x: token(x) for x in alphabet}
+    level = [((), "e")] if inside is None or () in inside else []
+    for depth in range(radius + 1):
+        yield from level
+        if depth == radius:
+            return
+        nxt = []
+        for letters, text in level:
+            head = text + " " if letters else ""
+            nxt += [(c, head + tokens[c[-1]]) for c in _extensions(letters, alphabet, inside)]
+        level = nxt
 
 
 def _word(rank: int, letters: tuple[int, ...]) -> Word:
@@ -202,3 +242,25 @@ def parse_word(text: str, rank: int, prefix: str = "g") -> Word:
         return identity(rank)
     letters = [parse_letter(tok, rank, prefix) for tok in text.split()]
     return reduce(letters, rank)
+
+
+def word_parser(rank: int) -> Callable[[str], Word]:
+    """:func:`parse_word` for one rank through a token table.
+
+    Each token is looked up once; a text with a token outside the table
+    (``"e"`` included) goes to :func:`parse_word`, and one whose letters
+    cancel goes to :func:`reduce`, so words and error messages are the same.
+    """
+    _check_letters((), rank)
+    lookup = {letter_str(x): x for x in signed_letters(rank)}.__getitem__
+
+    def parse(text: str) -> Word:
+        try:
+            letters = tuple(map(lookup, text.split()))
+        except KeyError:
+            return parse_word(text, rank)
+        if 0 in map(add, letters, letters[1:]):
+            return reduce(letters, rank)
+        return _word(rank, letters)
+
+    return parse

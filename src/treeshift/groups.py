@@ -111,9 +111,10 @@ def custom_group(generator_count: int, normalizer: Callable[[Word], Any],
 
     The callback must be pure, return hashable payloads, and be constant on
     the fibers of the quotient map (this is a contract, not something the
-    library can verify).
+    library can verify).  The model's key holds the normalizer itself, so two
+    models are equal exactly when they share it.
     """
-    return GroupModel("custom", ("custom", name, id(normalizer)), generator_count, normalizer)
+    return GroupModel("custom", ("custom", name, normalizer), generator_count, normalizer)
 
 
 def normal_form(model: GroupModel, w: Word) -> GroupElement:

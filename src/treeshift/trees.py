@@ -31,7 +31,7 @@ from .errors import (
     json_field,
     json_int,
 )
-from .freegroup import Word, identity, letter_str, parse_word
+from .freegroup import Word, identity, letter_str, walk_ball, word_parser
 
 
 @dataclass(frozen=True)
@@ -39,6 +39,14 @@ class PointedTree:
     rank: int
     radius: int
     vertices: frozenset[Word]
+
+    @cached_property
+    def vertex_letters(self) -> frozenset[tuple[int, ...]]:
+        """The letter tuples of the vertices of the tree's rank.  Membership
+        tests on them hash and compare in C, where tests on ``Word``s run
+        the dataclass's Python-level ``__hash__`` and ``__eq__``."""
+        rank = self.rank
+        return frozenset(v.letters for v in self.vertices if v.rank == rank)
 
     @cached_property
     def _levels(self) -> tuple[frozenset[Word], ...]:
@@ -55,7 +63,7 @@ class PointedTree:
 
     def children(self, v: Word) -> tuple[Word, ...]:
         """The vertices one letter below v, in canonical order."""
-        return tuple(c for c in v.children() if c in self.vertices)
+        return tuple(v.children(self.vertex_letters))
 
     def degree(self, v: Word) -> int:
         d = len(self.children(v))
@@ -76,7 +84,10 @@ def validate_tree(t: PointedTree) -> list[str]:
         violations.append(f"radius {t.radius} is negative")
     if root not in t.vertices:
         violations.append("missing basepoint e")
-    for v in sorted(t.vertices, key=Word.sort_key):
+    rank, radius, inside = t.rank, t.radius, t.vertex_letters
+    broken = [v for v in t.vertices if v.rank != rank or len(v.letters) > radius
+              or (v.letters and v.letters[:-1] not in inside)]
+    for v in sorted(broken, key=Word.sort_key):
         if v.rank != t.rank:
             violations.append(f"vertex {v} has rank {v.rank}, tree has rank {t.rank}")
             continue
@@ -89,9 +100,8 @@ def validate_tree(t: PointedTree) -> list[str]:
 
 def make_tree(rank: int, radius: int, vertices: Iterable[Word | str]) -> PointedTree:
     """Validating constructor; raises ValidationError listing every violation."""
-    words = frozenset(
-        v if isinstance(v, Word) else parse_word(v, rank) for v in vertices
-    )
+    parse = word_parser(rank)
+    words = frozenset(v if isinstance(v, Word) else parse(v) for v in vertices)
     t = PointedTree(rank, radius, words)
     problems = validate_tree(t)
     if problems:
@@ -338,28 +348,46 @@ def regrown_tree(t: PointedTree, keep_below: int, seed: int, fill: float = 0.6) 
                                                random.Random(seed), fill))
 
 
+def _named_vertices(t: PointedTree) -> list[tuple[tuple[int, ...], str]]:
+    """``(letters, str(vertex))`` for every vertex in canonical order, through
+    one walk over the letter tuples; a tree the walk cannot cover is invalid."""
+    named = list(walk_ball(t.rank, t.radius, inside=t.vertex_letters))
+    if len(named) != len(t.vertices):
+        raise ValidationError(f"{t!r} is not a tree: " + "; ".join(validate_tree(t)))
+    return named
+
+
 def tree_to_json(t: PointedTree) -> dict:
     return {
         "rank": t.rank,
         "radius": t.radius,
-        "vertices": [str(v) for v in sorted(t.vertices, key=Word.sort_key)],
+        "vertices": [text for _, text in _named_vertices(t)],
     }
 
 
 def tree_from_json(obj: dict) -> PointedTree:
-    return make_tree(json_int(obj, "rank", "tree"), json_int(obj, "radius", "tree"),
-                     json_field(obj, "vertices", "tree"))
+    rank, radius = json_int(obj, "rank", "tree"), json_int(obj, "radius", "tree")
+    vertices = json_field(obj, "vertices", "tree")
+    if not isinstance(vertices, list):
+        raise ValidationError(f"tree.vertices must be a list of strings, got {vertices!r}")
+    for i, v in enumerate(vertices):
+        if not isinstance(v, str):
+            raise ValidationError(f"tree.vertices[{i}] must be a string, got {v!r}")
+    return make_tree(rank, radius, vertices)
 
 
 def tree_to_dot(t: PointedTree) -> str:
-    """Undirected DOT rendering: vertices named by words, edges by generators."""
+    """Undirected DOT rendering: vertices named by words, edges by generators.
+
+    Vertices and edges both come in canonical order: an edge is listed with
+    its child, and a child's parent is named by its text minus the last token.
+    """
+    named = _named_vertices(t)
     lines = ["graph tree {", '  node [shape=circle];']
-    for v in sorted(t.vertices, key=Word.sort_key):
-        shape = ' [shape=doublecircle]' if v.is_identity else ""
-        lines.append(f'  "{v}"{shape};')
-    for v in sorted(t.vertices, key=Word.sort_key):
-        for c in t.children(v):
-            lines.append(f'  "{v}" -- "{c}" [label="{letter_str(abs(c.last))}"];')
+    lines += [f'  "{text}"{"" if letters else " [shape=doublecircle]"};' for letters, text in named]
+    for letters, text in named[1:]:
+        parent = text.rpartition(" ")[0] or "e"
+        lines.append(f'  "{parent}" -- "{text}" [label="{letter_str(abs(letters[-1]))}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

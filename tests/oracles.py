@@ -1,12 +1,18 @@
 """Brute-force reference implementations used only as test oracles.
 
 These deliberately avoid the algorithms used by the package: reduction is
-repeated single-pass adjacent cancellation, and balls are produced by
-generating every letter string and deduplicating.
+repeated single-pass adjacent cancellation, balls are produced by
+generating every letter string and deduplicating, and trees are parsed,
+checked and listed the way the package did before its canonical walk
+(:func:`parse_word` per vertex, sorting by :meth:`Word.sort_key`).
 """
 from __future__ import annotations
 
 import itertools
+
+from treeshift.errors import ValidationError
+from treeshift.freegroup import Word, identity, letter_str, parse_word
+from treeshift.trees import PointedTree
 
 
 def single_pass_cancel(letters: list[int]) -> tuple[list[int], bool]:
@@ -44,3 +50,53 @@ def brute_ball_words(rank: int, radius: int) -> set[tuple[int, ...]]:
         for string in itertools.product(letters, repeat=length):
             out.add(brute_reduce(string))
     return {w for w in out if len(w) <= radius}
+
+
+# The tree boundary as it was before the canonical walk: every vertex parsed
+# by parse_word, and every listing sorted by Word.sort_key and rendered by str.
+
+def sorted_violations(t) -> list[str]:
+    violations = []
+    if t.radius < 0:
+        violations.append(f"radius {t.radius} is negative")
+    if identity(t.rank) not in t.vertices:
+        violations.append("missing basepoint e")
+    for v in sorted(t.vertices, key=Word.sort_key):
+        if v.rank != t.rank:
+            violations.append(f"vertex {v} has rank {v.rank}, tree has rank {t.rank}")
+            continue
+        if len(v) > t.radius:
+            violations.append(f"vertex {v} exceeds radius {t.radius}")
+        if len(v) > 0 and v.parent not in t.vertices:
+            violations.append(f"missing prefix {v.parent} of vertex {v}")
+    return violations
+
+
+def parse_word_tree(rank: int, radius: int, texts):
+    t = PointedTree(rank, radius, frozenset(parse_word(v, rank) for v in texts))
+    problems = sorted_violations(t)
+    if problems:
+        raise ValidationError("; ".join(problems))
+    return t
+
+
+def sorted_tree_json(t) -> dict:
+    return {"rank": t.rank, "radius": t.radius,
+            "vertices": [str(v) for v in sorted(t.vertices, key=Word.sort_key)]}
+
+
+def sorted_tree_dot(t) -> str:
+    below: dict = {}
+    for u in t.vertices:
+        if u.letters:
+            below.setdefault(u.parent, []).append(u)
+    ordered = sorted(t.vertices, key=Word.sort_key)
+    lines = ["graph tree {", '  node [shape=circle];']
+    for v in ordered:
+        shape = ' [shape=doublecircle]' if v.is_identity else ""
+        lines.append(f'  "{v}"{shape};')
+    for v in ordered:
+        for c in sorted(below.get(v, []), key=Word.sort_key):
+            lines.append(f'  "{v}" -- "{c}" [label="{letter_str(abs(c.last))}"];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"

@@ -302,6 +302,19 @@ class TestMalformedInput:
         code, _, err = run(capsys, "act", "--tree", str(path), "--word", "e")
         self.assert_clean_failure(code, err)
 
+    @pytest.mark.parametrize("vertices,field", [
+        ("e", "tree.vertices must be a list"),
+        ([{}], "tree.vertices[0] must be a string"),
+        (["e", 3], "tree.vertices[1] must be a string"),
+        (["e", None], "tree.vertices[1] must be a string"),
+    ], ids=["string", "object", "number", "null"])
+    def test_tree_vertices_not_strings(self, tmp_path, capsys, vertices, field):
+        path = tmp_path / "tree.json"
+        path.write_text(json.dumps({"rank": 2, "radius": 1, "vertices": vertices}))
+        code, _, err = run(capsys, "act", "--tree", str(path), "--word", "e")
+        self.assert_clean_failure(code, err)
+        assert field in err.splitlines()[-1]
+
     def test_decode_partial_tree(self, tmp_path, capsys):
         point = tmp_path / "point.json"
         point.write_text('{"pre": ["0", "0"], "cycle": ["0", "1", "0"]}')

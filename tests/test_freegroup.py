@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,10 +11,13 @@ from treeshift.freegroup import (
     enumerate_spheres,
     identity,
     invert,
+    letter_str,
     make_letter,
     multiply,
     parse_word,
     reduce,
+    walk_ball,
+    word_parser,
 )
 
 from oracles import brute_ball_words, brute_reduce
@@ -143,6 +148,39 @@ class TestEnumerateBall:
     def test_spheres_partition_by_length(self):
         for level, words in enumerate(enumerate_spheres(2, 3)):
             assert all(len(w) == level for w in words)
+
+
+class TestWalkBall:
+    @pytest.mark.parametrize("rank,radius", [(1, 4), (2, 3), (3, 2)])
+    def test_names_the_ball_in_canonical_order(self, rank, radius):
+        ball = enumerate_ball(rank, radius)
+        assert list(walk_ball(rank, radius)) == [(w.letters, str(w)) for w in ball]
+
+    def test_custom_tokens(self):
+        names = [text for _, text in walk_ball(2, 2, lambda x: letter_str(x, prefix="t"))]
+        assert names[:6] == ["e", "t0", "t0'", "t1", "t1'", "t0 t0"]
+
+    def test_stays_inside_and_below_gaps(self):
+        inside = {(), (1,), (1, 2), (-2,), (-2, -1, -1), (3,)}
+        assert [letters for letters, _ in walk_ball(3, 3, inside=inside)] == [
+            (), (1,), (-2,), (3,), (1, 2)]
+        assert list(walk_ball(3, 3, inside={(1,)})) == []
+
+
+@given(letters_strategy(rank=3, max_len=6), st.lists(st.sampled_from(["", " ", "  ", "\t"])),
+       st.sampled_from(["", "e", "g3", "g0''", "x"]))
+def test_word_parser_matches_parse_word(letters, gaps, junk):
+    tokens = [letter_str(x) for x in letters] + ([junk] if junk else [])
+    text = "".join(tok + (gaps[i] if i < len(gaps) else "") + " " for i, tok in enumerate(tokens))
+    try:
+        expected = parse_word(text, 3)
+    except InvalidGeneratorError as exc:
+        with pytest.raises(InvalidGeneratorError, match=re.escape(str(exc))):
+            word_parser(3)(text)
+    else:
+        got = word_parser(3)(text)
+        assert got == expected
+        assert got == Word(3, got.letters)
 
 
 def reduced_words(rank=2, max_len=8):

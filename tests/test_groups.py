@@ -57,6 +57,15 @@ class TestNormalForm:
         z3 = custom_group(1, lambda w: sum(1 if x > 0 else -1 for x in w.letters) % 3)
         assert z3.normalize(parse_word("g0 g0 g0 g0", 1)).payload == 1
 
+    def test_custom_models_equal_only_with_one_normalizer(self):
+        # each model and its normalizer are dropped at once, so a key holding
+        # only the normalizer's id could repeat the id of a freed one
+        keys = [custom_group(1, lambda w: len(w) % 2).key for _ in range(50)]
+        assert len(set(keys)) == 50
+        parity = lambda w: len(w) % 2  # noqa: E731
+        assert custom_group(1, parity) == custom_group(1, parity)
+        assert custom_group(1, parity) != custom_group(1, lambda w: len(w) % 2)
+
     def test_element_equality_ignores_representative(self):
         z = integer_lattice(d=1)
         a = z.normalize(parse_word("g0 g0 g0'", 1))

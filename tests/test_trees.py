@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,10 +7,11 @@ from hypothesis import given, settings, strategies as st
 from treeshift.errors import (
     ActionUndefinedError,
     InsufficientDepthError,
+    InvalidGeneratorError,
     RankMismatchError,
     ValidationError,
 )
-from treeshift.freegroup import Word, identity, parse_word
+from treeshift.freegroup import Word, identity, letter_str, parse_word, signed_letters
 from treeshift.trees import (
     BoxDistance,
     act,
@@ -32,6 +34,8 @@ from treeshift.trees import (
     tree_to_json,
     validate_tree,
 )
+
+from oracles import parse_word_tree, sorted_tree_dot, sorted_tree_json, sorted_violations
 
 
 def alternating(first, second, length):
@@ -279,6 +283,12 @@ class TestSerialization:
         with pytest.raises(ValidationError):
             tree_from_json({"rank": 2, "radius": 2, "vertices": ["g0"]})
 
+    def test_writers_reject_a_tree_the_walk_cannot_cover(self):
+        gap = PointedTree(2, 2, frozenset({identity(2), parse_word("g0 g1", 2)}))
+        for write in (tree_to_json, tree_to_dot):
+            with pytest.raises(ValidationError, match="missing prefix g0 of vertex g0 g1"):
+                write(gap)
+
     def test_dot_contains_edges(self):
         t = make_tree(2, 2, sorted(E1_DEPTH2))
         dot = tree_to_dot(t)
@@ -299,3 +309,65 @@ def test_children_match_parent_links(seed):
     for v in t.vertices:
         below = sorted((u for u in t.vertices if u.letters and u.parent == v), key=Word.sort_key)
         assert t.children(v) == tuple(below)
+
+
+random_trees = st.builds(random_tree, st.integers(1, 3), st.integers(0, 5),
+                         st.integers(0, 10**6), st.sampled_from([0.3, 0.6, 0.9]))
+
+
+def outcome(build, *args):
+    """The tree ``build`` returns, or the type and message of its error."""
+    try:
+        return build(*args)
+    except (ValidationError, InvalidGeneratorError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_trees)
+def test_walk_renders_and_parses_like_the_sorted_path(t):
+    blob = tree_to_json(t)
+    assert blob == sorted_tree_json(t)
+    assert tree_to_dot(t) == sorted_tree_dot(t)
+    assert make_tree(t.rank, t.radius, blob["vertices"]) == t
+    assert parse_word_tree(t.rank, t.radius, blob["vertices"]) == t
+
+
+def messy_text(rng: random.Random, v: Word) -> str:
+    """A rendering of v with extra whitespace and inserted cancelling pairs."""
+    tokens = [letter_str(x) for x in v.letters]
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        x = rng.choice(signed_letters(v.rank))
+        at = rng.randrange(len(tokens) + 1)
+        tokens[at:at] = [letter_str(x), letter_str(-x)]
+    gaps = [rng.choice([" ", "  ", "\t", " \n "]) for _ in tokens]
+    text = "".join(tok + gap for tok, gap in zip(tokens, gaps)) or "e"
+    return rng.choice(["", " ", "\t"]) + text
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_trees, st.randoms(use_true_random=False),
+       st.sampled_from([None, "g9", "x", "e", "g0''", "g-1"]))
+def test_make_tree_parses_messy_text_like_parse_word(t, rng, junk):
+    texts = [messy_text(rng, v) for v in t.vertices]
+    rng.shuffle(texts)
+    if junk is not None:
+        at = rng.randrange(len(texts))
+        texts[at] = f"{texts[at]} {junk}"
+    expected = outcome(parse_word_tree, t.rank, t.radius, texts)
+    assert outcome(make_tree, t.rank, t.radius, texts) == expected
+    if junk is None:
+        assert expected == t
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_trees, st.randoms(use_true_random=False), st.integers(-1, 2), st.booleans())
+def test_validate_tree_lists_violations_like_the_sorted_path(t, rng, shallower, foreign):
+    vertices = {v for v in t.vertices if rng.random() < 0.8}
+    if foreign:
+        vertices.add(Word(t.rank + 1, (t.rank + 1,) * rng.randrange(3)))
+    broken = PointedTree(t.rank, t.radius - shallower, frozenset(vertices))
+    assert validate_tree(broken) == sorted_violations(broken)
+    texts = [str(v) for v in vertices if v.rank == t.rank]
+    assert (outcome(make_tree, t.rank, broken.radius, texts)
+            == outcome(parse_word_tree, t.rank, broken.radius, texts))
