@@ -114,9 +114,8 @@ def cmd_decode(args) -> int:
     else:
         encoding = load_scenario(args.scenario).encoding
     decoded = decode_tree(tree, encoding, args.depth)
-    # decoded.values holds the whole ball in canonical order, as the walk names it
-    names = walk_ball(decoded.source_rank, decoded.depth, lambda x: letter_str(x, prefix="t"))
-    values = {text: s for (_, text), s in zip(names, decoded.values.values(), strict=True)}
+    values = {" ".join(letter_str(x, prefix="t") for x in w.letters) or "e": s
+              for w, s in decoded.values.items()}
     sys.stdout.write(dumps_json({"depth": decoded.depth, "values": values}))
     return 0
 

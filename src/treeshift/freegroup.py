@@ -10,14 +10,15 @@ empty word as ``e``.  The canonical order on words is length first, then
 lexicographic by (generator index, sign) with the positive sign first.
 
 Letters are checked where they enter: ``Word(rank, letters)``, :func:`parse_word`,
-:func:`word_parser`, :func:`reduce`, and the letter given to :meth:`Word.append`.
-Every other operation builds its result from reduced words through the unchecked
-:func:`_word`.  :func:`walk_ball` names words without building them: it walks
-letter tuples in canonical order, which hash and compare in C.
+:func:`reduce`, and the letter given to :meth:`Word.append`.  Every other
+operation builds its result from reduced words through the unchecked :func:`_word`.
+:func:`walk_ball` names words without building them: it walks letter tuples in
+canonical order, which hash and compare in C.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import add
 from typing import Callable, Collection, Iterable, Iterator, Sequence
 
@@ -153,7 +154,11 @@ def walk_ball(rank: int, radius: int, token: Callable[[int], str] = letter_str,
     words below a gap.
     """
     _check_letters((), rank)
-    alphabet = signed_letters(rank)
+    if inside is None:
+        alphabet = signed_letters(rank)
+    else:  # every child the walk yields ends in a last letter of ``inside``
+        ends = {c[-1] for c in inside if c}
+        alphabet = sorted((x for x in ends if 0 < abs(x) <= rank), key=letter_key)
     tokens = {x: token(x) for x in alphabet}
     level = [((), "e")] if inside is None or () in inside else []
     for depth in range(radius + 1):
@@ -235,32 +240,43 @@ def ball_size(rank: int, radius: int) -> int:
     return total
 
 
+class _TokenTable(dict):
+    """Generator tokens of one rank and prefix, mapped to their letters and
+    filled as they are met, so its size follows the input, not the rank."""
+
+    def __init__(self, rank: int, prefix: str) -> None:
+        super().__init__()
+        self.rank, self.prefix = rank, prefix
+
+    def __missing__(self, token: str) -> int:
+        try:
+            x = parse_letter(token, self.rank, self.prefix)
+        except InvalidGeneratorError:
+            raise KeyError(token) from None
+        self[token] = x
+        return x
+
+
+@lru_cache(maxsize=16)
+def _token_table(rank: int, prefix: str) -> _TokenTable:
+    return _TokenTable(rank, prefix)
+
+
 def parse_word(text: str, rank: int, prefix: str = "g") -> Word:
-    """Parse the rendering produced by ``str(word)`` (``"e"`` or ``"g0 g1'"``)."""
+    """Parse the rendering produced by ``str(word)`` (``"e"`` or ``"g0 g1'"``).
+
+    Generator tokens whose letters do not cancel are read through a token
+    table; anything else (``"e"``, a bad token) takes the token-by-token
+    path through :func:`parse_letter` and :func:`reduce`.
+    """
+    try:
+        letters = tuple(map(_token_table(rank, prefix).__getitem__, text.split()))
+    except KeyError:
+        letters = ()
+    if letters and 0 not in map(add, letters, letters[1:]):
+        return _word(rank, letters)
     text = text.strip()
     if text in ("e", ""):
         return identity(rank)
     letters = [parse_letter(tok, rank, prefix) for tok in text.split()]
     return reduce(letters, rank)
-
-
-def word_parser(rank: int) -> Callable[[str], Word]:
-    """:func:`parse_word` for one rank through a token table.
-
-    Each token is looked up once; a text with a token outside the table
-    (``"e"`` included) goes to :func:`parse_word`, and one whose letters
-    cancel goes to :func:`reduce`, so words and error messages are the same.
-    """
-    _check_letters((), rank)
-    lookup = {letter_str(x): x for x in signed_letters(rank)}.__getitem__
-
-    def parse(text: str) -> Word:
-        try:
-            letters = tuple(map(lookup, text.split()))
-        except KeyError:
-            return parse_word(text, rank)
-        if 0 in map(add, letters, letters[1:]):
-            return reduce(letters, rank)
-        return _word(rank, letters)
-
-    return parse

@@ -31,7 +31,7 @@ from .errors import (
     json_field,
     json_int,
 )
-from .freegroup import Word, identity, letter_str, walk_ball, word_parser
+from .freegroup import Word, identity, letter_str, parse_word, walk_ball
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,10 @@ class PointedTree:
         return self._levels[d]
 
     def children(self, v: Word) -> tuple[Word, ...]:
-        """The vertices one letter below v, in canonical order."""
+        """The vertices one letter below v, in canonical order; none for a
+        word of another rank."""
+        if v.rank != self.rank:
+            return ()
         return tuple(v.children(self.vertex_letters))
 
     def degree(self, v: Word) -> int:
@@ -85,23 +88,25 @@ def validate_tree(t: PointedTree) -> list[str]:
     if root not in t.vertices:
         violations.append("missing basepoint e")
     rank, radius, inside = t.rank, t.radius, t.vertex_letters
-    broken = [v for v in t.vertices if v.rank != rank or len(v.letters) > radius
-              or (v.letters and v.letters[:-1] not in inside)]
-    for v in sorted(broken, key=Word.sort_key):
-        if v.rank != t.rank:
-            violations.append(f"vertex {v} has rank {v.rank}, tree has rank {t.rank}")
+    found: list[tuple[Word, str]] = []
+    for v in t.vertices:
+        if v.rank != rank:
+            found.append((v, f"vertex {v} has rank {v.rank}, tree has rank {rank}"))
             continue
-        if len(v) > t.radius:
-            violations.append(f"vertex {v} exceeds radius {t.radius}")
-        if len(v) > 0 and v.parent not in t.vertices:
-            violations.append(f"missing prefix {v.parent} of vertex {v}")
+        if len(v.letters) > radius:
+            found.append((v, f"vertex {v} exceeds radius {radius}"))
+        if v.letters and v.letters[:-1] not in inside:
+            found.append((v, f"missing prefix {v.parent} of vertex {v}"))
+    found.sort(key=lambda pair: pair[0].sort_key())
+    violations += [message for _, message in found]
     return violations
 
 
 def make_tree(rank: int, radius: int, vertices: Iterable[Word | str]) -> PointedTree:
     """Validating constructor; raises ValidationError listing every violation."""
-    parse = word_parser(rank)
-    words = frozenset(v if isinstance(v, Word) else parse(v) for v in vertices)
+    words = frozenset(
+        v if isinstance(v, Word) else parse_word(v, rank) for v in vertices
+    )
     t = PointedTree(rank, radius, words)
     problems = validate_tree(t)
     if problems:

@@ -3,15 +3,16 @@
 These deliberately avoid the algorithms used by the package: reduction is
 repeated single-pass adjacent cancellation, balls are produced by
 generating every letter string and deduplicating, and trees are parsed,
-checked and listed the way the package did before its canonical walk
-(:func:`parse_word` per vertex, sorting by :meth:`Word.sort_key`).
+checked and listed the way the package did before its canonical walk and
+token table (every token through :func:`parse_letter` and :func:`reduce`,
+sorting by :meth:`Word.sort_key`).
 """
 from __future__ import annotations
 
 import itertools
 
 from treeshift.errors import ValidationError
-from treeshift.freegroup import Word, identity, letter_str, parse_word
+from treeshift.freegroup import Word, identity, letter_str, parse_letter, reduce
 from treeshift.trees import PointedTree
 
 
@@ -53,7 +54,14 @@ def brute_ball_words(rank: int, radius: int) -> set[tuple[int, ...]]:
 
 
 # The tree boundary as it was before the canonical walk: every vertex parsed
-# by parse_word, and every listing sorted by Word.sort_key and rendered by str.
+# token by token, and every listing sorted by Word.sort_key and rendered by str.
+
+def parse_word_checked(text: str, rank: int, prefix: str = "g") -> Word:
+    text = text.strip()
+    if text in ("e", ""):
+        return identity(rank)
+    return reduce([parse_letter(tok, rank, prefix) for tok in text.split()], rank)
+
 
 def sorted_violations(t) -> list[str]:
     violations = []
@@ -73,7 +81,7 @@ def sorted_violations(t) -> list[str]:
 
 
 def parse_word_tree(rank: int, radius: int, texts):
-    t = PointedTree(rank, radius, frozenset(parse_word(v, rank) for v in texts))
+    t = PointedTree(rank, radius, frozenset(parse_word_checked(v, rank) for v in texts))
     problems = sorted_violations(t)
     if problems:
         raise ValidationError("; ".join(problems))

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from treeshift.errors import InvalidGeneratorError, RankMismatchError
 from treeshift.freegroup import (
+    _token_table,
     Word,
     ball_size,
     enumerate_ball,
@@ -17,10 +18,9 @@ from treeshift.freegroup import (
     parse_word,
     reduce,
     walk_ball,
-    word_parser,
 )
 
-from oracles import brute_ball_words, brute_reduce
+from oracles import brute_ball_words, brute_reduce, parse_word_checked
 
 A = make_letter(0)          # g0
 B = make_letter(1)          # g1
@@ -79,6 +79,22 @@ class TestWord:
     def test_parse_range_check(self):
         with pytest.raises(InvalidGeneratorError):
             parse_word("g2", 2)
+
+    @pytest.mark.parametrize("text,rank,prefix", [
+        ("", 0, "g"), ("g0", 0, "g"), (" e ", 2, "g"), ("g0 e", 2, "g"),
+        ("g0 g0' g1", 2, "g"), ("g01", 2, "g"), ("t1' t0", 2, "t"), ("g0", 2, "t")])
+    def test_parse_matches_token_by_token_parse(self, text, rank, prefix):
+        try:
+            expected = parse_word_checked(text, rank, prefix)
+        except InvalidGeneratorError as exc:
+            with pytest.raises(InvalidGeneratorError, match=re.escape(str(exc))):
+                parse_word(text, rank, prefix)
+        else:
+            assert parse_word(text, rank, prefix) == expected
+
+    def test_parse_table_holds_only_the_tokens_met(self):
+        assert str(parse_word("g5 g7' g5 g0 g0'", 10_001)) == "g5 g7' g5"
+        assert sorted(_token_table(10_001, "g")) == ["g0", "g0'", "g5", "g7'"]
 
 
 class TestMultiplyInvert:
@@ -166,21 +182,17 @@ class TestWalkBall:
             (), (1,), (-2,), (3,), (1, 2)]
         assert list(walk_ball(3, 3, inside={(1,)})) == []
 
+    def test_names_only_the_letters_inside(self):
+        named = []
 
-@given(letters_strategy(rank=3, max_len=6), st.lists(st.sampled_from(["", " ", "  ", "\t"])),
-       st.sampled_from(["", "e", "g3", "g0''", "x"]))
-def test_word_parser_matches_parse_word(letters, gaps, junk):
-    tokens = [letter_str(x) for x in letters] + ([junk] if junk else [])
-    text = "".join(tok + (gaps[i] if i < len(gaps) else "") + " " for i, tok in enumerate(tokens))
-    try:
-        expected = parse_word(text, 3)
-    except InvalidGeneratorError as exc:
-        with pytest.raises(InvalidGeneratorError, match=re.escape(str(exc))):
-            word_parser(3)(text)
-    else:
-        got = word_parser(3)(text)
-        assert got == expected
-        assert got == Word(3, got.letters)
+        def token(x):
+            named.append(x)
+            return letter_str(x)
+
+        inside = {(), (6,), (6, -8), (10_000,)}
+        assert [text for _, text in walk_ball(10_000, 2, token, inside)] == [
+            "e", "g5", "g9999", "g5 g7'"]
+        assert sorted(named) == [-8, 6, 10_000]
 
 
 def reduced_words(rank=2, max_len=8):

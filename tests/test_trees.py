@@ -311,6 +311,10 @@ def test_children_match_parent_links(seed):
         assert t.children(v) == tuple(below)
 
 
+def test_children_of_a_word_of_another_rank_are_none():
+    assert make_tree(2, 1, ["e", "g0"]).children(identity(3)) == ()
+
+
 random_trees = st.builds(random_tree, st.integers(1, 3), st.integers(0, 5),
                          st.integers(0, 10**6), st.sampled_from([0.3, 0.6, 0.9]))
 
