@@ -20,7 +20,7 @@ from .embed import (
     encoding_from_json,
     separate_witness,
 )
-from .errors import InsufficientDepthError, TreeshiftError, json_field
+from .errors import InsufficientDepthError, TreeshiftError, json_field, json_kind
 from .freegroup import letter_str, parse_letter, parse_word, signed_letters, walk_ball
 from .groups import group_from_json, induced_config
 from .pseudogroup import (
@@ -84,7 +84,8 @@ def load_json(path: str):
 def load_scenario(path: str) -> Scenario:
     obj = load_json(path)
     group = group_from_json(json_field(obj, "group", "scenario"))
-    alph = Alphabet(tuple(json_field(obj, "alphabet", "scenario")))
+    alph = Alphabet(tuple(json_kind(json_field(obj, "alphabet", "scenario"), list,
+                                    "scenario.alphabet")))
     config = config_from_json(group, alph, json_field(obj, "config", "scenario"))
     encoding = encoding_from_json(json_field(obj, "alpha", "scenario"), alphabet=alph)
     if encoding.source_rank != group.generator_count:

@@ -33,10 +33,24 @@ from .errors import (
     ValidationError,
     json_field,
     json_int,
+    json_kind,
 )
-from .freegroup import Word, enumerate_ball, identity, letter_str
+from .freegroup import (
+    Word,
+    ball_size,
+    digit_letter,
+    enumerate_ball,
+    identity,
+    inverse_digit,
+    key_base,
+    key_word,
+    key_words,
+    letter_digit,
+    letter_str,
+    word_key,
+)
 from .shift import Alphabet, Config
-from .trees import BoxDistance, PointedTree, act, box_distance
+from .trees import BoxDistance, PointedTree, act, box_distance, first_difference
 
 
 @dataclass(frozen=True)
@@ -148,7 +162,8 @@ def encoding_to_json(enc: EdgeEncoding) -> dict:
 
 
 def encoding_from_json(obj: dict, alphabet: Alphabet | None = None) -> EdgeEncoding:
-    declared = Alphabet(tuple(json_field(obj, "alphabet", "encoding")))
+    declared = Alphabet(tuple(json_kind(json_field(obj, "alphabet", "encoding"), list,
+                                        "encoding.alphabet")))
     if alphabet is None:
         alphabet = declared
     elif len(alphabet) != len(declared) or any(
@@ -158,7 +173,8 @@ def encoding_from_json(obj: dict, alphabet: Alphabet | None = None) -> EdgeEncod
     source_rank = json_int(obj, "M", "encoding")
     target_rank = json_int(obj, "n", "encoding")
     table = {}
-    for key, value in json_field(obj, "table", "encoding").items():
+    for key, value in json_kind(json_field(obj, "table", "encoding"), dict,
+                                "encoding.table").items():
         gen_text, _, sym_text = key.partition(",")
         if not (gen_text.startswith("t") and gen_text[1:].isdecimal()):
             raise ValidationError(f"table key {key!r} must look like 't0,<symbol>'")
@@ -172,11 +188,21 @@ def encoding_from_json(obj: dict, alphabet: Alphabet | None = None) -> EdgeEncod
 
 @dataclass(frozen=True, eq=False)
 class Embedding:
-    """A depth-j image tree with the source-word-to-vertex bijection."""
+    """A depth-j image tree with the source-word-to-vertex bijection.
+
+    ``vertex_keys`` pairs each source word with the key of its vertex, in
+    canonical order; ``vertex_of`` is the same bijection onto ``Word``s,
+    built when first read.
+    """
 
     tree: PointedTree
-    vertex_of: Mapping[Word, Word]
+    vertex_keys: tuple[tuple[Word, int], ...]
     depth: int
+
+    @cached_property
+    def vertex_of(self) -> dict[Word, Word]:
+        words = key_words(self.tree.sorted_keys, self.tree.rank)
+        return {w: words[k] for w, k in self.vertex_keys}
 
 
 def _run_embedding(source_rank: int, depth: int, symbol_at: Callable[[Word], Any],
@@ -191,31 +217,33 @@ def _run_embedding(source_rank: int, depth: int, symbol_at: Callable[[Word], Any
     root_symbol = symbol_at(root)
     if root_symbol is None:
         raise ValidationError("the empty word carries no symbol; nothing to embed")
-    kappa: dict[Word, Word] = {root: identity(enc.target_rank)}
-    frontier = [(root, root_symbol)]
-    for level in range(1, depth + 1):
+    base = key_base(enc.target_rank)
+    placed = [(root, 0)]
+    frontier = [(root, root_symbol, 0)]
+    for _ in range(depth):
         nxt = []
-        for parent, parent_symbol in frontier:
-            parent_vertex = kappa[parent]
+        for parent, parent_symbol, parent_key in frontier:
+            back = inverse_digit(parent_key % base)
             for child in parent.children():
                 child_symbol = symbol_at(child)
                 if child_symbol is None:
                     continue
                 x = child.last
                 if x > 0:
-                    target_letter = enc.encode(x, parent_symbol)
+                    digit = letter_digit(enc.encode(x, parent_symbol))
                 else:
-                    target_letter = -enc.encode(-x, child_symbol)
-                vertex = parent_vertex.append(target_letter)
-                if len(vertex) != level:
+                    digit = letter_digit(-enc.encode(-x, child_symbol))
+                if digit == back:
                     raise ConsistencyError(
                         f"cancellation while embedding {child}; encoding is not injective")
-                kappa[child] = vertex
-                nxt.append((child, child_symbol))
+                key = parent_key * base + digit
+                placed.append((child, key))
+                nxt.append((child, child_symbol, key))
         frontier = nxt
-    if len(set(kappa.values())) != len(kappa):
+    keys = frozenset(k for _, k in placed)
+    if len(keys) != len(placed):
         raise ConsistencyError("embedding produced colliding vertices")
-    return Embedding(PointedTree(enc.target_rank, depth, frozenset(kappa.values())), kappa, depth)
+    return Embedding(PointedTree(enc.target_rank, depth, keys), tuple(placed), depth)
 
 
 def embed_config(sigma: Config, enc: EdgeEncoding, depth: int) -> Embedding:
@@ -245,7 +273,6 @@ class DecodedConfig:
     depth: int
     alphabet: Alphabet
     values: Mapping[Word, Any]
-    vertex_words: Mapping[Word, Word]
 
     def eval_word(self, w: Word) -> Any:
         if w.rank != self.source_rank:
@@ -270,36 +297,45 @@ def decode_tree(tree: PointedTree | Embedding, enc: EdgeEncoding, depth: int) ->
     if depth > tree.radius:
         raise InsufficientDepthError(f"decode depth {depth} exceeds tree radius {tree.radius}")
     source_rank = enc.source_rank
-    basepoint = identity(tree.rank)
-    lam: dict[Word, Word] = {basepoint: identity(source_rank)}
-    values: dict[Word, Any] = {}
-    frontier = [basepoint]
+    base, source_base = key_base(tree.rank), key_base(source_rank)
+    lam = {0: 0}  # tree key -> key of the source word it decodes to
+    values: dict[int, Any] = {}  # source key -> symbol
+    frontier = [0]
     for _ in range(depth):
         nxt = []
         for v in frontier:
             wv = lam[v]
-            for u in tree.children(v):
-                x = u.last
+            back = inverse_digit(wv % source_base)
+            for u in tree.child_keys(v):
+                x = digit_letter(u % base)
                 gen, sym = enc.decode(abs(x))
-                wu = wv.append(gen if x > 0 else -gen)
+                digit = letter_digit(gen if x > 0 else -gen)
+                wu = wv // source_base if digit == back else wv * source_base + digit
                 reader = wv if x > 0 else wu  # the word whose symbol the edge label carries
                 if values.setdefault(reader, sym) != sym:
-                    raise ConsistencyError(f"conflicting symbols {values[reader]!r} and {sym!r} "
-                                           f"at {reader} (edge {v} -> {u})")
-                if len(wu) != len(wv) + 1:
-                    raise ConsistencyError(f"edge {v} -> {u} folds back; not an image tree")
+                    raise ConsistencyError(
+                        f"conflicting symbols {values[reader]!r} and {sym!r} at "
+                        f"{key_word(reader, source_rank)} (edge {_edge(tree, v, u)})")
+                if digit == back:
+                    raise ConsistencyError(
+                        f"edge {_edge(tree, v, u)} folds back; not an image tree")
                 lam[u] = wu
                 nxt.append(u)
         frontier = nxt
     if len(set(lam.values())) != len(lam):
         raise ConsistencyError("decoded vertex words collide; not an image tree")
-    domain = {}
-    for w in enumerate_ball(source_rank, depth - 1):
-        if w not in values:
-            raise ConsistencyError(f"cannot read the symbol at {w}: no vertex decodes to it, "
-                                   "or none that does has an outward positive continuation")
-        domain[w] = values[w]
-    return DecodedConfig(source_rank, depth - 1, enc.alphabet, domain, lam)
+    known = sorted(k for k in values if k < source_base ** (depth - 1))
+    if len(known) != ball_size(source_rank, depth - 1):
+        w = next(w for w in enumerate_ball(source_rank, depth - 1) if word_key(w) not in values)
+        raise ConsistencyError(f"cannot read the symbol at {w}: no vertex decodes to it, "
+                               "or none that does has an outward positive continuation")
+    words = key_words(known, source_rank)
+    domain = {words[k]: values[k] for k in known}
+    return DecodedConfig(source_rank, depth - 1, enc.alphabet, domain)
+
+
+def _edge(tree: PointedTree, v: int, u: int) -> str:
+    return f"{key_word(v, tree.rank)} -> {key_word(u, tree.rank)}"
 
 
 @dataclass(frozen=True)
@@ -344,7 +380,7 @@ def check_equivariance(sigma: Config, enc: EdgeEncoding, h: int, depth: int) -> 
             moved = act(base.tree, witness)
         except ActionUndefinedError:
             return False, False
-        return True, moved.vertices == shifted.tree.vertices
+        return True, moved.keys == shifted.tree.keys
 
     if h > 0:
         witness = Word(enc.target_rank, (enc.encode(h, sigma.eval_word(identity(source_rank))),))
@@ -373,11 +409,10 @@ def separate_witness(t1: PointedTree, t2: PointedTree) -> Word | None:
     symmetric difference one level past the agreement radius r, or None
     when the trees agree to their common depth.
     """
-    d = box_distance(t1, t2)
-    if not d.exact:
+    first = first_difference(t1, t2)
+    if first is None:
         return None
-    r = d.r
-    g = min(t1.level(r + 1) ^ t2.level(r + 1), key=Word.sort_key).prefix(r)
+    g = key_word(first, t1.rank).parent
     rebased = box_distance(act(t1, g), act(t2, g))
     if rebased != BoxDistance(0, exact=True):
         raise ConsistencyError(f"witness {g} failed to separate: {rebased}")

@@ -52,3 +52,14 @@ def json_int(obj, key: str, what: str) -> int:
         return int(value)
     except (TypeError, ValueError):
         raise ValidationError(f"{what} field {key!r} must be an integer, got {value!r}") from None
+
+
+_KINDS = {list: "a list", dict: "an object", str: "a string"}
+
+
+def json_kind(value, kind: type, name: str):
+    """``value`` if it is a JSON list, object or string as ``kind`` asks;
+    ``name`` is its path, such as ``point.cycle``."""
+    if not isinstance(value, kind):
+        raise ValidationError(f"{name} must be {_KINDS[kind]}, got {value!r}")
+    return value

@@ -12,15 +12,23 @@ lexicographic by (generator index, sign) with the positive sign first.
 Letters are checked where they enter: ``Word(rank, letters)``, :func:`parse_word`,
 :func:`reduce`, and the letter given to :meth:`Word.append`.  Every other
 operation builds its result from reduced words through the unchecked :func:`_word`.
-:func:`walk_ball` names words without building them: it walks letter tuples in
-canonical order, which hash and compare in C.
+
+Keys: inside a tree a reduced word is stored as one integer, its key.  With
+B = 2*rank + 1, the digit of generator i is 2i + 1 and of its inverse 2i + 2,
+and a word's key is ``k = k*B + digit`` over its letters.  So the empty word
+is 0, the parent of k is ``k // B``, its last digit ``k % B``, the children of
+k lie in ``[k*B + 1, k*B + 2*rank]``, a word has length <= r exactly when
+``k < B**r``, and numeric order is the canonical order.  Keys hash and compare
+in C without collisions.  This module is the only one that maps letters,
+tokens and words to digits and keys; :func:`key_words` and :func:`key_texts`
+name a whole key set at once, each name built from its parent's.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import add
-from typing import Callable, Collection, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InvalidGeneratorError, RankMismatchError
 
@@ -118,11 +126,10 @@ class Word:
             return _word(self.rank, self.letters[:-1])
         return _word(self.rank, self.letters + (letter,))
 
-    def children(self, inside: Collection[tuple[int, ...]] | None = None) -> list["Word"]:
-        """The one-letter extensions that do not cancel, in canonical order;
-        given ``inside``, only those whose letter tuples it contains."""
+    def children(self) -> list["Word"]:
+        """The one-letter extensions that do not cancel, in canonical order."""
         rank = self.rank
-        return [_word(rank, c) for c in _extensions(self.letters, signed_letters(rank), inside)]
+        return [_word(rank, c) for c in _extensions(self.letters, signed_letters(rank))]
 
     def inverse(self) -> "Word":
         return _word(self.rank, tuple(-x for x in reversed(self.letters)))
@@ -131,36 +138,25 @@ class Word:
         return (len(self.letters), tuple(letter_key(x) for x in self.letters))
 
 
-def _extensions(letters: tuple[int, ...], alphabet: list[int],
-                inside: Collection[tuple[int, ...]] | None) -> list[tuple[int, ...]]:
+def _extensions(letters: tuple[int, ...], alphabet: list[int]) -> list[tuple[int, ...]]:
     """The child rule: ``letters`` extended by each letter of ``alphabet`` (in
-    canonical order) that does not cancel its last one, kept if in ``inside``."""
+    canonical order) that does not cancel its last one."""
     back = -letters[-1] if letters else 0
-    if inside is None:
-        return [letters + (x,) for x in alphabet if x != back]
-    return [c for x in alphabet if x != back and (c := letters + (x,)) in inside]
+    return [letters + (x,) for x in alphabet if x != back]
 
 
-def walk_ball(rank: int, radius: int, token: Callable[[int], str] = letter_str,
-              inside: Collection[tuple[int, ...]] | None = None
+def walk_ball(rank: int, radius: int, token: Callable[[int], str] = letter_str
               ) -> Iterator[tuple[tuple[int, ...], str]]:
     """``(letters, text)`` for the reduced words of length <= radius, in
     canonical order, one level held at a time.
 
     ``text`` renders a word as its letters' tokens joined by spaces (``"e"``
     for the empty word), each built from its parent's text plus one token.
-    Given ``inside``, the walk stays among the letter tuples it contains and
-    descends only from those, so a set that is not prefix-closed loses the
-    words below a gap.
     """
     _check_letters((), rank)
-    if inside is None:
-        alphabet = signed_letters(rank)
-    else:  # every child the walk yields ends in a last letter of ``inside``
-        ends = {c[-1] for c in inside if c}
-        alphabet = sorted((x for x in ends if 0 < abs(x) <= rank), key=letter_key)
+    alphabet = signed_letters(rank)
     tokens = {x: token(x) for x in alphabet}
-    level = [((), "e")] if inside is None or () in inside else []
+    level = [((), "e")]
     for depth in range(radius + 1):
         yield from level
         if depth == radius:
@@ -168,15 +164,17 @@ def walk_ball(rank: int, radius: int, token: Callable[[int], str] = letter_str,
         nxt = []
         for letters, text in level:
             head = text + " " if letters else ""
-            nxt += [(c, head + tokens[c[-1]]) for c in _extensions(letters, alphabet, inside)]
+            nxt += [(c, head + tokens[c[-1]]) for c in _extensions(letters, alphabet)]
         level = nxt
 
 
-def _word(rank: int, letters: tuple[int, ...]) -> Word:
-    """Word from letters already known to be in range and freely reduced."""
-    w = object.__new__(Word)
-    object.__setattr__(w, "rank", rank)
-    object.__setattr__(w, "letters", letters)
+def _word(rank: int, letters: tuple[int, ...], _new=object.__new__,
+          _set=object.__setattr__) -> Word:
+    """Word from letters already known to be in range and freely reduced
+    (``_new`` and ``_set`` are bound once: every trusted word is built here)."""
+    w = _new(Word)
+    _set(w, "rank", rank)
+    _set(w, "letters", letters)
     return w
 
 
@@ -262,21 +260,100 @@ def _token_table(rank: int, prefix: str) -> _TokenTable:
     return _TokenTable(rank, prefix)
 
 
-def parse_word(text: str, rank: int, prefix: str = "g") -> Word:
-    """Parse the rendering produced by ``str(word)`` (``"e"`` or ``"g0 g1'"``).
-
-    Generator tokens whose letters do not cancel are read through a token
+def _parse_letters(text: str, rank: int, prefix: str) -> tuple[int, ...]:
+    """Generator tokens whose letters do not cancel are read through a token
     table; anything else (``"e"``, a bad token) takes the token-by-token
-    path through :func:`parse_letter` and :func:`reduce`.
-    """
+    path through :func:`parse_letter` and :func:`reduce`."""
     try:
         letters = tuple(map(_token_table(rank, prefix).__getitem__, text.split()))
     except KeyError:
         letters = ()
     if letters and 0 not in map(add, letters, letters[1:]):
-        return _word(rank, letters)
+        return letters
     text = text.strip()
     if text in ("e", ""):
-        return identity(rank)
-    letters = [parse_letter(tok, rank, prefix) for tok in text.split()]
-    return reduce(letters, rank)
+        _check_letters((), rank)
+        return ()
+    return reduce([parse_letter(tok, rank, prefix) for tok in text.split()], rank).letters
+
+
+def parse_word(text: str, rank: int, prefix: str = "g") -> Word:
+    """Parse the rendering produced by ``str(word)`` (``"e"`` or ``"g0 g1'"``)."""
+    return _word(rank, _parse_letters(text, rank, prefix))
+
+
+def key_base(rank: int) -> int:
+    """The base B of the keys of words of this rank."""
+    return 2 * rank + 1
+
+
+def letter_digit(x: int) -> int:
+    return 2 * x - 1 if x > 0 else -2 * x
+
+
+def digit_letter(d: int) -> int:
+    return (d + 1) >> 1 if d & 1 else -(d >> 1)
+
+
+def inverse_digit(d: int) -> int:
+    """The digit of the inverse of the letter of digit d (-1 for d = 0, which
+    matches no digit)."""
+    return d + 1 if d & 1 else d - 1
+
+
+def _letters_key(letters: Iterable[int], rank: int) -> int:
+    base, k = key_base(rank), 0
+    for x in letters:
+        k = k * base + (2 * x - 1 if x > 0 else -2 * x)
+    return k
+
+
+def word_key(w: Word) -> int:
+    return _letters_key(w.letters, w.rank)
+
+
+def key_word(k: int, rank: int) -> Word:
+    """The word of one key; :func:`key_words` names a whole key set."""
+    base, letters = key_base(rank), []
+    while k:
+        k, d = divmod(k, base)
+        letters.append(digit_letter(d))
+    return _word(rank, tuple(reversed(letters)))
+
+
+def key_words(keys: list[int], rank: int) -> dict[int, Word]:
+    """The word of each key of an ascending key list, each built from its
+    parent's letters (a key whose parent is missing is decoded alone)."""
+    base = key_base(rank)
+    tails = {d: (digit_letter(d),) for d in set(map(base.__rmod__, keys))}
+    letters: dict[int, tuple[int, ...]] = {0: ()}
+    words = {}
+    for k in keys:
+        p = k // base
+        head = letters.get(p)
+        if head is None:
+            head = key_word(p, rank).letters
+        own = letters[k] = head + tails[k - p * base] if k else ()
+        words[k] = _word(rank, own)
+    return words
+
+
+def key_texts(keys: list[int], rank: int) -> dict[int, str]:
+    """``str`` of the word of each key of an ascending, prefix-closed key list:
+    ``"e"`` for the root, else its parent's text plus one token."""
+    base = key_base(rank)
+    tokens = {d: letter_str(digit_letter(d)) for d in set(map(base.__rmod__, keys)) if d}
+    texts = {}
+    for k in keys:
+        if k < base:
+            texts[k] = tokens[k] if k else "e"
+        else:
+            p = k // base
+            texts[k] = texts[p] + " " + tokens[k - p * base]
+    return texts
+
+
+def parse_key(text: str, rank: int) -> int:
+    """The key of the word :func:`parse_word` reads from ``text``, with no
+    ``Word`` built."""
+    return _letters_key(_parse_letters(text, rank, "g"), rank)

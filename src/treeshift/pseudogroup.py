@@ -32,6 +32,7 @@ from .errors import (
     RankMismatchError,
     ValidationError,
     json_field,
+    json_kind,
 )
 from .freegroup import Word, identity
 from .shift import Alphabet
@@ -453,21 +454,24 @@ def cgs_from_json(obj: dict) -> CylinderPseudogroup:
     negative = []
     for entry in json_field(obj, "generators", "generating system"):
         domain = CylinderUnion.of(
-            Cylinder(_prefix_from_json(p, alph)) for p in json_field(entry, "domain", "generator"))
+            Cylinder(_prefix_from_json(p, alph))
+            for p in json_kind(json_field(entry, "domain", "generator"), list, "generator.domain"))
         rewrite = json_field(entry, "rewrite", "generator")
+        name = json_kind(json_field(entry, "name", "generator"), str, "generator.name")
         pm = PartialMap(
-            name=json_field(entry, "name", "generator"),
+            name=name,
             domain=domain,
             consume=_prefix_from_json(json_field(rewrite, "consume", "rewrite"), alph),
             emit=_prefix_from_json(json_field(rewrite, "emit", "rewrite"), alph),
-            inverse_name=entry.get("inverse", entry["name"] + "'"),
+            inverse_name=entry.get("inverse", name + "'"),
         )
         positive.append(pm)
         negative.append(inverse_of(pm))
     partition = tuple(
         (alph.match(token), CylinderUnion.of(
             Cylinder(_prefix_from_json(p, alph)) for p in prefixes))
-        for token, prefixes in json_field(obj, "partition", "generating system").items())
+        for token, prefixes in json_kind(json_field(obj, "partition", "generating system"), dict,
+                                         "generating system.partition").items())
     cgs = CylinderPseudogroup(alph, tuple(positive), tuple(negative), partition)
     problems = validate_cgs(cgs)
     if problems:
@@ -476,6 +480,6 @@ def cgs_from_json(obj: dict) -> CylinderPseudogroup:
 
 
 def stream_from_json(obj: dict, alph: Alphabet) -> SymbolStream:
-    cycle = json_field(obj, "cycle", "point")
-    pre = tuple(alph.match(t) for t in obj.get("pre", []))
+    cycle = json_kind(json_field(obj, "cycle", "point"), list, "point.cycle")
+    pre = tuple(alph.match(t) for t in json_kind(obj.get("pre", []), list, "point.pre"))
     return SymbolStream.eventually_periodic(pre, (alph.match(t) for t in cycle))

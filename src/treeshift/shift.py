@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterable
 
-from .errors import GroupMismatchError, ValidationError, json_field
+from .errors import GroupMismatchError, ValidationError, json_field, json_kind
 from .freegroup import Word, enumerate_spheres
 
 
@@ -26,7 +26,12 @@ class Alphabet:
     def __post_init__(self) -> None:
         if len(self.symbols) < 1:
             raise ValidationError("alphabet must hold at least one symbol")
-        if len(set(self.symbols)) != len(self.symbols):
+        try:
+            distinct = len(set(self.symbols))
+        except TypeError:
+            raise ValidationError(
+                f"alphabet symbols must be strings or numbers, got {self.symbols!r}") from None
+        if distinct != len(self.symbols):
             raise ValidationError("alphabet symbols must be distinct")
 
     def __len__(self) -> int:
@@ -307,7 +312,7 @@ def config_from_json(group, alph: Alphabet, obj: dict) -> Config:
         return periodic_config(group, alph, table, periods)
     if kind == "finite":
         support = {}
-        for key, value in obj.get("support", {}).items():
+        for key, value in json_kind(obj.get("support", {}), dict, "config.support").items():
             payload = _parse_payload_key(group, key)
             support[payload] = alph.match(value)
         default = alph.match(json_field(obj, "default", "config"))

@@ -1,13 +1,18 @@
 """Pointed labeled subtrees of the Cayley tree of a free group, at finite depth.
 
 A tree is a prefix-closed set of reduced words containing the empty word,
-truncated at an explicit radius.  Edges are implicit: v and its one-letter
-extensions are adjacent, and the edge between them is labeled by the positive
-generator of the appended letter.  Every operation states exactly what it
-knows: answers that would need vertices beyond the stored radius raise
-InsufficientDepthError rather than guessing.
+truncated at an explicit radius.  It stores that set once, as the integer
+keys of :mod:`freegroup` (numeric order is the canonical order, the parent
+of k is ``k // B`` and its children lie in ``[k*B + 1, k*B + 2*rank]``), and
+every operation here works on those keys; ``Word``s are built only where
+words enter (parsing, the word of :func:`act`) or leave (the lazily built
+``vertices`` and ``children`` views, printing).  Edges are implicit: v and
+its one-letter extensions are adjacent, and the edge between them is labeled
+by the positive generator of the appended letter.  Every operation states
+exactly what it knows: answers that would need vertices beyond the stored
+radius raise InsufficientDepthError rather than guessing.
 
-Ball comparison is vertex-set equality.  This is sound because a
+Ball comparison is key-set equality.  This is sound because a
 basepoint-preserving isometry that matches signed edge labels is forced,
 edge by edge, to be the identity on vertex names; an independent
 backtracking search (:func:`balls_isomorphic`) is kept as an oracle.
@@ -18,9 +23,11 @@ import itertools
 import json
 import math
 import random
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from operator import floordiv
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -31,91 +38,127 @@ from .errors import (
     json_field,
     json_int,
 )
-from .freegroup import Word, identity, letter_str, parse_word, walk_ball
+from .freegroup import (
+    Word,
+    digit_letter,
+    inverse_digit,
+    key_base,
+    key_texts,
+    key_word,
+    key_words,
+    letter_digit,
+    letter_str,
+    parse_key,
+    word_key,
+)
 
 
 @dataclass(frozen=True)
 class PointedTree:
     rank: int
     radius: int
-    vertices: frozenset[Word]
+    keys: frozenset[int]
+
+    @classmethod
+    def from_words(cls, rank: int, radius: int, words: Iterable[Word]) -> "PointedTree":
+        """Unchecked constructor from ``Word``s; a word of another rank has no
+        key here and raises ValidationError."""
+        words = list(words)
+        for v in words:
+            if v.rank != rank:
+                raise ValidationError(f"vertex {v} has rank {v.rank}, tree has rank {rank}")
+        return cls(rank, radius, frozenset(map(word_key, words)))
 
     @cached_property
-    def vertex_letters(self) -> frozenset[tuple[int, ...]]:
-        """The letter tuples of the vertices of the tree's rank.  Membership
-        tests on them hash and compare in C, where tests on ``Word``s run
-        the dataclass's Python-level ``__hash__`` and ``__eq__``."""
-        rank = self.rank
-        return frozenset(v.letters for v in self.vertices if v.rank == rank)
+    def sorted_keys(self) -> list[int]:
+        return sorted(self.keys)
 
     @cached_property
-    def _levels(self) -> tuple[frozenset[Word], ...]:
-        buckets: list[set[Word]] = [set() for _ in range(self.radius + 1)]
-        for v in self.vertices:
-            buckets[len(v)].add(v)
-        return tuple(frozenset(b) for b in buckets)
+    def vertices(self) -> frozenset[Word]:
+        """The vertices as ``Word``s, built once by walking the keys from the root."""
+        return frozenset(key_words(self.sorted_keys, self.rank).values())
 
-    def level(self, d: int) -> frozenset[Word]:
-        """Vertices at distance exactly d from the basepoint."""
-        if d > self.radius:
-            raise InsufficientDepthError(f"level {d} beyond radius {self.radius}")
-        return self._levels[d]
+    @cached_property
+    def _problems(self) -> list[str]:
+        return validate_tree(self)
+
+    def _bound(self, r: int) -> int:
+        """``B**r``: the keys of words of length <= r are those below it.  The
+        exponent stops past the largest key, so a huge radius costs nothing."""
+        largest = self.sorted_keys[-1] if self.keys else 0
+        return key_base(self.rank) ** min(r, largest.bit_length() + 1)
+
+    def child_keys(self, k: int) -> list[int]:
+        """The keys one letter below the key k, ascending; found by bisecting
+        the sorted keys, so the cost follows the tree, not the rank."""
+        base = key_base(self.rank)
+        keys, low = self.sorted_keys, k * base
+        i = bisect_left(keys, low + 1)
+        return keys[i:bisect_left(keys, low + base, i)]
 
     def children(self, v: Word) -> tuple[Word, ...]:
         """The vertices one letter below v, in canonical order; none for a
         word of another rank."""
         if v.rank != self.rank:
             return ()
-        return tuple(v.children(self.vertex_letters))
+        base = key_base(self.rank)
+        return tuple(v.append(digit_letter(c % base)) for c in self.child_keys(word_key(v)))
 
     def degree(self, v: Word) -> int:
-        d = len(self.children(v))
+        d = len(self.child_keys(word_key(v))) if v.rank == self.rank else 0
         return d if v.is_identity else d + 1
 
+    def degrees(self, r: int) -> list[int]:
+        """The degrees of the vertices within distance r of the basepoint, in
+        canonical order."""
+        return [len(self.child_keys(k)) + (k > 0) for k in ball(self, r).sorted_keys]
+
     def __contains__(self, w: Word) -> bool:
-        return w in self.vertices
+        return w.rank == self.rank and word_key(w) in self.keys
 
     def __repr__(self) -> str:
-        return f"PointedTree(rank={self.rank}, radius={self.radius}, {len(self.vertices)} vertices)"
+        return f"PointedTree(rank={self.rank}, radius={self.radius}, {len(self.keys)} vertices)"
 
 
 def validate_tree(t: PointedTree) -> list[str]:
     """All invariant violations, each with a witness vertex; empty means ok."""
     violations = []
-    root = identity(t.rank)
+    keys = t.keys
     if t.radius < 0:
         violations.append(f"radius {t.radius} is negative")
-    if root not in t.vertices:
+    if 0 not in keys:
         violations.append("missing basepoint e")
-    rank, radius, inside = t.rank, t.radius, t.vertex_letters
-    found: list[tuple[Word, str]] = []
-    for v in t.vertices:
-        if v.rank != rank:
-            found.append((v, f"vertex {v} has rank {v.rank}, tree has rank {rank}"))
-            continue
-        if len(v.letters) > radius:
-            found.append((v, f"vertex {v} exceeds radius {radius}"))
-        if v.letters and v.letters[:-1] not in inside:
-            found.append((v, f"missing prefix {v.parent} of vertex {v}"))
-    found.sort(key=lambda pair: pair[0].sort_key())
-    violations += [message for _, message in found]
+    base = key_base(t.rank)
+    limit = t._bound(t.radius) if t.radius >= 0 else 0
+    orphans = set(map(floordiv, keys, itertools.repeat(base))) - keys  # parents that are missing
+    if not orphans and max(keys, default=0) < limit:
+        return violations
+    for k in sorted(k for k in keys if k >= limit or k // base in orphans):
+        v = key_word(k, t.rank)
+        if k >= limit:
+            violations.append(f"vertex {v} exceeds radius {t.radius}")
+        if k // base in orphans:
+            violations.append(f"missing prefix {v.parent} of vertex {v}")
     return violations
 
 
-def make_tree(rank: int, radius: int, vertices: Iterable[Word | str]) -> PointedTree:
-    """Validating constructor; raises ValidationError listing every violation."""
-    words = frozenset(
-        v if isinstance(v, Word) else parse_word(v, rank) for v in vertices
-    )
-    t = PointedTree(rank, radius, words)
-    problems = validate_tree(t)
-    if problems:
-        raise ValidationError("; ".join(problems))
+def _check_tree(t: PointedTree) -> None:
+    """Raise unless t is a tree, which the walks over its keys assume."""
+    if t._problems:
+        raise ValidationError(f"{t!r} is not a tree: " + "; ".join(t._problems))
+
+
+def make_tree(rank: int, radius: int, vertices: Iterable[str]) -> PointedTree:
+    """Validating constructor from vertex texts; raises ValidationError
+    listing every violation."""
+    t = PointedTree(rank, radius, frozenset(parse_key(v, rank) for v in vertices))
+    if t._problems:
+        raise ValidationError("; ".join(t._problems))
     return t
 
 
 def singleton_tree(rank: int) -> PointedTree:
-    return PointedTree(rank, 0, frozenset({identity(rank)}))
+    return PointedTree(rank, 0, frozenset({0}))
 
 
 def ball(t: PointedTree, r: int) -> PointedTree:
@@ -126,7 +169,8 @@ def ball(t: PointedTree, r: int) -> PointedTree:
         raise InsufficientDepthError(f"ball of radius {r} requested from radius {t.radius}")
     if r == t.radius:
         return t
-    return PointedTree(t.rank, r, frozenset(v for v in t.vertices if len(v) <= r))
+    keys = t.sorted_keys
+    return PointedTree(t.rank, r, frozenset(keys[:bisect_left(keys, t._bound(r))]))
 
 
 @dataclass(frozen=True)
@@ -149,14 +193,23 @@ class BoxDistance:
         return f"exact({self.r})" if self.exact else f"at-least({self.r})"
 
 
-def box_distance(t1: PointedTree, t2: PointedTree) -> BoxDistance:
+def first_difference(t1: PointedTree, t2: PointedTree) -> int | None:
+    """The smallest key in which the trees differ within their common
+    radius, or None when they agree there."""
     if t1.rank != t2.rank:
         raise RankMismatchError(f"ranks {t1.rank} and {t2.rank} differ")
-    rmin = min(t1.radius, t2.radius)
-    for rr in range(rmin + 1):
-        if t1.level(rr) != t2.level(rr):
-            return BoxDistance(rr - 1, exact=True)
-    return BoxDistance(rmin, exact=False)
+    r = min(t1.radius, t2.radius)
+    limit = max(t1._bound(r), t2._bound(r))
+    return min((k for k in t1.keys ^ t2.keys if k < limit), default=None)
+
+
+def box_distance(t1: PointedTree, t2: PointedTree) -> BoxDistance:
+    """Exact at one less than the length of the first difference; the
+    smallest differing key is on the shallowest differing level."""
+    k = first_difference(t1, t2)
+    if k is None:
+        return BoxDistance(min(t1.radius, t2.radius), exact=False)
+    return BoxDistance(len(key_word(k, t1.rank)) - 1, exact=True)
 
 
 def neighborhood(t: PointedTree, r: int, pool: Sequence[PointedTree]) -> list[PointedTree]:
@@ -172,8 +225,8 @@ def neighborhood(t: PointedTree, r: int, pool: Sequence[PointedTree]) -> list[Po
         raise InsufficientDepthError(
             f"{len(too_shallow)} pool member(s) shallower than radius {r}: "
             + ", ".join(repr(p) for p in too_shallow[:3]))
-    reference = ball(t, r).vertices
-    return [p for p in pool if ball(p, r).vertices == reference]
+    reference = ball(t, r).keys
+    return [p for p in pool if ball(p, r).keys == reference]
 
 
 def act(t: PointedTree, g: Word) -> PointedTree:
@@ -181,22 +234,35 @@ def act(t: PointedTree, g: Word) -> PointedTree:
 
     Defined exactly when g is a vertex: the path from the basepoint to g
     reads the reduced word g itself.  The result is the left translate by
-    g^-1, truncated to radius - |g|, since nothing further is known.
+    g^-1, truncated to radius - |g|, since nothing further is known.  It is
+    found by a walk from g over the tree's edges, so it costs the vertices
+    within that radius of g: a step to the parent appends the inverse of the
+    vertex's last letter to the new name, a step to a child its letter.
     """
     if g.rank != t.rank:
         raise RankMismatchError(f"word rank {g.rank} vs tree rank {t.rank}")
     if len(g) > t.radius:
         raise InsufficientDepthError(f"|g| = {len(g)} exceeds radius {t.radius}")
-    if g not in t.vertices:
+    start = word_key(g)
+    if start not in t.keys:
         raise ActionUndefinedError(f"{g} is not a vertex; action undefined")
-    gi = g.inverse()
-    new_radius = t.radius - len(g)
-    moved = set()
-    for v in t.vertices:
-        w = gi * v
-        if len(w) <= new_radius:
-            moved.add(w)
-    return PointedTree(t.rank, new_radius, frozenset(moved))
+    _check_tree(t)
+    base = key_base(t.rank)
+    level = [(start, 0, -1)]  # (key in t, key in the result, the key it was reached from)
+    moved = [0]
+    for _ in range(t.radius - len(g)):
+        if not level:
+            break
+        nxt = []
+        for u, name, back in level:
+            head = name * base
+            parent = u // base
+            if u and parent != back:
+                nxt.append((parent, head + inverse_digit(u - parent * base), u))
+            nxt += [(c, head + c % base, u) for c in t.child_keys(u) if c != back]
+        moved += [name for _, name, _ in nxt]
+        level = nxt
+    return PointedTree(t.rank, t.radius - len(g), frozenset(moved))
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,13 +293,12 @@ def orbit_graph(t: PointedTree, step_bound: int, working_radius: int) -> OrbitGr
     if working_radius + step_bound > t.radius:
         raise InsufficientDepthError(
             f"need radius >= {working_radius + step_bound}, have {t.radius}")
-    basepoint = identity(t.rank)
-    keys: dict[frozenset[Word], int] = {}
+    keys: dict[frozenset[int], int] = {}
     nodes: list[PointedTree] = []
 
     def node_id(tree: PointedTree) -> int:
         key_tree = ball(tree, working_radius)
-        key = key_tree.vertices
+        key = key_tree.keys
         if key not in keys:
             keys[key] = len(nodes)
             nodes.append(key_tree)
@@ -248,7 +313,8 @@ def orbit_graph(t: PointedTree, step_bound: int, working_radius: int) -> OrbitGr
         if depth >= step_bound or i in expanded:
             continue
         expanded.add(i)
-        for step in tree.children(basepoint):
+        for c in tree.child_keys(0):
+            step = key_word(c, tree.rank)
             x = step.last
             image = act(tree, step)
             j = node_id(image)
@@ -262,26 +328,28 @@ def balls_isomorphic(t1: PointedTree, t2: PointedTree, r: int) -> bool:
     """Backtracking search for a basepoint-preserving isomorphism of balls.
 
     Matches edges by signed label (generator plus direction away from the
-    basepoint) without assuming labels are unique among siblings, so it
-    stays an independent check on the vertex-set-equality fast path.
+    basepoint, which is the last digit of a child's key) without assuming
+    labels are unique among siblings, so it stays an independent check on
+    the key-set-equality fast path.
     """
     if t1.rank != t2.rank:
         raise RankMismatchError(f"ranks {t1.rank} and {t2.rank} differ")
     if r > t1.radius or r > t2.radius:
         raise InsufficientDepthError(f"radius {r} ball not stored on both trees")
     b1, b2 = ball(t1, r), ball(t2, r)
+    base = key_base(t1.rank)
 
-    def match(u1: Word, u2: Word) -> bool:
-        kids1 = b1.children(u1)
-        kids2 = b2.children(u2)
+    def match(u1: int, u2: int) -> bool:
+        kids1 = b1.child_keys(u1)
+        kids2 = b2.child_keys(u2)
         if len(kids1) != len(kids2):
             return False
-        by_label1: dict[int, list[Word]] = {}
-        by_label2: dict[int, list[Word]] = {}
+        by_label1: dict[int, list[int]] = {}
+        by_label2: dict[int, list[int]] = {}
         for c in kids1:
-            by_label1.setdefault(c.last, []).append(c)
+            by_label1.setdefault(c % base, []).append(c)
         for c in kids2:
-            by_label2.setdefault(c.last, []).append(c)
+            by_label2.setdefault(c % base, []).append(c)
         if set(by_label1) != set(by_label2):
             return False
         for label, group1 in by_label1.items():
@@ -297,7 +365,7 @@ def balls_isomorphic(t1: PointedTree, t2: PointedTree, r: int) -> bool:
                 return False
         return True
 
-    return match(identity(t1.rank), identity(t2.rank))
+    return match(0, 0)
 
 
 def box_distance_brute(t1: PointedTree, t2: PointedTree) -> BoxDistance:
@@ -314,30 +382,35 @@ def relabel_tree(t: PointedTree, letter_map: dict[int, int]) -> PointedTree:
     full = dict(letter_map)
     for x, y in list(letter_map.items()):
         full.setdefault(-x, -y)
-    moved = frozenset(Word(t.rank, tuple(full.get(x, x) for x in v.letters))
-                      for v in t.vertices)
-    return PointedTree(t.rank, t.radius, moved)
+    digits = {letter_digit(x): letter_digit(y) for x, y in full.items()}
+    base = key_base(t.rank)
+    moved = {0: 0}
+    for k in t.sorted_keys:
+        p = k // base
+        moved[k] = moved[p] * base + digits.get(k - p * base, k - p * base)
+    return PointedTree(t.rank, t.radius, frozenset(moved.values()))
 
 
-def _grow(vertices: set[Word], frontier: list[Word], levels: int,
-          rng: random.Random, fill: float) -> frozenset[Word]:
-    """Grow ``levels`` levels below a canonically ordered frontier, keeping
-    each child with probability ``fill`` (one draw per child, in canonical order)."""
+def _grow(keys: set[int], frontier: list[int], levels: int, base: int,
+          rng: random.Random, fill: float) -> frozenset[int]:
+    """Grow ``levels`` levels below an ascending frontier, keeping each child
+    with probability ``fill`` (one draw per child, in canonical order)."""
     for _ in range(levels):
         nxt = []
-        for v in frontier:
-            for child in v.children():
-                if rng.random() < fill:
-                    vertices.add(child)
-                    nxt.append(child)
+        for k in frontier:
+            head, back = k * base, inverse_digit(k % base)
+            for d in range(1, base):
+                if d != back and rng.random() < fill:
+                    keys.add(head + d)
+                    nxt.append(head + d)
         frontier = nxt
-    return frozenset(vertices)
+    return frozenset(keys)
 
 
 def random_tree(rank: int, radius: int, seed: int, fill: float = 0.6) -> PointedTree:
     """Seeded random prefix-closed tree grown level by level."""
-    root = identity(rank)
-    return PointedTree(rank, radius, _grow({root}, [root], radius, random.Random(seed), fill))
+    return PointedTree(rank, radius, _grow({0}, [0], radius, key_base(rank),
+                                           random.Random(seed), fill))
 
 
 def regrown_tree(t: PointedTree, keep_below: int, seed: int, fill: float = 0.6) -> PointedTree:
@@ -347,26 +420,19 @@ def regrown_tree(t: PointedTree, keep_below: int, seed: int, fill: float = 0.6) 
     every level < keep_below with t.
     """
     start = max(keep_below - 1, 0)
-    vertices = {v for v in t.vertices if len(v) <= start}
-    frontier = sorted((v for v in vertices if len(v) == start), key=Word.sort_key)
-    return PointedTree(t.rank, t.radius, _grow(vertices, frontier, t.radius - start,
+    base = key_base(t.rank)
+    kept = t.sorted_keys[:bisect_left(t.sorted_keys, base ** start)]
+    frontier = kept[bisect_left(kept, base ** start // base):]
+    return PointedTree(t.rank, t.radius, _grow(set(kept), frontier, t.radius - start, base,
                                                random.Random(seed), fill))
 
 
-def _named_vertices(t: PointedTree) -> list[tuple[tuple[int, ...], str]]:
-    """``(letters, str(vertex))`` for every vertex in canonical order, through
-    one walk over the letter tuples; a tree the walk cannot cover is invalid."""
-    named = list(walk_ball(t.rank, t.radius, inside=t.vertex_letters))
-    if len(named) != len(t.vertices):
-        raise ValidationError(f"{t!r} is not a tree: " + "; ".join(validate_tree(t)))
-    return named
-
-
 def tree_to_json(t: PointedTree) -> dict:
+    _check_tree(t)
     return {
         "rank": t.rank,
         "radius": t.radius,
-        "vertices": [text for _, text in _named_vertices(t)],
+        "vertices": list(key_texts(t.sorted_keys, t.rank).values()),
     }
 
 
@@ -385,14 +451,17 @@ def tree_to_dot(t: PointedTree) -> str:
     """Undirected DOT rendering: vertices named by words, edges by generators.
 
     Vertices and edges both come in canonical order: an edge is listed with
-    its child, and a child's parent is named by its text minus the last token.
+    its child, and named by its parent's text and its own.
     """
-    named = _named_vertices(t)
+    _check_tree(t)
+    base = key_base(t.rank)
+    texts = key_texts(t.sorted_keys, t.rank)
     lines = ["graph tree {", '  node [shape=circle];']
-    lines += [f'  "{text}"{"" if letters else " [shape=doublecircle]"};' for letters, text in named]
-    for letters, text in named[1:]:
-        parent = text.rpartition(" ")[0] or "e"
-        lines.append(f'  "{parent}" -- "{text}" [label="{letter_str(abs(letters[-1]))}"];')
+    lines += [f'  "{text}"{"" if k else " [shape=doublecircle]"};' for k, text in texts.items()]
+    for k, text in texts.items():
+        if k:
+            label = letter_str(abs(digit_letter(k % base)))
+            lines.append(f'  "{texts[k // base]}" -- "{text}" [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -413,7 +482,7 @@ def orbit_to_dot(og: OrbitGraph) -> str:
         "  // distinct orbit points may coincide under this truncation",
     ]
     for i, node in enumerate(og.nodes):
-        lines.append(f'  T{i} [label="T{i} ({len(node.vertices)} vertices)"];')
+        lines.append(f'  T{i} [label="T{i} ({len(node.keys)} vertices)"];')
     for i, x, j in og.edges:
         lines.append(f'  T{i} -> T{j} [label="{letter_str(x)}"];')
     lines.append("}")

@@ -11,9 +11,15 @@ from __future__ import annotations
 
 import itertools
 
-from treeshift.errors import ValidationError
+from treeshift.errors import (
+    ActionUndefinedError,
+    ConsistencyError,
+    InsufficientDepthError,
+    RankMismatchError,
+    ValidationError,
+)
 from treeshift.freegroup import Word, identity, letter_str, parse_letter, reduce
-from treeshift.trees import PointedTree
+from treeshift.trees import BoxDistance, PointedTree
 
 
 def single_pass_cancel(letters: list[int]) -> tuple[list[int], bool]:
@@ -81,7 +87,7 @@ def sorted_violations(t) -> list[str]:
 
 
 def parse_word_tree(rank: int, radius: int, texts):
-    t = PointedTree(rank, radius, frozenset(parse_word_checked(v, rank) for v in texts))
+    t = PointedTree.from_words(rank, radius, [parse_word_checked(v, rank) for v in texts])
     problems = sorted_violations(t)
     if problems:
         raise ValidationError("; ".join(problems))
@@ -108,3 +114,45 @@ def sorted_tree_dot(t) -> str:
             lines.append(f'  "{v}" -- "{c}" [label="{letter_str(abs(c.last))}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+# Rebasing and the box metric on Word sets, as before integer keys.
+
+def translated_act(t, g: Word):
+    """Left-multiply every vertex by g^-1 and keep the radius - |g| ball."""
+    if g.rank != t.rank:
+        raise RankMismatchError(f"word rank {g.rank} vs tree rank {t.rank}")
+    if len(g) > t.radius:
+        raise InsufficientDepthError(f"|g| = {len(g)} exceeds radius {t.radius}")
+    if g not in t.vertices:
+        raise ActionUndefinedError(f"{g} is not a vertex; action undefined")
+    gi = g.inverse()
+    new_radius = t.radius - len(g)
+    moved = [w for w in (gi * v for v in t.vertices) if len(w) <= new_radius]
+    return PointedTree.from_words(t.rank, new_radius, moved)
+
+
+def level(t, d: int) -> set:
+    return {v for v in t.vertices if len(v) == d}
+
+
+def levelwise_box_distance(t1, t2) -> BoxDistance:
+    if t1.rank != t2.rank:
+        raise RankMismatchError(f"ranks {t1.rank} and {t2.rank} differ")
+    rmin = min(t1.radius, t2.radius)
+    for rr in range(rmin + 1):
+        if level(t1, rr) != level(t2, rr):
+            return BoxDistance(rr - 1, exact=True)
+    return BoxDistance(rmin, exact=False)
+
+
+def sorted_separate_witness(t1, t2):
+    d = levelwise_box_distance(t1, t2)
+    if not d.exact:
+        return None
+    r = d.r
+    g = min(level(t1, r + 1) ^ level(t2, r + 1), key=Word.sort_key).prefix(r)
+    rebased = levelwise_box_distance(translated_act(t1, g), translated_act(t2, g))
+    if rebased != BoxDistance(0, exact=True):
+        raise ConsistencyError(f"witness {g} failed to separate: {rebased}")
+    return g

@@ -315,6 +315,36 @@ class TestMalformedInput:
         self.assert_clean_failure(code, err)
         assert field in err.splitlines()[-1]
 
+    @pytest.mark.parametrize("kind,change,field", [
+        ("scenario", {"alphabet": [[1], 1]}, "alphabet"),
+        ("scenario", {"alpha": dict(E1_SCENARIO["alpha"], table=[])}, "table"),
+        ("scenario", {"alpha": dict(E1_SCENARIO["alpha"], alphabet=None)}, "alphabet"),
+        ("scenario", {"config": {"rule": "finite", "support": [1], "default": 0}}, "support"),
+        ("point", {"cycle": True}, "cycle"),
+        ("point", {"pre": 5}, "pre"),
+        ("cgs", {"name": None}, "name"),
+        ("cgs", {"domain": 3}, "domain"),
+        ("cgs", {"partition": []}, "partition"),
+    ], ids=["alphabet-entry", "encoding-table", "encoding-alphabet", "config-support",
+            "point-cycle", "point-pre", "generator-name", "generator-domain", "cgs-partition"])
+    def test_wrong_json_type_names_its_field(self, tmp_path, capsys, kind, change, field):
+        bad, point = tmp_path / "bad.json", tmp_path / "point.json"
+        point.write_text(json.dumps({"pre": [], "cycle": ["0", "1"]}))
+        if kind == "scenario":
+            bad.write_text(json.dumps(dict(E1_SCENARIO, **change)))
+            argv = ["embed", "--scenario", str(bad), "--depth", "2"]
+        elif kind == "point":
+            bad.write_text(json.dumps(dict(json.loads(point.read_text()), **change)))
+            argv = ["itinerary", "--builtin-n0", "0,1", "--point", str(bad), "--depth", "2"]
+        else:
+            cgs = json.loads(run(capsys, "builtin", "n0")[1])
+            (cgs if "partition" in change else cgs["generators"][0]).update(change)
+            bad.write_text(json.dumps(cgs))
+            argv = ["itinerary", "--cgs", str(bad), "--point", str(point), "--depth", "2"]
+        code, _, err = run(capsys, *argv)
+        self.assert_clean_failure(code, err)
+        assert field in err.splitlines()[-1]
+
     def test_decode_partial_tree(self, tmp_path, capsys):
         point = tmp_path / "point.json"
         point.write_text('{"pre": ["0", "0"], "cycle": ["0", "1", "0"]}')

@@ -12,13 +12,20 @@ from treeshift.freegroup import (
     enumerate_spheres,
     identity,
     invert,
+    key_base,
+    key_texts,
+    key_word,
+    key_words,
     letter_str,
     make_letter,
     multiply,
+    parse_key,
     parse_word,
     reduce,
     walk_ball,
+    word_key,
 )
+import treeshift.freegroup as freegroup
 
 from oracles import brute_ball_words, brute_reduce, parse_word_checked
 
@@ -176,22 +183,40 @@ class TestWalkBall:
         names = [text for _, text in walk_ball(2, 2, lambda x: letter_str(x, prefix="t"))]
         assert names[:6] == ["e", "t0", "t0'", "t1", "t1'", "t0 t0"]
 
-    def test_stays_inside_and_below_gaps(self):
-        inside = {(), (1,), (1, 2), (-2,), (-2, -1, -1), (3,)}
-        assert [letters for letters, _ in walk_ball(3, 3, inside=inside)] == [
-            (), (1,), (-2,), (3,), (1, 2)]
-        assert list(walk_ball(3, 3, inside={(1,)})) == []
 
-    def test_names_only_the_letters_inside(self):
+class TestKeys:
+    @given(st.integers(1, 4).flatmap(
+        lambda rank: st.tuples(st.just(rank), letters_strategy(rank, 10))))
+    def test_key_and_word_round_trip(self, case):
+        rank, letters = case
+        w = reduce(letters, rank)
+        k = word_key(w)
+        assert key_word(k, rank) == w
+        assert parse_key(str(w), rank) == k
+        assert key_words([k], rank) == {k: w}
+        # length <= r exactly when k < B**r
+        assert k < key_base(rank) ** len(w)
+        assert not w.letters or k >= key_base(rank) ** (len(w) - 1)
+
+    @pytest.mark.parametrize("rank,radius", [(1, 6), (2, 4), (3, 3), (4, 3)])
+    def test_numeric_order_is_the_canonical_order(self, rank, radius):
+        ball = enumerate_ball(rank, radius)
+        keys = [word_key(w) for w in ball]
+        assert keys == sorted(keys) and len(set(keys)) == len(keys)
+        assert max(keys) < key_base(rank) ** radius
+        assert list(key_words(keys, rank).values()) == ball
+        assert list(key_texts(keys, rank).values()) == [str(w) for w in ball]
+
+    def test_key_texts_name_only_the_letters_used(self, monkeypatch):
         named = []
 
         def token(x):
             named.append(x)
             return letter_str(x)
 
-        inside = {(), (6,), (6, -8), (10_000,)}
-        assert [text for _, text in walk_ball(10_000, 2, token, inside)] == [
-            "e", "g5", "g9999", "g5 g7'"]
+        monkeypatch.setattr(freegroup, "letter_str", token)
+        keys = sorted(parse_key(text, 10_000) for text in ["e", "g5", "g9999", "g5 g7'"])
+        assert list(key_texts(keys, 10_000).values()) == ["e", "g5", "g9999", "g5 g7'"]
         assert sorted(named) == [-8, 6, 10_000]
 
 

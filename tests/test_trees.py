@@ -1,5 +1,7 @@
 import math
 import random
+import time
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,7 +37,17 @@ from treeshift.trees import (
     validate_tree,
 )
 
-from oracles import parse_word_tree, sorted_tree_dot, sorted_tree_json, sorted_violations
+from treeshift.embed import separate_witness
+
+from oracles import (
+    levelwise_box_distance,
+    parse_word_tree,
+    sorted_separate_witness,
+    sorted_tree_dot,
+    sorted_tree_json,
+    sorted_violations,
+    translated_act,
+)
 
 
 def alternating(first, second, length):
@@ -48,7 +60,7 @@ def ladder(radius, forward=(1, 2), backward=(-2, -1)):
     for k in range(radius + 1):
         words.add(Word(2, alternating(forward[0], forward[1], k)))
         words.add(Word(2, alternating(backward[0], backward[1], k)))
-    return PointedTree(2, radius, frozenset(words))
+    return PointedTree.from_words(2, radius, words)
 
 
 def parity_tree(radius):
@@ -70,7 +82,7 @@ def flipped_at_two_tree(radius):
     words = {Word(2, tuple(forward[:k])) for k in range(min(radius, len(forward)) + 1)}
     for k in range(radius + 1):
         words.add(Word(2, alternating(-2, -1, k)))
-    return PointedTree(2, radius, frozenset(words))
+    return PointedTree.from_words(2, radius, words)
 
 
 E1_DEPTH2 = {"e", "g0", "g0 g1", "g1'", "g1' g0'"}
@@ -82,17 +94,17 @@ class TestValidate:
         assert validate_tree(t) == []
 
     def test_missing_prefix(self):
-        t = PointedTree(2, 2, frozenset({identity(2), parse_word("g0 g1", 2)}))
+        t = PointedTree.from_words(2, 2, [identity(2), parse_word("g0 g1", 2)])
         problems = validate_tree(t)
         assert problems == ["missing prefix g0 of vertex g0 g1"]
 
     def test_missing_basepoint(self):
-        t = PointedTree(2, 1, frozenset({parse_word("g0", 2)}))
+        t = PointedTree.from_words(2, 1, [parse_word("g0", 2)])
         assert "missing basepoint e" in validate_tree(t)
 
     def test_radius_violation(self):
-        t = PointedTree(2, 1, frozenset({identity(2), parse_word("g0", 2),
-                                         parse_word("g0 g1", 2)}))
+        t = PointedTree.from_words(2, 1, [identity(2), parse_word("g0", 2),
+                                          parse_word("g0 g1", 2)])
         assert any("exceeds radius" in p for p in validate_tree(t))
 
     def test_make_tree_raises(self):
@@ -214,9 +226,7 @@ class TestOrbitGraph:
         assert sorted(og.edge_labels) == ["g0", "g1"]
 
     def test_constant_axis_self_loop(self):
-        axis = PointedTree(2, 6, frozenset(
-            Word(2, (1,) * k) for k in range(7)) | frozenset(
-            Word(2, (-1,) * k) for k in range(7)))
+        axis = PointedTree.from_words(2, 6, [Word(2, (x,) * k) for x in (1, -1) for k in range(7)])
         og = orbit_graph(axis, step_bound=4, working_radius=2)
         assert len(og.nodes) == 1
         assert og.edges == ((0, 1, 0),)
@@ -284,7 +294,7 @@ class TestSerialization:
             tree_from_json({"rank": 2, "radius": 2, "vertices": ["g0"]})
 
     def test_writers_reject_a_tree_the_walk_cannot_cover(self):
-        gap = PointedTree(2, 2, frozenset({identity(2), parse_word("g0 g1", 2)}))
+        gap = PointedTree.from_words(2, 2, [identity(2), parse_word("g0 g1", 2)])
         for write in (tree_to_json, tree_to_dot):
             with pytest.raises(ValidationError, match="missing prefix g0 of vertex g0 g1"):
                 write(gap)
@@ -313,6 +323,32 @@ def test_children_match_parent_links(seed):
 
 def test_children_of_a_word_of_another_rank_are_none():
     assert make_tree(2, 1, ["e", "g0"]).children(identity(3)) == ()
+
+
+def test_children_cost_the_tree_not_the_rank():
+    t = make_tree(10**6, 2, ["e", "g0", "g0 g1"])
+    start = time.perf_counter()
+    kids = [t.children(v) for v in t.vertices]
+    degrees = [t.degree(v) for v in t.vertices]
+    assert time.perf_counter() - start < 0.2
+    assert sorted(map(len, kids)) == [0, 1, 1] and sorted(degrees) == [1, 1, 2]
+
+
+def test_a_huge_radius_costs_nothing():
+    start = time.perf_counter()
+    t = tree_from_json({"rank": 2, "radius": 10**9, "vertices": ["e", "g0", "g0 g1"]})
+    other = make_tree(2, 10**9, ["e", "g0"])
+    assert box_distance(t, other) == BoxDistance(1, exact=True)
+    assert ball(t, 10**9 - 1).keys == t.keys
+    assert act(t, parse_word("g0", 2)).radius == 10**9 - 1
+    assert orbit_graph(t, 1, 10**9 - 1).edges == ((0, 1, 1),)
+    assert time.perf_counter() - start < 0.2
+
+
+def test_act_refuses_a_tree_that_is_not_prefix_closed():
+    gap = PointedTree.from_words(2, 3, [identity(2), parse_word("g0", 2), parse_word("g1 g1", 2)])
+    with pytest.raises(ValidationError, match="missing prefix g1 of vertex g1 g1"):
+        act(gap, parse_word("g0", 2))
 
 
 random_trees = st.builds(random_tree, st.integers(1, 3), st.integers(0, 5),
@@ -368,10 +404,40 @@ def test_make_tree_parses_messy_text_like_parse_word(t, rng, junk):
 @given(random_trees, st.randoms(use_true_random=False), st.integers(-1, 2), st.booleans())
 def test_validate_tree_lists_violations_like_the_sorted_path(t, rng, shallower, foreign):
     vertices = {v for v in t.vertices if rng.random() < 0.8}
-    if foreign:
-        vertices.add(Word(t.rank + 1, (t.rank + 1,) * rng.randrange(3)))
-    broken = PointedTree(t.rank, t.radius - shallower, frozenset(vertices))
+    radius = t.radius - shallower
+    if foreign:  # a word of another rank has no key in the tree: the constructor refuses it
+        stranger = Word(t.rank + 1, (t.rank + 1,) * rng.randrange(3))
+        words = vertices | {stranger}
+        expected = sorted_violations(SimpleNamespace(rank=t.rank, radius=radius, vertices=words))
+        with pytest.raises(ValidationError) as caught:
+            PointedTree.from_words(t.rank, radius, words)
+        assert str(caught.value) in expected
+        assert str(stranger) in str(caught.value)
+    broken = PointedTree.from_words(t.rank, radius, vertices)
     assert validate_tree(broken) == sorted_violations(broken)
-    texts = [str(v) for v in vertices if v.rank == t.rank]
+    texts = [str(v) for v in vertices]
     assert (outcome(make_tree, t.rank, broken.radius, texts)
             == outcome(parse_word_tree, t.rank, broken.radius, texts))
+
+
+tree_pairs = random_trees.flatmap(lambda t: st.tuples(
+    st.just(t),
+    st.one_of(st.builds(regrown_tree, st.just(t), st.integers(0, t.radius + 1),
+                        st.integers(0, 10**6)),
+              st.builds(random_tree, st.just(t.rank), st.integers(0, 5),
+                        st.integers(0, 10**6)))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(random_trees, st.randoms(use_true_random=False))
+def test_act_matches_left_translation(t, rng):
+    for g in rng.sample(sorted(t.vertices, key=Word.sort_key), min(4, len(t.vertices))):
+        assert act(t, g) == translated_act(t, g)
+
+
+@settings(max_examples=80, deadline=None)
+@given(tree_pairs)
+def test_box_distance_and_witness_match_the_levelwise_oracles(pair):
+    t1, t2 = pair
+    assert box_distance(t1, t2) == levelwise_box_distance(t1, t2)
+    assert separate_witness(t1, t2) == sorted_separate_witness(t1, t2)
