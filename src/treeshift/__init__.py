@@ -6,97 +6,66 @@ trees at explicit depth, decodes them back, measures them with the box
 metric, rebases them through the partial free-group action, and does the
 same for itineraries of prefix-rewrite pseudogroups on one-sided symbol
 spaces.
+
+Importing the package loads none of its modules: each public name below
+is imported from its module on first use, so a command pays only for the
+modules it runs.
 """
 
-from .errors import (
-    ActionUndefinedError,
-    ConsistencyError,
-    GroupMismatchError,
-    InsufficientDepthError,
-    InvalidGeneratorError,
-    NotInImageError,
-    RankMismatchError,
-    TreeshiftError,
-    ValidationError,
-)
-from .freegroup import (
-    Word,
-    enumerate_ball,
-    identity,
-    invert,
-    make_letter,
-    multiply,
-    parse_word,
-    reduce,
-)
-from .groups import (
-    GroupElement,
-    GroupModel,
-    custom_group,
-    free_group,
-    induced_config,
-    integer_lattice,
-    normal_form,
-)
-from .shift import (
-    AgreementDepth,
-    Alphabet,
-    Config,
-    MetricInterval,
-    agree_depth,
-    alphabet,
-    config_metric_interval,
-    custom_config,
-    eval_config,
-    expansivity_witness,
-    finite_support_config,
-    periodic_config,
-    random_config,
-    shift_act,
-)
-from .trees import (
-    BoxDistance,
-    OrbitGraph,
-    PointedTree,
-    act,
-    ball,
-    balls_isomorphic,
-    box_distance,
-    make_tree,
-    neighborhood,
-    orbit_graph,
-    random_tree,
-    tree_from_json,
-    tree_to_dot,
-    tree_to_json,
-    validate_tree,
-)
-from .embed import (
-    DecodedConfig,
-    EdgeEncoding,
-    Embedding,
-    EquivarianceReport,
-    check_equivariance,
-    decode_tree,
-    edge_encoding,
-    embed_config,
-    random_encoding,
-    separate_witness,
-    validate_alpha,
-)
-from .pseudogroup import (
-    Cylinder,
-    CylinderPseudogroup,
-    CylinderUnion,
-    Itinerary,
-    PartialMap,
-    S_EMPTY,
-    SymbolStream,
-    builtin_n0_shift,
-    compose_word,
-    embed_pseudo,
-    itinerary,
-    validate_cgs,
-)
+from importlib import import_module as _import_module
 
+# public name -> the module that defines it, grouped by module
+_EXPORTS = {
+    "errors": (
+        "ActionUndefinedError", "ConsistencyError", "GroupMismatchError",
+        "InsufficientDepthError", "InvalidGeneratorError", "NotInImageError",
+        "RankMismatchError", "TreeshiftError", "ValidationError",
+    ),
+    "freegroup": (
+        "Word", "enumerate_ball", "identity", "invert", "make_letter", "multiply",
+        "parse_word", "reduce",
+    ),
+    "groups": (
+        "GroupElement", "GroupModel", "custom_group", "free_group", "induced_config",
+        "integer_lattice", "normal_form",
+    ),
+    "shift": (
+        "AgreementDepth", "Alphabet", "Config", "MetricInterval", "agree_depth",
+        "alphabet", "config_metric_interval", "custom_config", "eval_config",
+        "expansivity_witness", "finite_support_config", "periodic_config",
+        "random_config", "shift_act",
+    ),
+    "trees": (
+        "BoxDistance", "OrbitGraph", "PointedTree", "act", "ball", "balls_isomorphic",
+        "box_distance", "make_tree", "neighborhood", "orbit_graph", "random_tree",
+        "tree_from_json", "tree_to_dot", "tree_to_json", "validate_tree",
+    ),
+    "embed": (
+        "DecodedConfig", "EdgeEncoding", "Embedding", "EquivarianceReport",
+        "check_equivariance", "decode_tree", "edge_encoding", "embed_config",
+        "random_encoding", "separate_witness", "validate_alpha",
+    ),
+    "pseudogroup": (
+        "Cylinder", "CylinderPseudogroup", "CylinderUnion", "Itinerary", "PartialMap",
+        "S_EMPTY", "SymbolStream", "builtin_n0_shift", "compose_word", "embed_pseudo",
+        "itinerary", "validate_cgs",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:  # ``treeshift.trees`` and the like, before their import
+        return _import_module(f".{name}", __name__)
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

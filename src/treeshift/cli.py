@@ -4,6 +4,10 @@ Subcommands: embed, decode, metric, act, orbit, equivariance, separate,
 itinerary, embed-pseudo, builtin, verify.  Output is deterministic for a
 fixed scenario and seed.  Exit codes: 0 success, 1 validation or usage
 failure, 2 insufficient depth.
+
+Each command imports the modules it runs inside its own function, so that
+``act`` or ``metric`` does not pay for loading the pseudogroup or the
+verification suites.
 """
 from __future__ import annotations
 
@@ -11,39 +15,13 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .embed import (
-    EdgeEncoding,
-    check_equivariance,
-    decode_tree,
-    embed_config,
-    encoding_from_json,
-    separate_witness,
-)
 from .errors import InsufficientDepthError, TreeshiftError, json_field, json_kind
-from .freegroup import letter_str, parse_letter, parse_word, signed_letters, walk_ball
-from .groups import group_from_json, induced_config
-from .pseudogroup import (
-    builtin_n0_shift,
-    cgs_from_json,
-    cgs_to_json,
-    embed_pseudo,
-    itinerary,
-    stream_from_json,
-)
-from .shift import Alphabet, Config, config_from_json
-from .trees import (
-    act,
-    box_distance,
-    dumps_json,
-    orbit_graph,
-    orbit_to_dot,
-    orbit_to_json,
-    tree_from_json,
-    tree_to_dot,
-    tree_to_json,
-)
-from .verify import SUITES, run_suites
+
+if TYPE_CHECKING:
+    from .embed import EdgeEncoding
+    from .shift import Alphabet, Config
 
 
 class _Parser(argparse.ArgumentParser):
@@ -64,6 +42,8 @@ class Scenario:
     encoding: EdgeEncoding
 
     def free_config(self) -> Config:
+        from .groups import induced_config
+
         if self.group.kind == "free":
             return self.config
         return induced_config(self.group, self.config)
@@ -82,6 +62,10 @@ def load_json(path: str):
 
 
 def load_scenario(path: str) -> Scenario:
+    from .embed import encoding_from_json
+    from .groups import group_from_json
+    from .shift import Alphabet, config_from_json
+
     obj = load_json(path)
     group = group_from_json(json_field(obj, "group", "scenario"))
     alph = Alphabet(tuple(json_kind(json_field(obj, "alphabet", "scenario"), list,
@@ -96,10 +80,14 @@ def load_scenario(path: str) -> Scenario:
 
 
 def _emit_tree(tree, fmt: str) -> str:
+    from .trees import dumps_json, tree_to_dot, tree_to_json
+
     return tree_to_dot(tree) if fmt == "dot" else dumps_json(tree_to_json(tree))
 
 
 def cmd_embed(args) -> int:
+    from .embed import embed_config
+
     scenario = load_scenario(args.scenario)
     result = embed_config(scenario.free_config(), scenario.encoding, args.depth)
     sys.stdout.write(_emit_tree(result.tree, args.format))
@@ -107,6 +95,10 @@ def cmd_embed(args) -> int:
 
 
 def cmd_decode(args) -> int:
+    from .embed import decode_tree, encoding_from_json
+    from .freegroup import letter_str
+    from .trees import dumps_json, tree_from_json
+
     if not (args.alpha or args.scenario):
         raise TreeshiftError("decode needs --alpha or --scenario")
     tree = tree_from_json(load_json(args.tree))
@@ -122,6 +114,8 @@ def cmd_decode(args) -> int:
 
 
 def cmd_metric(args) -> int:
+    from .trees import box_distance, dumps_json, tree_from_json
+
     if len(args.tree) != 2:
         raise TreeshiftError("metric needs exactly two --tree arguments")
     t1 = tree_from_json(load_json(args.tree[0]))
@@ -136,6 +130,9 @@ def cmd_metric(args) -> int:
 
 
 def cmd_act(args) -> int:
+    from .freegroup import parse_word
+    from .trees import act, tree_from_json
+
     tree = tree_from_json(load_json(args.tree))
     moved = act(tree, parse_word(args.word, tree.rank))
     sys.stdout.write(_emit_tree(moved, args.format))
@@ -143,11 +140,15 @@ def cmd_act(args) -> int:
 
 
 def cmd_orbit(args) -> int:
+    from .trees import dumps_json, orbit_graph, orbit_to_dot, orbit_to_json, tree_from_json
+
     if args.tree:
         tree = tree_from_json(load_json(args.tree))
     else:
         if not args.scenario:
             raise TreeshiftError("orbit needs --tree or --scenario")
+        from .embed import embed_config
+
         scenario = load_scenario(args.scenario)
         tree = embed_config(scenario.free_config(), scenario.encoding, args.depth).tree
     og = orbit_graph(tree, step_bound=args.step_bound, working_radius=args.working_radius)
@@ -159,6 +160,9 @@ def cmd_orbit(args) -> int:
 
 
 def _load_cgs(args):
+    from .pseudogroup import builtin_n0_shift, cgs_from_json
+    from .shift import Alphabet
+
     if args.builtin_n0:
         return builtin_n0_shift(Alphabet(tuple(args.builtin_n0.split(","))))
     if args.cgs:
@@ -167,6 +171,10 @@ def _load_cgs(args):
 
 
 def cmd_itinerary(args) -> int:
+    from .freegroup import walk_ball
+    from .pseudogroup import itinerary, stream_from_json
+    from .trees import dumps_json
+
     cgs = _load_cgs(args)
     point = stream_from_json(load_json(args.point), cgs.base_alphabet)
     itin = itinerary(cgs, point, args.depth)
@@ -183,6 +191,9 @@ def cmd_itinerary(args) -> int:
 
 
 def cmd_embed_pseudo(args) -> int:
+    from .embed import encoding_from_json
+    from .pseudogroup import embed_pseudo, itinerary, stream_from_json
+
     cgs = _load_cgs(args)
     point = stream_from_json(load_json(args.point), cgs.base_alphabet)
     encoding = encoding_from_json(load_json(args.alpha))
@@ -193,6 +204,8 @@ def cmd_embed_pseudo(args) -> int:
 
 
 def _equivariance_report_json(report) -> dict:
+    from .freegroup import letter_str
+
     blob = {
         "generator": letter_str(report.generator, prefix="t"),
         "depth": report.depth,
@@ -208,6 +221,10 @@ def _equivariance_report_json(report) -> dict:
 
 
 def cmd_equivariance(args) -> int:
+    from .embed import check_equivariance
+    from .freegroup import parse_letter, signed_letters
+    from .trees import dumps_json
+
     scenario = load_scenario(args.scenario)
     sigma = scenario.free_config()
     if args.generator:
@@ -224,6 +241,9 @@ def cmd_equivariance(args) -> int:
 
 
 def cmd_separate(args) -> int:
+    from .embed import separate_witness
+    from .trees import act, box_distance, dumps_json, tree_from_json
+
     if len(args.tree) != 2:
         raise TreeshiftError("separate needs exactly two --tree arguments")
     t1 = tree_from_json(load_json(args.tree[0]))
@@ -244,6 +264,10 @@ def cmd_separate(args) -> int:
 
 
 def cmd_builtin(args) -> int:
+    from .pseudogroup import builtin_n0_shift, cgs_to_json
+    from .shift import Alphabet
+    from .trees import dumps_json
+
     if args.which != "n0":
         raise TreeshiftError(f"unknown builtin {args.which!r}; available: n0")
     cgs = builtin_n0_shift(Alphabet(tuple(args.alphabet.split(","))))
@@ -252,6 +276,8 @@ def cmd_builtin(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import SUITES, run_suites
+
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
     try:
         results = run_suites(names, seed=args.seed)

@@ -7,14 +7,15 @@ the right action (sigma . gamma)(x) = sigma(gamma x).
 """
 from __future__ import annotations
 
-import hashlib
 import random
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Any, Callable, Iterable
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from .errors import GroupMismatchError, ValidationError, json_field, json_kind
 from .freegroup import Word, enumerate_spheres
+
+if TYPE_CHECKING:  # imported where it is used: it loads decimal too
+    from fractions import Fraction
 
 
 @dataclass(frozen=True)
@@ -165,12 +166,13 @@ def _payload_token(payload) -> str:
 
 def random_config(group, alph: Alphabet, seed: int) -> Config:
     """Deterministic pseudo-random configuration (stable across runs)."""
+    from hashlib import blake2b
+
     m = len(alph)
     symbols = alph.symbols
 
     def rule(payload):
-        digest = hashlib.blake2b(f"{seed}|{_payload_token(payload)}".encode(),
-                                 digest_size=8).digest()
+        digest = blake2b(f"{seed}|{_payload_token(payload)}".encode(), digest_size=8).digest()
         return symbols[int.from_bytes(digest, "big") % m]
 
     return Config(group, alph, rule, label=f"random({seed})")
@@ -257,6 +259,8 @@ def config_metric_interval(s1: Config, s2: Config, tail_cutoff: int) -> MetricIn
     runs over |i| <= tail_cutoff; the tail is bounded by the largest
     possible symbol gap times the remaining geometric mass.
     """
+    from fractions import Fraction
+
     from .groups import lattice_unit_element
 
     if s1.group != s2.group:

@@ -16,7 +16,7 @@ from .embed import (
     random_encoding,
     separate_witness,
 )
-from .freegroup import Word, enumerate_ball, identity, signed_letters
+from .freegroup import Word, enumerate_ball, identity, key_base, signed_letters
 from .groups import free_group, induced_config, integer_lattice
 from .pseudogroup import (
     S_EMPTY,
@@ -122,13 +122,18 @@ def check_equivariance_suite(seed: int = 0) -> CheckResult:
 
 
 def check_tree_shape(seed: int = 0) -> CheckResult:
-    """Embedded words keep their length; interior vertices have degree 2M."""
+    """Embedded words keep their length; interior vertices have degree 2M.
+
+    A vertex key has the length n of its word exactly when
+    ``B**n // B <= key < B**n``, so no vertex is named as a ``Word``.
+    """
     failures = 0
     trees = 0
     for M, m, sigma, enc, depth in _embedding_sample(seed):
         result = embed_config(sigma, enc, depth)
         trees += 1
-        if any(len(w) != len(v) for w, v in result.vertex_of.items()):
+        base = key_base(result.tree.rank)
+        if any(not base ** len(w) // base <= k < base ** len(w) for w, k in result.vertex_keys):
             failures += 1
             continue
         if any(d != 2 * M for d in result.tree.degrees(depth - 1)):

@@ -3,10 +3,12 @@
 Each test prints one PASS/FAIL line (visible with pytest -s or in captured
 output) and asserts the criterion, including the stated runtime budgets.
 """
+import dataclasses
 import time
 
 import pytest
 
+from treeshift import verify
 from treeshift.verify import (
     check_continuity,
     check_equivariance_suite,
@@ -73,6 +75,19 @@ def test_criterion_3_equivariance():
 def test_criterion_4_length_and_degree():
     # embedded words keep their length; interior degrees are exactly 2M
     run_criterion(4, check_tree_shape)
+
+
+def test_tree_shape_flags_a_vertex_of_another_length(monkeypatch):
+    # send the empty word of every embedding to a vertex of length 1
+    embed_config = verify.embed_config
+
+    def misplaced(sigma, enc, depth):
+        result = embed_config(sigma, enc, depth)
+        (root, _), *rest = result.vertex_keys
+        return dataclasses.replace(result, vertex_keys=((root, result.tree.sorted_keys[1]), *rest))
+
+    monkeypatch.setattr(verify, "embed_config", misplaced)
+    assert check_tree_shape(SEED).details == "200 trees, 200 failures"
 
 
 def test_criterion_5_metric_axioms():

@@ -1,8 +1,15 @@
+import contextlib
+import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import treeshift
 from treeshift.cli import main
 from treeshift.trees import dumps_json
 
@@ -360,3 +367,79 @@ class TestMalformedInput:
         code, _, err = run(capsys, "decode", "--tree", str(tree), "--alpha", str(alpha),
                            "--depth", "3")
         self.assert_clean_failure(code, err)
+
+
+def loaded_modules(code: str) -> set[str]:
+    """The ``treeshift`` modules in ``sys.modules`` after ``code`` runs in a
+    fresh interpreter (stdlib modules vary with the host's ``site``)."""
+    probe = code + (
+        "\nimport sys\n"
+        "print(*sorted(m for m in sys.modules if m.partition('.')[0] == 'treeshift'))\n")
+    src = str(Path(treeshift.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return set(done.stdout.split())
+
+
+BASE = {"treeshift", "treeshift.cli", "treeshift.errors"}
+TREES = BASE | {"treeshift.freegroup", "treeshift.trees"}
+EMBED = TREES | {"treeshift.embed", "treeshift.shift"}
+SCENARIO = EMBED | {"treeshift.groups"}
+PSEUDO = EMBED | {"treeshift.pseudogroup"}
+EVERYTHING = SCENARIO | PSEUDO | {"treeshift.verify"}
+
+# one run of every subcommand, with "{name}" standing for an input file of TestImports
+COMMANDS = [
+    (["--help"], BASE),
+    (["act", "--tree", "{tree}", "--word", "g0"], TREES),
+    (["metric", "--tree", "{tree}", "--tree", "{tree}"], TREES),
+    (["separate", "--tree", "{tree}", "--tree", "{tree}"], EMBED),
+    (["embed", "--scenario", "{scenario}", "--depth", "2"], SCENARIO),
+    (["decode", "--tree", "{tree}", "--scenario", "{scenario}", "--depth", "3"], SCENARIO),
+    (["orbit", "--scenario", "{scenario}", "--depth", "4", "--working-radius", "1",
+      "--step-bound", "2"], SCENARIO),
+    (["equivariance", "--scenario", "{scenario}", "--depth", "2"], SCENARIO),
+    (["itinerary", "--builtin-n0", "0,1", "--point", "{point}", "--depth", "2"], PSEUDO),
+    (["embed-pseudo", "--builtin-n0", "0,1", "--point", "{point}", "--alpha", "{alpha}",
+      "--depth", "1"], PSEUDO),
+    (["builtin", "n0"], PSEUDO),
+    (["verify", "--suite", "ladder-orbit"], EVERYTHING),
+]
+
+
+class TestImports:
+    """Each command loads the modules it runs and no others."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("imports")
+        paths = {name: str(root / f"{name}.json")
+                 for name in ("scenario", "tree", "point", "alpha")}
+        Path(paths["scenario"]).write_text(dumps_json(E1_SCENARIO))
+        Path(paths["point"]).write_text('{"pre": [], "cycle": ["0", "1"]}')
+        Path(paths["alpha"]).write_text(json.dumps({
+            "M": 2, "alphabet": ["0", "1"], "n": 4,
+            "table": {"t0,0": "g0", "t0,1": "g1", "t1,0": "g2", "t1,1": "g3"},
+        }))
+        tree = io.StringIO()
+        with contextlib.redirect_stdout(tree):
+            assert main(["embed", "--scenario", paths["scenario"], "--depth", "3"]) == 0
+        Path(paths["tree"]).write_text(tree.getvalue())
+        return paths
+
+    @pytest.mark.parametrize("argv,expected", COMMANDS,
+                             ids=[argv[0].lstrip("-") for argv, _ in COMMANDS])
+    def test_command_loads_only_its_modules(self, inputs, argv, expected):
+        argv = [arg.format(**inputs) for arg in argv]
+        assert loaded_modules(
+            "import contextlib, io\n"
+            "from treeshift import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert cli.main({argv!r}) == 0\n") == expected
+
+    def test_package_root_loads_nothing(self):
+        assert loaded_modules("import treeshift") == {"treeshift"}
+        assert loaded_modules("from treeshift import act") == {
+            "treeshift", "treeshift.errors", "treeshift.freegroup", "treeshift.trees"}
