@@ -11,7 +11,6 @@ from treeshift import (
     alphabet,
     edge_encoding,
     embed_config,
-    induced_config,
     integer_lattice,
     orbit_graph,
     periodic_config,
@@ -26,12 +25,12 @@ parity = periodic_config(z, bits, [0, 1])
 # one generator, two symbols: the target free group needs rank >= 2
 encoding = edge_encoding(1, bits, 2, {(1, 0): 1, (1, 1): 2})
 
-result = embed_config(induced_config(z, parity), encoding, depth=6)
+result = embed_config(parity, encoding, depth=6)
 print("image tree, depth 6:")
 print(f"  {len(result.tree.vertices)} vertices (a two-sided alternating path)")
 print()
 
-shallow = embed_config(induced_config(z, parity), encoding, depth=2)
+shallow = embed_config(parity, encoding, depth=2)
 print("the depth-2 truncation as DOT:")
 print(tree_to_dot(shallow.tree))
 

@@ -89,14 +89,14 @@ def cmd_embed(args) -> int:
     from .embed import embed_config
 
     scenario = load_scenario(args.scenario)
-    result = embed_config(scenario.free_config(), scenario.encoding, args.depth)
+    result = embed_config(scenario.config, scenario.encoding, args.depth)
     sys.stdout.write(_emit_tree(result.tree, args.format))
     return 0
 
 
 def cmd_decode(args) -> int:
     from .embed import decode_tree, encoding_from_json
-    from .freegroup import letter_str
+    from .freegroup import letter_str, walk_ball
     from .trees import dumps_json, tree_from_json
 
     if not (args.alpha or args.scenario):
@@ -107,8 +107,10 @@ def cmd_decode(args) -> int:
     else:
         encoding = load_scenario(args.scenario).encoding
     decoded = decode_tree(tree, encoding, args.depth)
-    values = {" ".join(letter_str(x, prefix="t") for x in w.letters) or "e": s
-              for w, s in decoded.values.items()}
+    # decoded.values holds the whole ball in canonical order, as walk_ball names it
+    texts = (text for _, text in walk_ball(decoded.source_rank, decoded.depth,
+                                           lambda x: letter_str(x, prefix="t")))
+    values = dict(zip(texts, decoded.values.values()))
     sys.stdout.write(dumps_json({"depth": decoded.depth, "values": values}))
     return 0
 
@@ -150,7 +152,7 @@ def cmd_orbit(args) -> int:
         from .embed import embed_config
 
         scenario = load_scenario(args.scenario)
-        tree = embed_config(scenario.free_config(), scenario.encoding, args.depth).tree
+        tree = embed_config(scenario.config, scenario.encoding, args.depth).tree
     og = orbit_graph(tree, step_bound=args.step_bound, working_radius=args.working_radius)
     if args.format == "dot":
         sys.stdout.write(orbit_to_dot(og))
@@ -226,7 +228,7 @@ def cmd_equivariance(args) -> int:
     from .trees import dumps_json
 
     scenario = load_scenario(args.scenario)
-    sigma = scenario.free_config()
+    sigma = scenario.config
     if args.generator:
         letters = [parse_letter(args.generator, scenario.encoding.source_rank, prefix="t")]
     else:

@@ -205,30 +205,32 @@ class Embedding:
         return {w: words[k] for w, k in self.vertex_keys}
 
 
-def _run_embedding(source_rank: int, depth: int, symbol_at: Callable[[Word], Any],
-                   enc: EdgeEncoding) -> Embedding:
+def _run_embedding(source_rank: int, depth: int, root: tuple[Any, Any],
+                   step: Callable[[Any, int], tuple[Any, Any]], enc: EdgeEncoding) -> Embedding:
     """Level-synchronous recursion shared by the total and partial embeddings.
 
-    ``symbol_at`` returns None for source words the embedding must skip
-    (undefined itinerary entries); a skipped word prunes its whole subtree.
-    It is called once per source word, so callers need no cache.
+    Each source word carries a symbol and a walk state: ``root`` is the
+    ``(symbol, state)`` of the empty word and ``step(state, x)`` that of w·x
+    from the state of w.  A symbol None skips the word (an undefined
+    itinerary entry) and prunes its whole subtree.  ``step`` runs once per
+    child of a kept word, so callers need no cache.
     """
-    root = identity(source_rank)
-    root_symbol = symbol_at(root)
+    root_symbol, root_state = root
     if root_symbol is None:
         raise ValidationError("the empty word carries no symbol; nothing to embed")
     base = key_base(enc.target_rank)
-    placed = [(root, 0)]
-    frontier = [(root, root_symbol, 0)]
+    empty = identity(source_rank)
+    placed = [(empty, 0)]
+    frontier = [(empty, root_symbol, root_state, 0)]
     for _ in range(depth):
         nxt = []
-        for parent, parent_symbol, parent_key in frontier:
+        for parent, parent_symbol, parent_state, parent_key in frontier:
             back = inverse_digit(parent_key % base)
             for child in parent.children():
-                child_symbol = symbol_at(child)
+                x = child.last
+                child_symbol, child_state = step(parent_state, x)
                 if child_symbol is None:
                     continue
-                x = child.last
                 if x > 0:
                     digit = letter_digit(enc.encode(x, parent_symbol))
                 else:
@@ -238,7 +240,7 @@ def _run_embedding(source_rank: int, depth: int, symbol_at: Callable[[Word], Any
                         f"cancellation while embedding {child}; encoding is not injective")
                 key = parent_key * base + digit
                 placed.append((child, key))
-                nxt.append((child, child_symbol, key))
+                nxt.append((child, child_symbol, child_state, key))
         frontier = nxt
     keys = frozenset(k for _, k in placed)
     if len(keys) != len(placed):
@@ -247,17 +249,24 @@ def _run_embedding(source_rank: int, depth: int, symbol_at: Callable[[Word], Any
 
 
 def embed_config(sigma: Config, enc: EdgeEncoding, depth: int) -> Embedding:
-    """Embed a configuration over a free group as a pointed tree of radius depth."""
+    """Embed a configuration as a pointed tree of radius depth.
+
+    The configuration may live on any group model on the encoding's source
+    rank of generators; its tree is that of its pullback to the free group
+    (``groups.induced_config``).  The symbols are read by walking the group,
+    one generator step per source word (:meth:`Config.walk`).
+    """
     problems = validate_alpha(enc)
     if problems:
         raise ValidationError("invalid encoding: " + "; ".join(problems))
     if depth < 0:
         raise ValidationError(f"depth {depth} is negative")
-    if sigma.group.kind != "free" or sigma.group.generator_count != enc.source_rank:
+    if sigma.group.generator_count != enc.source_rank:
         raise ValidationError(
-            "embed_config needs a configuration over the free group of the encoding's "
-            "source rank; pull general groups back with groups.induced_config first")
-    return _run_embedding(enc.source_rank, depth, sigma.eval_word, enc)
+            f"embed_config needs a configuration on the encoding's {enc.source_rank} "
+            f"source generators; its group has {sigma.group.generator_count}")
+    root, step = sigma.walk()
+    return _run_embedding(enc.source_rank, depth, root, step, enc)
 
 
 @dataclass(frozen=True, eq=False)

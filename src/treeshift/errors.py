@@ -46,12 +46,16 @@ def json_field(obj, key: str, what: str):
     return obj[key]
 
 
+def is_int(value) -> bool:
+    """An integer, and not a bool (JSON's ``true`` is no integer)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def json_int(obj, key: str, what: str) -> int:
     value = json_field(obj, key, what)
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{what} field {key!r} must be an integer, got {value!r}") from None
+    if not is_int(value):
+        raise ValidationError(f"{what} field {key!r} must be an integer, got {value!r}")
+    return value
 
 
 _KINDS = {list: "a list", dict: "an object", str: "a string"}

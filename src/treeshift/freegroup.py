@@ -11,7 +11,9 @@ lexicographic by (generator index, sign) with the positive sign first.
 
 Letters are checked where they enter: ``Word(rank, letters)``, :func:`parse_word`,
 :func:`reduce`, and the letter given to :meth:`Word.append`.  Every other
-operation builds its result from reduced words through the unchecked :func:`_word`.
+operation builds its result from reduced words through the unchecked :func:`_word`
+(:func:`extend` is the unchecked ``append``).  A word hashes its doubled letters:
+CPython hashes -1 and -2 alike, so the letters' own hash confuses ``g0'`` with ``g1'``.
 
 Keys: inside a tree a reduced word is stored as one integer, its key.  With
 B = 2*rank + 1, the digit of generator i is 2i + 1 and of its inverse 2i + 2,
@@ -87,6 +89,9 @@ class Word:
             if a == -b:
                 raise ValueError(f"word {self.letters} is not freely reduced")
 
+    def __hash__(self) -> int:
+        return hash(tuple(map(_TWICE, self.letters)))
+
     def __len__(self) -> int:
         return len(self.letters)
 
@@ -122,9 +127,7 @@ class Word:
     def append(self, letter: int) -> "Word":
         """Right-multiply by a single letter (reduces if it cancels)."""
         _check_letters((letter,), self.rank)
-        if self.letters and self.letters[-1] == -letter:
-            return _word(self.rank, self.letters[:-1])
-        return _word(self.rank, self.letters + (letter,))
+        return extend(self, letter)
 
     def children(self) -> list["Word"]:
         """The one-letter extensions that do not cancel, in canonical order."""
@@ -136,6 +139,17 @@ class Word:
 
     def sort_key(self) -> tuple:
         return (len(self.letters), tuple(letter_key(x) for x in self.letters))
+
+
+_TWICE = (2).__mul__
+
+
+def extend(w: Word, letter: int) -> Word:
+    """:meth:`Word.append` for a letter already known to be in range."""
+    letters = w.letters
+    if letters and letters[-1] == -letter:
+        return _word(w.rank, letters[:-1])
+    return _word(w.rank, letters + (letter,))
 
 
 def _extensions(letters: tuple[int, ...], alphabet: list[int]) -> list[tuple[int, ...]]:

@@ -9,15 +9,28 @@ user callback (no completion procedure is attempted here).
 Every :class:`GroupElement` keeps a representative word alongside its
 payload, so multiplication works uniformly: multiply the representatives,
 renormalize.  Equality and hashing use the payload only.
+
+A walk right-multiplies by one generator at a time (:meth:`GroupModel.walk`).
+Free and lattice models step from payload to payload: append the letter, or
+add the generator's signed image.  A custom model has only its normalizer, so
+its walk carries the representative word and renormalizes it at every step.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add
 from typing import Any, Callable
 
 from . import shift
-from .errors import GroupMismatchError, RankMismatchError, ValidationError, json_field, json_int
-from .freegroup import Word, identity as word_identity
+from .errors import (
+    GroupMismatchError,
+    RankMismatchError,
+    ValidationError,
+    is_int,
+    json_field,
+    json_int,
+)
+from .freegroup import Word, extend, identity as word_identity
 
 
 @dataclass(frozen=True)
@@ -36,11 +49,13 @@ class GroupModel:
     """A finitely generated group with a decidable normal form."""
 
     def __init__(self, kind: str, key: tuple, generator_count: int,
-                 normalizer: Callable[[Word], Any]):
+                 normalizer: Callable[[Word], Any],
+                 step: Callable[[Any, int], Any] | None = None):
         self.kind = kind
         self.key = key
         self.generator_count = generator_count
         self._normalizer = normalizer
+        self._step = step  # payload of g·x from the payload of g, if known
 
     def __repr__(self) -> str:
         return f"GroupModel({self.key})"
@@ -66,10 +81,25 @@ class GroupModel:
                 raise GroupMismatchError(f"element {e} does not belong to {self!r}")
         return self.normalize(a.rep * b.rep)
 
+    def walk(self, g: GroupElement) -> tuple[Any, Callable[[Any, int], Any],
+                                             Callable[[Any], Any] | None]:
+        """A walk from g by right generator steps: ``(state, step, payload)``.
+
+        ``state`` stands for g, ``step(state, x)`` for the element times the
+        letter x, and ``payload(state)`` is the payload of the element a state
+        stands for; ``payload`` is None when every state is its own payload.
+        """
+        if g.group_key != self.key:
+            raise GroupMismatchError(f"element {g} does not belong to {self!r}")
+        if self._step is None:
+            return g.rep, extend, self._normalizer
+        return g.payload, self._step, None
+
 
 def free_group(generator_count: int) -> GroupModel:
     """The free group F_M itself: the normal form is the reduced word."""
-    return GroupModel("free", ("free", generator_count), generator_count, lambda w: w)
+    return GroupModel("free", ("free", generator_count), generator_count, lambda w: w,
+                      step=extend)
 
 
 def integer_lattice(d: int | None = None, images=None) -> GroupModel:
@@ -83,9 +113,12 @@ def integer_lattice(d: int | None = None, images=None) -> GroupModel:
             raise ValidationError("integer_lattice needs d or images")
         images = [[1 if j == i else 0 for j in range(d)] for i in range(d)]
     try:
-        images = tuple(tuple(int(c) for c in v) for v in images)
-    except (TypeError, ValueError):
-        raise ValidationError(f"lattice images {images!r} must be lists of integers") from None
+        vectors = tuple(tuple(v) for v in images)
+    except TypeError:
+        vectors = None
+    if vectors is None or not all(is_int(c) for v in vectors for c in v):
+        raise ValidationError(f"lattice images {images!r} must be lists of integers")
+    images = vectors
     if d is None:
         d = len(images[0]) if images else 0
     if any(len(v) != d for v in images):
@@ -102,7 +135,14 @@ def integer_lattice(d: int | None = None, images=None) -> GroupModel:
                 vec[j] += sign * img[j]
         return tuple(vec)
 
-    return GroupModel("lattice", ("lattice", d, images), len(images), normalizer)
+    moves = {}
+    for i, v in enumerate(images, 1):
+        moves[i], moves[-i] = v, tuple(-c for c in v)
+
+    def step(vec: tuple[int, ...], x: int) -> tuple[int, ...]:
+        return tuple(map(add, vec, moves[x]))
+
+    return GroupModel("lattice", ("lattice", d, images), len(images), normalizer, step)
 
 
 def custom_group(generator_count: int, normalizer: Callable[[Word], Any],

@@ -34,7 +34,7 @@ from .errors import (
     json_field,
     json_kind,
 )
-from .freegroup import Word, identity
+from .freegroup import Word, extend, identity
 from .shift import Alphabet
 
 
@@ -398,7 +398,14 @@ def embed_pseudo(itin: Itinerary, enc: EdgeEncoding, depth: int) -> Embedding:
     if depth < 0:
         raise ValidationError(f"depth {depth} is negative")
 
-    return _run_embedding(itin.source_rank, depth, itin.values.get, enc)
+    values = itin.values
+
+    def step(w: Word, x: int) -> tuple[Any, Word]:
+        child = extend(w, x)
+        return values.get(child), child
+
+    root = identity(itin.source_rank)
+    return _run_embedding(itin.source_rank, depth, (values.get(root), root), step, enc)
 
 
 def builtin_n0_shift(alph: Alphabet) -> CylinderPseudogroup:

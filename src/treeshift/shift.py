@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
-from .errors import GroupMismatchError, ValidationError, json_field, json_kind
+from .errors import GroupMismatchError, ValidationError, is_int, json_field, json_kind
 from .freegroup import Word, enumerate_spheres
 
 if TYPE_CHECKING:  # imported where it is used: it loads decimal too
@@ -93,6 +93,31 @@ class Config:
             raise ValidationError(f"rule produced {value!r} outside the alphabet")
         return value
 
+    def walk(self) -> tuple[tuple[Any, Any], Callable[[Any, int], tuple[Any, Any]]]:
+        """Read the configuration along a walk over the free words from e.
+
+        Returns ``(root, step)``: ``root`` is the ``(symbol, state)`` of the
+        empty word, and ``step(state, x)`` that of w·x from the state of w.
+        The symbol is the one :meth:`eval_word` reads, checked the same way;
+        the state is the group's walk state of translate·w
+        (:meth:`GroupModel.walk`), one generator step from its parent's.
+        """
+        state, advance, payload = self.group.walk(self.translate)
+        rule, symbols = self.rule, self.alphabet.symbols
+        read = rule if payload is None else lambda s: rule(payload(s))
+
+        def symbol(s) -> Any:
+            value = read(s)
+            if value not in symbols:
+                raise ValidationError(f"rule produced {value!r} outside the alphabet")
+            return value
+
+        def step(s, x: int) -> tuple[Any, Any]:
+            s = advance(s, x)
+            return symbol(s), s
+
+        return (symbol(state), state), step
+
     def shifted(self, gamma) -> "Config":
         if isinstance(gamma, Word):
             gamma = self.group.normalize(gamma)
@@ -127,7 +152,7 @@ def periodic_config(group, alph: Alphabet, table, periods=None, label="periodic"
         periods = [len(table)]
     if not isinstance(periods, (list, tuple)) or len(periods) != d:
         raise ValidationError(f"periods {periods!r} must hold one period per axis (d = {d})")
-    if not all(isinstance(p, int) and p >= 1 for p in periods):
+    if not all(is_int(p) and p >= 1 for p in periods):
         raise ValidationError(f"periods {list(periods)} must be positive integers")
     _check_table(table, periods, "table")
 

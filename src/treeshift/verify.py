@@ -80,7 +80,7 @@ def check_ladder_orbit(seed: int = 0) -> CheckResult:
     z = integer_lattice(d=1)
     parity = periodic_config(z, BITS, [0, 1])
     enc = edge_encoding(1, BITS, 2, {(1, 0): 1, (1, 1): 2})
-    tree = embed_config(induced_config(z, parity), enc, 6).tree
+    tree = embed_config(parity, enc, 6).tree
     og = orbit_graph(tree, step_bound=4, working_radius=2)
     ok = len(og.nodes) == 2 and len(og.edges) == 2 and sorted(og.edge_labels) == ["g0", "g1"]
     return CheckResult(

@@ -5,7 +5,9 @@ repeated single-pass adjacent cancellation, balls are produced by
 generating every letter string and deduplicating, and trees are parsed,
 checked and listed the way the package did before its canonical walk and
 token table (every token through :func:`parse_letter` and :func:`reduce`,
-sorting by :meth:`Word.sort_key`).
+sorting by :meth:`Word.sort_key`).  The embedding oracle reads every source
+word's symbol through ``Config.eval_word``, which renormalizes the whole word,
+and builds every image vertex as a ``Word``.
 """
 from __future__ import annotations
 
@@ -156,3 +158,29 @@ def sorted_separate_witness(t1, t2):
     if rebased != BoxDistance(0, exact=True):
         raise ConsistencyError(f"witness {g} failed to separate: {rebased}")
     return g
+
+
+# The embedding as it was read before the group walk: one full evaluation of
+# the configuration per source word, children through Word.children().
+
+def embed_by_words(sigma, enc, depth: int):
+    """The image tree of ``sigma`` and its source-word-to-vertex map."""
+    root = identity(enc.source_rank)
+    vertex_of = {root: identity(enc.target_rank)}
+    frontier = [(root, sigma.eval_word(root))]
+    for _ in range(depth):
+        nxt = []
+        for parent, parent_symbol in frontier:
+            for child in parent.children():
+                symbol = sigma.eval_word(child)
+                x = child.last
+                t = enc.encode(x, parent_symbol) if x > 0 else -enc.encode(-x, symbol)
+                vertex = vertex_of[parent].append(t)
+                if len(vertex) != len(child):
+                    raise ConsistencyError(f"cancellation while embedding {child}")
+                vertex_of[child] = vertex
+                nxt.append((child, symbol))
+        frontier = nxt
+    if len(set(vertex_of.values())) != len(vertex_of):
+        raise ConsistencyError("embedding produced colliding vertices")
+    return PointedTree.from_words(enc.target_rank, depth, vertex_of.values()), vertex_of

@@ -332,8 +332,13 @@ class TestMalformedInput:
         ("cgs", {"name": None}, "name"),
         ("cgs", {"domain": 3}, "domain"),
         ("cgs", {"partition": []}, "partition"),
+        ("scenario", {"group": {"kind": "lattice", "d": 1, "images": [[1.5]]}}, "images"),
+        ("scenario", {"group": {"kind": "lattice", "d": True, "images": [[1]]}}, "'d'"),
+        ("scenario", {"config": {"rule": "periodic", "period": True, "table": [0, 1]}},
+         "period"),
     ], ids=["alphabet-entry", "encoding-table", "encoding-alphabet", "config-support",
-            "point-cycle", "point-pre", "generator-name", "generator-domain", "cgs-partition"])
+            "point-cycle", "point-pre", "generator-name", "generator-domain", "cgs-partition",
+            "lattice-image-float", "lattice-d-bool", "config-period-bool"])
     def test_wrong_json_type_names_its_field(self, tmp_path, capsys, kind, change, field):
         bad, point = tmp_path / "bad.json", tmp_path / "point.json"
         point.write_text(json.dumps({"pre": [], "cycle": ["0", "1"]}))

@@ -1,5 +1,10 @@
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from oracles import embed_by_words
+from treeshift import groups
 from treeshift.errors import (
     ConsistencyError,
     InsufficientDepthError,
@@ -7,8 +12,16 @@ from treeshift.errors import (
     ValidationError,
 )
 from treeshift.freegroup import enumerate_ball, identity, parse_word
-from treeshift.groups import free_group, induced_config, integer_lattice
-from treeshift.shift import agree_depth, alphabet, flipped_config, periodic_config, random_config
+from treeshift.groups import custom_group, free_group, induced_config, integer_lattice
+from treeshift.shift import (
+    agree_depth,
+    alphabet,
+    custom_config,
+    finite_support_config,
+    flipped_config,
+    periodic_config,
+    random_config,
+)
 from treeshift.embed import (
     EdgeEncoding,
     check_equivariance,
@@ -107,9 +120,12 @@ class TestEmbed:
                 if len(v) <= 2:
                     assert result.tree.degree(v) == 4
 
-    def test_requires_free_group_config(self):
-        with pytest.raises(ValidationError):
-            embed_config(periodic_config(Z, BITS, [0, 1]), E1, 2)
+    def test_rejects_config_of_other_generator_count(self):
+        z2 = integer_lattice(d=2)
+        for sigma in (random_config(free_group(2), BITS, 0),
+                      periodic_config(z2, BITS, [[0, 1], [1, 0]], periods=[2, 2])):
+            with pytest.raises(ValidationError, match="source generators"):
+                embed_config(sigma, E1, 2)
 
     def test_rejects_bad_encoding(self):
         enc = edge_encoding(1, BITS, 2, {(1, 0): 1, (1, 1): 1})
@@ -256,3 +272,113 @@ class TestContinuity:
             d = box_distance(t1, t2)
             assert d.exact and d.r >= k
             assert d.r <= k + 1
+
+
+def _exponent_sums_mod_3(w):
+    sums = [0, 0]
+    for x in w.letters:
+        sums[abs(x) - 1] += 1 if x > 0 else -1
+    return (sums[0] % 3, sums[1] % 3)
+
+
+# Z/3 x Z/3 on two generators, known to the package only through its normalizer
+Z3_SQUARED = custom_group(2, _exponent_sums_mod_3, name="z3xz3")
+
+
+def _nested_table(rng, periods, symbols):
+    if not periods:
+        return rng.choice(symbols)
+    return [_nested_table(rng, periods[1:], symbols) for _ in range(periods[0])]
+
+
+@st.composite
+def walked_configs(draw):
+    """A configuration over a free group, a lattice Z^1-Z^3 with random
+    integer images, or a custom group, possibly shifted; and an encoding."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(["free", "lattice", "custom"]))
+    m = draw(st.integers(2, 3))
+    alph = alphabet(range(m))
+    if kind == "custom":
+        group = Z3_SQUARED
+    elif kind == "free":
+        group = free_group(draw(st.integers(1, 2)))
+    else:
+        d, M = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+        group = integer_lattice(images=[[rng.randint(-2, 2) for _ in range(d)] for _ in range(M)])
+    M = group.generator_count
+    rule = draw(st.sampled_from(["random", "finite", "custom"]
+                                + (["periodic"] if kind == "lattice" else [])))
+    if rule == "random":
+        sigma = random_config(group, alph, seed=rng.randrange(1000))
+    elif rule == "periodic":
+        periods = [rng.randint(1, 3) for _ in range(group.key[1])]
+        sigma = periodic_config(group, alph, _nested_table(rng, periods, alph.symbols), periods)
+    elif rule == "finite":
+        words = rng.sample(enumerate_ball(M, 2), 3)
+        support = {group.normalize(w).payload: rng.choice(alph.symbols) for w in words}
+        sigma = finite_support_config(group, alph, support, rng.choice(alph.symbols))
+    else:
+        sigma = custom_config(group, alph, lambda p: len(str(p)) % m)
+    if draw(st.booleans()):
+        sigma = sigma.shifted(rng.choice(enumerate_ball(M, 3)))
+    enc = random_encoding(M, alph, M * m + rng.randint(0, 2), seed=rng.randrange(1000))
+    return sigma, enc, draw(st.integers(0, 4))
+
+
+class TestGroupWalk:
+    @settings(max_examples=120, deadline=None)
+    @given(walked_configs())
+    def test_walk_matches_per_word_evaluation(self, case):
+        sigma, enc, depth = case
+        result = embed_config(sigma, enc, depth)
+        tree, vertex_of = embed_by_words(sigma, enc, depth)
+        assert result.tree.keys == tree.keys
+        assert result.vertex_of == vertex_of
+        assert [w for w, _ in result.vertex_keys] == enumerate_ball(enc.source_rank, depth)
+
+    @settings(max_examples=40, deadline=None)
+    @given(walked_configs())
+    def test_tree_is_that_of_the_pullback(self, case):
+        sigma, enc, depth = case
+        pulled = induced_config(sigma.group, sigma)
+        assert embed_config(sigma, enc, depth).tree == embed_config(pulled, enc, depth).tree
+
+    def test_lattice_config_embeds_as_its_pullback(self):
+        z2 = integer_lattice(d=2)
+        sigma = periodic_config(z2, BITS, [[0, 1, 1], [1, 0, 0]], periods=[2, 3])
+        enc = random_encoding(2, BITS, 4, seed=5)
+        for s in (sigma, sigma.shifted(parse_word("g0 g1' g1'", 2))):
+            direct = embed_config(s, enc, 5)
+            pulled = embed_config(induced_config(z2, s), enc, 5)
+            assert direct.tree == pulled.tree
+            assert direct.vertex_keys == pulled.vertex_keys
+
+    def test_lattice_embed_normalizes_no_word(self, monkeypatch):
+        z3 = integer_lattice(d=3)
+        sigma = random_config(z3, BITS, seed=2)
+        calls = []
+        normalize = groups.GroupModel.normalize
+        monkeypatch.setattr(groups.GroupModel, "normalize",
+                            lambda self, w: calls.append(w) or normalize(self, w))
+        embed_config(sigma, random_encoding(3, BITS, 6, seed=1), 4)
+        assert calls == []
+
+    def test_custom_group_walk_renormalizes_the_representative(self):
+        seen = []
+
+        def normalizer(w):
+            seen.append(w)
+            return _exponent_sums_mod_3(w)
+
+        group = custom_group(2, normalizer)
+        sigma = random_config(group, BITS, seed=4).shifted(parse_word("g0 g1", 2))
+        seen.clear()
+        embed_config(sigma, random_encoding(2, BITS, 4, seed=0), 2)
+        assert seen == [parse_word("g0 g1", 2) * w for w in enumerate_ball(2, 2)]
+
+    def test_symbol_outside_the_alphabet(self):
+        sigma = custom_config(integer_lattice(d=1), BITS, lambda p: 2 if p == (2,) else 0)
+        embed_config(sigma, E1, 1)
+        with pytest.raises(ValidationError, match="outside the alphabet"):
+            embed_config(sigma, E1, 2)

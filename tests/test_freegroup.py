@@ -75,6 +75,11 @@ class TestWord:
         with pytest.raises(ValueError):
             Word(2, (A, Ai))
 
+    def test_hashes_distinct_on_a_ball(self):
+        # the letters' own tuple hash confuses g0' with g1' (hash(-1) == hash(-2))
+        ball = enumerate_ball(2, 6)
+        assert len({hash(w) for w in ball}) == len(ball)
+
     def test_rendering(self):
         assert str(identity(2)) == "e"
         assert str(Word(2, (A, Bi))) == "g0 g1'"
