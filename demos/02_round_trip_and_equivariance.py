@@ -36,9 +36,8 @@ mismatches = sum(
 print(f"decode(embed(sigma)) disagreements on the radius-{depth - 1} ball: {mismatches}")
 print()
 
-for h in (1, -1, 2, -2):
-    report = check_equivariance(sigma, encoding, h, depth)
-    line = f"generator {h:+d}: clause={report.clause:<8} witness={report.witness}  " \
+for report in check_equivariance(sigma, encoding, (1, -1, 2, -2), depth):
+    line = f"generator {report.generator:+d}: clause={report.clause:<8} witness={report.witness}  " \
            f"ball-equal={report.ball_equal}"
     if report.clause == "negative":
         line += (f"  [identity-symbol variant {report.alternate_witness}: "

@@ -228,12 +228,11 @@ def cmd_equivariance(args) -> int:
     from .trees import dumps_json
 
     scenario = load_scenario(args.scenario)
-    sigma = scenario.config
     if args.generator:
         letters = [parse_letter(args.generator, scenario.encoding.source_rank, prefix="t")]
     else:
         letters = signed_letters(scenario.encoding.source_rank)
-    reports = [check_equivariance(sigma, scenario.encoding, h, args.depth) for h in letters]
+    reports = check_equivariance(scenario.config, scenario.encoding, letters, args.depth)
     sys.stdout.write(dumps_json({
         "depth": args.depth,
         "all_equal": all(r.ball_equal for r in reports),

@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from .errors import (
     ActionUndefinedError,
@@ -37,6 +37,7 @@ from .errors import (
 )
 from .freegroup import (
     Word,
+    _word,
     ball_size,
     digit_letter,
     enumerate_ball,
@@ -47,6 +48,7 @@ from .freegroup import (
     key_words,
     letter_digit,
     letter_str,
+    signed_letters,
     word_key,
 )
 from .shift import Alphabet, Config
@@ -213,33 +215,43 @@ def _run_embedding(source_rank: int, depth: int, root: tuple[Any, Any],
     ``(symbol, state)`` of the empty word and ``step(state, x)`` that of w·x
     from the state of w.  A symbol None skips the word (an undefined
     itinerary entry) and prunes its whole subtree.  ``step`` runs once per
-    child of a kept word, so callers need no cache.
+    child of a kept word, so callers need no cache.  Each edge's target digit
+    is read from a ``(letter, symbol)`` table: a positive letter reads the
+    parent's symbol, a negative one the child's.
     """
     root_symbol, root_state = root
     if root_symbol is None:
         raise ValidationError("the empty word carries no symbol; nothing to embed")
     base = key_base(enc.target_rank)
-    empty = identity(source_rank)
-    placed = [(empty, 0)]
-    frontier = [(empty, root_symbol, root_state, 0)]
+    alphabet = signed_letters(source_rank)
+    digits = {}
+    for g, s, t in enc.entries:
+        digits[g, s], digits[-g, s] = letter_digit(t), letter_digit(-t)
+    placed = [(identity(source_rank), 0)]
+    frontier = [((), root_symbol, root_state, 0)]
     for _ in range(depth):
         nxt = []
-        for parent, parent_symbol, parent_state, parent_key in frontier:
-            back = inverse_digit(parent_key % base)
-            for child in parent.children():
-                x = child.last
+        for letters, parent_symbol, parent_state, parent_key in frontier:
+            back_letter = -letters[-1] if letters else 0
+            back_digit = inverse_digit(parent_key % base)
+            for x in alphabet:
+                if x == back_letter:
+                    continue
                 child_symbol, child_state = step(parent_state, x)
                 if child_symbol is None:
                     continue
-                if x > 0:
-                    digit = letter_digit(enc.encode(x, parent_symbol))
-                else:
-                    digit = letter_digit(-enc.encode(-x, child_symbol))
-                if digit == back:
-                    raise ConsistencyError(
-                        f"cancellation while embedding {child}; encoding is not injective")
+                symbol = parent_symbol if x > 0 else child_symbol
+                try:
+                    digit = digits[x, symbol]
+                except KeyError:
+                    enc.encode(abs(x), symbol)  # raises: no table entry
+                    raise
+                child = letters + (x,)
+                if digit == back_digit:
+                    raise ConsistencyError(f"cancellation while embedding {_word(source_rank, child)}"
+                                           "; encoding is not injective")
                 key = parent_key * base + digit
-                placed.append((child, key))
+                placed.append((_word(source_rank, child), key))
                 nxt.append((child, child_symbol, child_state, key))
         frontier = nxt
     keys = frozenset(k for _, k in placed)
@@ -370,45 +382,52 @@ class EquivarianceReport:
         return self.ball_equal
 
 
-def check_equivariance(sigma: Config, enc: EdgeEncoding, h: int, depth: int) -> EquivarianceReport:
-    """Compare embed(shift(sigma, h)) with the rebasing of embed(sigma).
+def check_equivariance(sigma: Config, enc: EdgeEncoding, letters: Iterable[int],
+                       depth: int) -> tuple[EquivarianceReport, ...]:
+    """Compare embed(shift(sigma, h)) with the rebasing of embed(sigma), for
+    each source letter h of ``letters``.
 
-    Both sides are radius depth - 1 trees; the report says whether they
-    coincide, and for inverse generators also how the identity-symbol
-    variant of the witness fared.
+    sigma is embedded once, at radius depth; each side of a comparison is a
+    radius depth - 1 tree.  A report says whether the two coincide, and for
+    an inverse generator also how the identity-symbol variant of the witness
+    fared.
     """
     if depth < 1:
         raise ValidationError("equivariance checks need depth >= 1")
     source_rank = enc.source_rank
-    step = Word(source_rank, (h,))
-    base = embed_config(sigma, enc, depth)
-    shifted = embed_config(sigma.shifted(step), enc, depth - 1)
-
-    def rebased_matches(witness: Word) -> tuple[bool, bool]:
-        try:
-            moved = act(base.tree, witness)
-        except ActionUndefinedError:
-            return False, False
-        return True, moved.keys == shifted.tree.keys
-
-    if h > 0:
-        witness = Word(enc.target_rank, (enc.encode(h, sigma.eval_word(identity(source_rank))),))
-        _, equal = rebased_matches(witness)
-        return EquivarianceReport(h, depth, "positive", witness, equal)
-
-    sym_at_step = sigma.eval_word(step)
+    base = embed_config(sigma, enc, depth).tree
     sym_at_identity = sigma.eval_word(identity(source_rank))
-    witness = Word(enc.target_rank, (-enc.encode(-h, sym_at_step),))
-    _, equal = rebased_matches(witness)
-    alternate = Word(enc.target_rank, (-enc.encode(-h, sym_at_identity),))
-    if alternate == witness:
-        alt_defined, alt_equal = True, equal
-    else:
-        alt_defined, alt_equal = rebased_matches(alternate)
-    return EquivarianceReport(h, depth, "negative", witness, equal,
-                              alternate_witness=alternate,
-                              alternate_defined=alt_defined,
-                              alternate_equal=alt_equal)
+    reports = []
+    for h in letters:
+        step = Word(source_rank, (h,))
+        shifted = embed_config(sigma.shifted(step), enc, depth - 1).tree
+        if h > 0:
+            witness = Word(enc.target_rank, (enc.encode(h, sym_at_identity),))
+            _, equal = _rebases_to(base, witness, shifted)
+            reports.append(EquivarianceReport(h, depth, "positive", witness, equal))
+            continue
+        witness = Word(enc.target_rank, (-enc.encode(-h, sigma.eval_word(step)),))
+        _, equal = _rebases_to(base, witness, shifted)
+        alternate = Word(enc.target_rank, (-enc.encode(-h, sym_at_identity),))
+        if alternate == witness:
+            alt_defined, alt_equal = True, equal
+        else:
+            alt_defined, alt_equal = _rebases_to(base, alternate, shifted)
+        reports.append(EquivarianceReport(h, depth, "negative", witness, equal,
+                                          alternate_witness=alternate,
+                                          alternate_defined=alt_defined,
+                                          alternate_equal=alt_equal))
+    return tuple(reports)
+
+
+def _rebases_to(tree: PointedTree, witness: Word, target: PointedTree) -> tuple[bool, bool]:
+    """Whether ``witness`` is a vertex of ``tree``, and whether the tree
+    rebased there is ``target``."""
+    try:
+        moved = act(tree, witness)
+    except ActionUndefinedError:
+        return False, False
+    return True, moved.keys == target.keys
 
 
 def separate_witness(t1: PointedTree, t2: PointedTree) -> Word | None:

@@ -98,7 +98,7 @@ class Word:
     def __str__(self) -> str:
         if not self.letters:
             return "e"
-        return " ".join(letter_str(x) for x in self.letters)
+        return " ".join(map(_LETTER_TEXTS.__getitem__, self.letters))
 
     def __repr__(self) -> str:
         return f"Word({self.rank}, {str(self)!r})"
@@ -142,6 +142,18 @@ class Word:
 
 
 _TWICE = (2).__mul__
+
+
+class _LetterTexts(dict):
+    """Letter -> :func:`letter_str` token, filled as letters are met, so its
+    size follows the input, not the rank."""
+
+    def __missing__(self, letter: int) -> str:
+        text = self[letter] = letter_str(letter)
+        return text
+
+
+_LETTER_TEXTS = _LetterTexts()
 
 
 def extend(w: Word, letter: int) -> Word:

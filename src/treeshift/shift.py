@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from .errors import GroupMismatchError, ValidationError, is_int, json_field, json_kind
-from .freegroup import Word, enumerate_spheres
+from .freegroup import Word, signed_letters
 
 if TYPE_CHECKING:  # imported where it is used: it loads decimal too
     from fractions import Fraction
@@ -244,21 +244,44 @@ class AgreementDepth:
 
 
 def agree_depth(s1: Config, s2: Config, cap: int) -> AgreementDepth:
-    """Compare on all elements reachable from words of length <= j, j <= cap."""
+    """Compare on all elements reachable from words of length <= j, j <= cap.
+
+    A breadth-first search over the group: three walks step together, one
+    from the identity whose payloads key the visited set, and one along each
+    configuration for its symbols.  An element is compared once, at the
+    level where its word length first reaches it.
+    """
     if s1.group != s2.group:
         raise GroupMismatchError("configurations live on different groups")
     if s1.alphabet != s2.alphabet:
         raise ValidationError("configurations use different alphabets")
-    seen = set()
-    spheres = enumerate_spheres(s1.group.generator_count, cap)
-    for j, level in enumerate(spheres):
-        for w in level:
-            g = s1.group.normalize(w)
-            if g.payload in seen:
-                continue
-            seen.add(g.payload)
-            if s1.eval(g) != s2.eval(g):
-                return AgreementDepth(j - 1, exact=True)
+    if cap < 0:
+        raise ValidationError(f"cap must be >= 0, got {cap}")
+    group = s1.group
+    state, advance, payload = group.walk(group.identity())
+    (a, state1), step1 = s1.walk()
+    (b, state2), step2 = s2.walk()
+    if a != b:
+        return AgreementDepth(-1, exact=True)
+    seen = {state if payload is None else payload(state)}
+    letters = signed_letters(group.generator_count)
+    frontier = [(0, state, state1, state2)]
+    for j in range(1, cap + 1):
+        nxt = []
+        for back, g, g1, g2 in frontier:
+            for x in letters:
+                if x == back:
+                    continue
+                h = advance(g, x)
+                key = h if payload is None else payload(h)
+                if key in seen:
+                    continue
+                seen.add(key)
+                (a, h1), (b, h2) = step1(g1, x), step2(g2, x)
+                if a != b:
+                    return AgreementDepth(j - 1, exact=True)
+                nxt.append((-x, h, h1, h2))
+        frontier = nxt
     return AgreementDepth(cap, exact=False)
 
 

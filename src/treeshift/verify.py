@@ -108,8 +108,7 @@ def check_equivariance_suite(seed: int = 0) -> CheckResult:
     checks = 0
     alternate_disagrees = 0
     for M, m, sigma, enc, depth in _embedding_sample(seed):
-        for h in signed_letters(M):
-            report = check_equivariance(sigma, enc, h, depth)
+        for report in check_equivariance(sigma, enc, signed_letters(M), depth):
             checks += 1
             if not report.ball_equal:
                 failures += 1

@@ -7,7 +7,8 @@ checked and listed the way the package did before its canonical walk and
 token table (every token through :func:`parse_letter` and :func:`reduce`,
 sorting by :meth:`Word.sort_key`).  The embedding oracle reads every source
 word's symbol through ``Config.eval_word``, which renormalizes the whole word,
-and builds every image vertex as a ``Word``.
+and builds every image vertex as a ``Word``.  The agreement-depth oracle
+normalizes every free word of each sphere up to the cap.
 """
 from __future__ import annotations
 
@@ -20,7 +21,8 @@ from treeshift.errors import (
     RankMismatchError,
     ValidationError,
 )
-from treeshift.freegroup import Word, identity, letter_str, parse_letter, reduce
+from treeshift.freegroup import Word, enumerate_spheres, identity, letter_str, parse_letter, reduce
+from treeshift.shift import AgreementDepth
 from treeshift.trees import BoxDistance, PointedTree
 
 
@@ -184,3 +186,20 @@ def embed_by_words(sigma, enc, depth: int):
     if len(set(vertex_of.values())) != len(vertex_of):
         raise ConsistencyError("embedding produced colliding vertices")
     return PointedTree.from_words(enc.target_rank, depth, vertex_of.values()), vertex_of
+
+
+# Agreement depth as it was computed before the walk over group elements.
+
+def sphere_agree_depth(s1, s2, cap: int) -> AgreementDepth:
+    """Normalize every word of the spheres of radius <= cap, in canonical
+    order, and compare the two configurations at each payload seen first."""
+    seen = set()
+    for j, level in enumerate(enumerate_spheres(s1.group.generator_count, cap)):
+        for w in level:
+            g = s1.group.normalize(w)
+            if g.payload in seen:
+                continue
+            seen.add(g.payload)
+            if s1.eval(g) != s2.eval(g):
+                return AgreementDepth(j - 1, exact=True)
+    return AgreementDepth(cap, exact=False)

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import embed_by_words
+from oracles import embed_by_words, sphere_agree_depth
 from treeshift import groups
 from treeshift.errors import (
     ConsistencyError,
@@ -9,9 +9,11 @@ from treeshift.errors import (
     NotInImageError,
     ValidationError,
 )
-from treeshift.freegroup import enumerate_ball, identity, parse_word
+from treeshift.freegroup import enumerate_ball, enumerate_spheres, identity, parse_word
 from treeshift.groups import custom_group, free_group, induced_config, integer_lattice
 from treeshift.shift import (
+    AgreementDepth,
+    Config,
     agree_depth,
     alphabet,
     custom_config,
@@ -196,14 +198,14 @@ class TestDecode:
 
 class TestEquivariance:
     def test_positive_generator_ladder(self):
-        report = check_equivariance(parity_on_f1(), E1, 1, 2)
+        report, = check_equivariance(parity_on_f1(), E1, [1], 2)
         assert report.clause == "positive"
         assert str(report.witness) == "g0"
         assert report.ball_equal
         assert report.alternate_witness is None
 
     def test_negative_generator_ladder(self):
-        report = check_equivariance(parity_on_f1(), E1, -1, 2)
+        report, = check_equivariance(parity_on_f1(), E1, [-1], 2)
         assert report.clause == "negative"
         assert str(report.witness) == "g1'"
         assert report.ball_equal
@@ -214,7 +216,7 @@ class TestEquivariance:
         assert report.alternate_equal is False
 
     def test_depth_one_trivial(self):
-        report = check_equivariance(random_config(F1, BITS, 9), E1, -1, 1)
+        report, = check_equivariance(random_config(F1, BITS, 9), E1, [-1], 1)
         assert report.ball_equal
 
     def test_seeded_sample_both_signs(self):
@@ -223,8 +225,9 @@ class TestEquivariance:
             enc = random_encoding(2, trits, 6, seed=seed)
             sigma = random_config(free_group(2), trits, seed=seed)
             depth = 2 + seed % 3
-            for h in (1, -1, 2, -2):
-                assert check_equivariance(sigma, enc, h, depth).ball_equal
+            reports = check_equivariance(sigma, enc, (1, -1, 2, -2), depth)
+            assert [r.generator for r in reports] == [1, -1, 2, -2]
+            assert all(r.ball_equal for r in reports)
 
 
 class TestSeparateWitness:
@@ -372,3 +375,31 @@ class TestGroupWalk:
         embed_config(sigma, E1, 1)
         with pytest.raises(ValidationError, match="outside the alphabet"):
             embed_config(sigma, E1, 2)
+
+    @settings(max_examples=120, deadline=None)
+    @given(walked_configs(), st.randoms(use_true_random=False),
+           st.sampled_from(["flip", "other", "same"]))
+    def test_agree_depth_matches_the_sphere_walk(self, case, rng, partner):
+        sigma, _, cap = case
+        group, alph = sigma.group, sigma.alphabet
+        if partner == "flip":
+            length = rng.randint(0, cap + 1)
+            w = rng.choice(enumerate_spheres(group.generator_count, length)[length])
+            at = group.normalize(sigma.translate.rep * w).payload
+            new = (sigma.rule(at) + 1) % len(alph)
+            other = Config(group, alph, lambda p: new if p == at else sigma.rule(p),
+                           translate=sigma.translate)
+        elif partner == "other":
+            other = random_config(group, alph, seed=rng.randrange(1000))
+        else:
+            other = sigma
+        assert agree_depth(sigma, other, cap) == sphere_agree_depth(sigma, other, cap)
+
+    def test_lattice_agree_depth_normalizes_only_the_identity(self, monkeypatch):
+        sigma = random_config(integer_lattice(d=3), BITS, seed=2)
+        calls = []
+        normalize = groups.GroupModel.normalize
+        monkeypatch.setattr(groups.GroupModel, "normalize",
+                            lambda self, w: calls.append(w) or normalize(self, w))
+        assert agree_depth(sigma, sigma, cap=6) == AgreementDepth(6, exact=False)
+        assert calls == [identity(3)]

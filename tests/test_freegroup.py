@@ -83,6 +83,10 @@ class TestWord:
     def test_rendering(self):
         assert str(identity(2)) == "e"
         assert str(Word(2, (A, Bi))) == "g0 g1'"
+        for w in [*enumerate_ball(3, 4), parse_word("g0 g99999'", 100_000)]:
+            assert str(w) == (" ".join(letter_str(x) for x in w.letters) or "e")
+        # the token table holds the letters rendered so far, not the rank's 2 * 10**5
+        assert len(freegroup._LETTER_TEXTS) < 1_000
 
     def test_parse_round_trip(self):
         for text in ("e", "g0", "g1'", "g0 g1 g0'"):

@@ -243,6 +243,12 @@ class TestEmbedPseudo:
         via_config = embed_config(total, enc, 3)
         assert via_pseudo.tree == via_config.tree
 
+    def test_encoding_over_another_alphabet(self):
+        letters = alphabet(["a", "b"])
+        enc = edge_encoding(2, letters, 4, {(1, "a"): 1, (1, "b"): 2, (2, "a"): 3, (2, "b"): 4})
+        with pytest.raises(ValidationError, match="no table entry"):
+            embed_pseudo(itinerary(N0, OMEGA, 1), enc, 1)
+
     def test_depth_exceeds_itinerary(self):
         itin = itinerary(N0, OMEGA, 1)
         with pytest.raises(InsufficientDepthError):
