@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import InsufficientDepthError, TreeshiftError, json_field, json_kind
@@ -34,12 +33,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-@dataclass
 class Scenario:
-    group: object
-    alphabet: Alphabet
-    config: Config
-    encoding: EdgeEncoding
+    def __init__(self, group, alphabet: Alphabet, config: Config,
+                 encoding: EdgeEncoding) -> None:
+        self.group = group
+        self.alphabet = alphabet
+        self.config = config
+        self.encoding = encoding
 
     def free_config(self) -> Config:
         from .groups import induced_config

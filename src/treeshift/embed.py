@@ -20,7 +20,6 @@ at most j - 1, and no further.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Callable, Iterable, Mapping
 
@@ -55,7 +54,6 @@ from .shift import Alphabet, Config
 from .trees import BoxDistance, PointedTree, act, box_distance, first_difference
 
 
-@dataclass(frozen=True)
 class EdgeEncoding:
     """Injective table (source generator, symbol) -> positive target generator.
 
@@ -64,10 +62,12 @@ class EdgeEncoding:
     forces target_rank >= source_rank * len(alphabet).
     """
 
-    source_rank: int
-    alphabet: Alphabet
-    target_rank: int
-    entries: tuple[tuple[int, Any, int], ...]
+    def __init__(self, source_rank: int, alphabet: Alphabet, target_rank: int,
+                 entries: tuple[tuple[int, Any, int], ...]) -> None:
+        self.source_rank = source_rank
+        self.alphabet = alphabet
+        self.target_rank = target_rank
+        self.entries = entries
 
     @cached_property
     def _forward(self) -> dict[tuple[int, Any], int]:
@@ -188,7 +188,6 @@ def encoding_from_json(obj: dict, alphabet: Alphabet | None = None) -> EdgeEncod
     return edge_encoding(source_rank, alphabet, target_rank, table)
 
 
-@dataclass(frozen=True, eq=False)
 class Embedding:
     """A depth-j image tree with the source-word-to-vertex bijection.
 
@@ -197,9 +196,11 @@ class Embedding:
     built when first read.
     """
 
-    tree: PointedTree
-    vertex_keys: tuple[tuple[Word, int], ...]
-    depth: int
+    def __init__(self, tree: PointedTree, vertex_keys: tuple[tuple[Word, int], ...],
+                 depth: int) -> None:
+        self.tree = tree
+        self.vertex_keys = vertex_keys
+        self.depth = depth
 
     @cached_property
     def vertex_of(self) -> dict[Word, Word]:
@@ -281,7 +282,6 @@ def embed_config(sigma: Config, enc: EdgeEncoding, depth: int) -> Embedding:
     return _run_embedding(enc.source_rank, depth, root, step, enc)
 
 
-@dataclass(frozen=True, eq=False)
 class DecodedConfig:
     """Partial configuration recovered from an image tree.
 
@@ -290,10 +290,12 @@ class DecodedConfig:
     ``values`` holds every word of length <= depth, in canonical order.
     """
 
-    source_rank: int
-    depth: int
-    alphabet: Alphabet
-    values: Mapping[Word, Any]
+    def __init__(self, source_rank: int, depth: int, alphabet: Alphabet,
+                 values: Mapping[Word, Any]) -> None:
+        self.source_rank = source_rank
+        self.depth = depth
+        self.alphabet = alphabet
+        self.values = values
 
     def eval_word(self, w: Word) -> Any:
         if w.rank != self.source_rank:
@@ -359,7 +361,6 @@ def _edge(tree: PointedTree, v: int, u: int) -> str:
     return f"{key_word(v, tree.rank)} -> {key_word(u, tree.rank)}"
 
 
-@dataclass(frozen=True)
 class EquivarianceReport:
     """Outcome of one single-generator equivariance check.
 
@@ -368,14 +369,18 @@ class EquivarianceReport:
     evaluated alongside and recorded, never silently merged.
     """
 
-    generator: int
-    depth: int
-    clause: str
-    witness: Word
-    ball_equal: bool
-    alternate_witness: Word | None = None
-    alternate_defined: bool | None = None
-    alternate_equal: bool | None = None
+    def __init__(self, generator: int, depth: int, clause: str, witness: Word,
+                 ball_equal: bool, alternate_witness: Word | None = None,
+                 alternate_defined: bool | None = None,
+                 alternate_equal: bool | None = None) -> None:
+        self.generator = generator
+        self.depth = depth
+        self.clause = clause
+        self.witness = witness
+        self.ball_equal = ball_equal
+        self.alternate_witness = alternate_witness
+        self.alternate_defined = alternate_defined
+        self.alternate_equal = alternate_equal
 
     @property
     def ok(self) -> bool:

@@ -61,9 +61,11 @@ def json_int(obj, key: str, what: str) -> int:
 _KINDS = {list: "a list", dict: "an object", str: "a string"}
 
 
-def json_kind(value, kind: type, name: str):
-    """``value`` if it is a JSON list, object or string as ``kind`` asks;
-    ``name`` is its path, such as ``point.cycle``."""
+def json_kind(value, kind: type | tuple[type, ...], name: str):
+    """``value`` if it is a JSON list, object or string as ``kind`` (a type
+    or a tuple of them) asks; ``name`` is its path, such as ``point.cycle``."""
     if not isinstance(value, kind):
-        raise ValidationError(f"{name} must be {_KINDS[kind]}, got {value!r}")
+        kinds = kind if isinstance(kind, tuple) else (kind,)
+        raise ValidationError(
+            f"{name} must be {' or '.join(map(_KINDS.__getitem__, kinds))}, got {value!r}")
     return value

@@ -1,9 +1,9 @@
 """Freely reduced words over n generator pairs.
 
 A letter is a nonzero integer: ``+(i + 1)`` is the i-th positive generator,
-``-(i + 1)`` its inverse.  Words are immutable, always freely reduced, and
-carry the rank of their ambient free group; combining words of different
-ranks is an error, never a coercion.
+``-(i + 1)`` its inverse.  Words are never changed once built, are always
+freely reduced, and carry the rank of their ambient free group; combining
+words of different ranks is an error, never a coercion.
 
 Rendering: generator i prints as ``g{i}``, its inverse as ``g{i}'``, and the
 empty word as ``e``.  The canonical order on words is length first, then
@@ -27,7 +27,6 @@ name a whole key set at once, each name built from its parent's.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import add
 from typing import Callable, Iterable, Iterator, Sequence
@@ -76,18 +75,26 @@ def _check_letters(letters: Sequence[int], rank: int) -> None:
             raise InvalidGeneratorError(f"letter {x} invalid for rank {rank}")
 
 
-@dataclass(frozen=True)
 class Word:
     """A freely reduced word; doubles as a vertex name in the Cayley tree."""
 
-    rank: int
-    letters: tuple[int, ...] = ()
+    __slots__ = ("rank", "letters")
+
+    def __init__(self, rank: int, letters: tuple[int, ...] = ()) -> None:
+        self.rank = rank
+        self.letters = letters
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         _check_letters(self.letters, self.rank)
         for a, b in zip(self.letters, self.letters[1:]):
             if a == -b:
                 raise ValueError(f"word {self.letters} is not freely reduced")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Word:
+            return NotImplemented
+        return self.rank == other.rank and self.letters == other.letters
 
     def __hash__(self) -> int:
         return hash(tuple(map(_TWICE, self.letters)))
@@ -194,13 +201,12 @@ def walk_ball(rank: int, radius: int, token: Callable[[int], str] = letter_str
         level = nxt
 
 
-def _word(rank: int, letters: tuple[int, ...], _new=object.__new__,
-          _set=object.__setattr__) -> Word:
+def _word(rank: int, letters: tuple[int, ...], _new=object.__new__) -> Word:
     """Word from letters already known to be in range and freely reduced
-    (``_new`` and ``_set`` are bound once: every trusted word is built here)."""
+    (``_new`` is bound once: every trusted word is built here)."""
     w = _new(Word)
-    _set(w, "rank", rank)
-    _set(w, "letters", letters)
+    w.rank = rank
+    w.letters = letters
     return w
 
 

@@ -17,7 +17,6 @@ its walk carries the representative word and renormalizes it at every step.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import add
 from typing import Any, Callable
 
@@ -33,13 +32,23 @@ from .errors import (
 from .freegroup import Word, extend, identity as word_identity
 
 
-@dataclass(frozen=True)
 class GroupElement:
     """Canonical element of a group model: payload equality is group equality."""
 
-    group_key: tuple
-    payload: Any
-    rep: Word = field(compare=False)
+    __slots__ = ("group_key", "payload", "rep")
+
+    def __init__(self, group_key: tuple, payload: Any, rep: Word) -> None:
+        self.group_key = group_key
+        self.payload = payload
+        self.rep = rep
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not GroupElement:
+            return NotImplemented
+        return (self.group_key, self.payload) == (other.group_key, other.payload)
+
+    def __hash__(self) -> int:
+        return hash((self.group_key, self.payload))
 
     def __str__(self) -> str:
         return str(self.payload)

@@ -20,7 +20,6 @@ words, which is why vertex degrees may drop below the regular 2M.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter, itemgetter
 from typing import Any, Callable, Iterable, Mapping
@@ -55,16 +54,19 @@ class _EmptySymbol:
 S_EMPTY = _EmptySymbol()
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class SymbolStream:
     """The one-sided stream ``pre cycle cycle ...``; ``cycle`` is nonempty."""
 
-    pre: tuple
-    cycle: tuple
+    __slots__ = ("pre", "cycle")
 
-    def __post_init__(self) -> None:
-        if not self.cycle:
+    def __init__(self, pre: tuple, cycle: tuple) -> None:
+        if not cycle:
             raise ValidationError("cycle must be nonempty")
+        self.pre = pre
+        self.cycle = cycle
+
+    def __repr__(self) -> str:
+        return f"SymbolStream(pre={self.pre!r}, cycle={self.cycle!r})"
 
     def symbol_at(self, i: int) -> Any:
         pre = self.pre
@@ -113,11 +115,19 @@ def _minimal(items: Iterable, prefix_of: Callable[[Any], tuple]) -> list:
     return kept
 
 
-@dataclass(frozen=True)
 class Cylinder:
     """All streams starting with a fixed prefix."""
 
-    prefix: tuple
+    def __init__(self, prefix: tuple) -> None:
+        self.prefix = prefix
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Cylinder:
+            return NotImplemented
+        return self.prefix == other.prefix
+
+    def __hash__(self) -> int:
+        return hash(self.prefix)
 
     def contains(self, stream: SymbolStream) -> bool:
         return stream.starts_with(self.prefix)
@@ -132,11 +142,19 @@ class Cylinder:
         return "C(" + " ".join(str(s) for s in self.prefix) + ")" if self.prefix else "C()"
 
 
-@dataclass(frozen=True)
 class CylinderUnion:
     """Finite (possibly empty) union of cylinders; normalized by subsumption."""
 
-    parts: tuple[Cylinder, ...]
+    def __init__(self, parts: tuple[Cylinder, ...]) -> None:
+        self.parts = parts
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not CylinderUnion:
+            return NotImplemented
+        return self.parts == other.parts
+
+    def __hash__(self) -> int:
+        return hash(self.parts)
 
     @staticmethod
     def of(parts: Iterable[Cylinder]) -> "CylinderUnion":
@@ -158,7 +176,6 @@ class CylinderUnion:
         return any(c.contains(stream) for c in self.parts)
 
 
-@dataclass(frozen=True, eq=False)
 class PartialMap:
     """Prefix rewrite on a cylinder-union domain.
 
@@ -166,19 +183,18 @@ class PartialMap:
     consumed prefix, so applying the map to a part is itself a rewrite.
     """
 
-    name: str
-    domain: CylinderUnion
-    consume: tuple
-    emit: tuple
-    inverse_name: str
-
-    def __post_init__(self) -> None:
+    def __init__(self, name: str, domain: CylinderUnion, consume: tuple, emit: tuple,
+                 inverse_name: str) -> None:
         effective = []
-        for part in self.domain.parts:
-            met = part.meet(Cylinder(self.consume))
+        for part in domain.parts:
+            met = part.meet(Cylinder(consume))
             if met is not None:
                 effective.append(met)
-        object.__setattr__(self, "domain", CylinderUnion.of(effective))
+        self.name = name
+        self.domain = CylinderUnion.of(effective)
+        self.consume = consume
+        self.emit = emit
+        self.inverse_name = inverse_name
 
     def __repr__(self) -> str:
         return f"PartialMap({self.name})"
@@ -210,7 +226,6 @@ def inverse_of(pm: PartialMap) -> PartialMap:
     )
 
 
-@dataclass(frozen=True, eq=False)
 class CylinderPseudogroup:
     """Finite symmetric generating family plus a clopen partition.
 
@@ -218,10 +233,13 @@ class CylinderPseudogroup:
     pieces must be pairwise disjoint and cover the whole stream space.
     """
 
-    base_alphabet: Alphabet
-    positive: tuple[PartialMap, ...]
-    negative: tuple[PartialMap, ...]
-    partition: tuple[tuple[Any, CylinderUnion], ...]
+    def __init__(self, base_alphabet: Alphabet, positive: tuple[PartialMap, ...],
+                 negative: tuple[PartialMap, ...],
+                 partition: tuple[tuple[Any, CylinderUnion], ...]) -> None:
+        self.base_alphabet = base_alphabet
+        self.positive = positive
+        self.negative = negative
+        self.partition = partition
 
     @property
     def generator_count(self) -> int:
@@ -277,7 +295,6 @@ def validate_cgs(cgs: CylinderPseudogroup) -> list[str]:
     return violations
 
 
-@dataclass(frozen=True, eq=False)
 class ComposedMap:
     """Symbolic composition along a reduced word, first letter acting first.
 
@@ -285,8 +302,9 @@ class ComposedMap:
     rewrites it to; the composite's domain may be empty.
     """
 
-    word: Word
-    pieces: tuple[tuple[tuple, tuple], ...]
+    def __init__(self, word: Word, pieces: tuple[tuple[tuple, tuple], ...]) -> None:
+        self.word = word
+        self.pieces = pieces
 
     @property
     def domain(self) -> CylinderUnion:
@@ -329,7 +347,6 @@ def compose_word(cgs: CylinderPseudogroup, g: Word) -> ComposedMap:
     return ComposedMap(g, tuple(pieces))
 
 
-@dataclass(frozen=True, eq=False)
 class Itinerary:
     """Symbols of the partition pieces visited along every live reduced word.
 
@@ -339,10 +356,12 @@ class Itinerary:
     gives it the empty symbol.
     """
 
-    source_rank: int
-    depth: int
-    symbols: Alphabet
-    values: Mapping[Word, Any]
+    def __init__(self, source_rank: int, depth: int, symbols: Alphabet,
+                 values: Mapping[Word, Any]) -> None:
+        self.source_rank = source_rank
+        self.depth = depth
+        self.symbols = symbols
+        self.values = values
 
     def value(self, w: Word) -> Any:
         if w.rank != self.source_rank:
@@ -432,8 +451,10 @@ def builtin_n0_shift(alph: Alphabet) -> CylinderPseudogroup:
     return CylinderPseudogroup(alph, tuple(positive), tuple(negative), tuple(partition))
 
 
-def _prefix_from_json(obj, alph: Alphabet) -> tuple:
-    return tuple(alph.match(t) for t in obj)
+def _prefix_from_json(obj, alph: Alphabet, name: str) -> tuple:
+    """The prefix a JSON list of symbols spells, or a string whose characters
+    are the symbols (``"consume": "01"``); ``name`` is its path."""
+    return tuple(alph.match(t) for t in json_kind(obj, (list, str), name))
 
 
 def cgs_to_json(cgs: CylinderPseudogroup) -> dict:
@@ -455,30 +476,38 @@ def cgs_to_json(cgs: CylinderPseudogroup) -> dict:
     }
 
 
+def _cylinders_from_json(obj, alph: Alphabet, name: str) -> CylinderUnion:
+    """The union of the cylinders on a JSON list of prefixes; ``name`` is its path."""
+    return CylinderUnion.of(Cylinder(_prefix_from_json(p, alph, f"{name}[{i}]"))
+                            for i, p in enumerate(json_kind(obj, list, name)))
+
+
 def cgs_from_json(obj: dict) -> CylinderPseudogroup:
-    alph = Alphabet(tuple(json_field(obj, "alphabet", "generating system")))
+    system = "generating system"
+    alph = Alphabet(tuple(json_kind(json_field(obj, "alphabet", system), list,
+                                    f"{system}.alphabet")))
     positive = []
     negative = []
-    for entry in json_field(obj, "generators", "generating system"):
-        domain = CylinderUnion.of(
-            Cylinder(_prefix_from_json(p, alph))
-            for p in json_kind(json_field(entry, "domain", "generator"), list, "generator.domain"))
+    for entry in json_kind(json_field(obj, "generators", system), list, f"{system}.generators"):
+        domain = _cylinders_from_json(json_field(entry, "domain", "generator"), alph,
+                                      "generator.domain")
         rewrite = json_field(entry, "rewrite", "generator")
         name = json_kind(json_field(entry, "name", "generator"), str, "generator.name")
         pm = PartialMap(
             name=name,
             domain=domain,
-            consume=_prefix_from_json(json_field(rewrite, "consume", "rewrite"), alph),
-            emit=_prefix_from_json(json_field(rewrite, "emit", "rewrite"), alph),
+            consume=_prefix_from_json(json_field(rewrite, "consume", "rewrite"), alph,
+                                      "generator.rewrite.consume"),
+            emit=_prefix_from_json(json_field(rewrite, "emit", "rewrite"), alph,
+                                   "generator.rewrite.emit"),
             inverse_name=entry.get("inverse", name + "'"),
         )
         positive.append(pm)
         negative.append(inverse_of(pm))
     partition = tuple(
-        (alph.match(token), CylinderUnion.of(
-            Cylinder(_prefix_from_json(p, alph)) for p in prefixes))
-        for token, prefixes in json_kind(json_field(obj, "partition", "generating system"), dict,
-                                         "generating system.partition").items())
+        (alph.match(token), _cylinders_from_json(prefixes, alph, f"{system}.partition.{token}"))
+        for token, prefixes in json_kind(json_field(obj, "partition", system), dict,
+                                         f"{system}.partition").items())
     cgs = CylinderPseudogroup(alph, tuple(positive), tuple(negative), partition)
     problems = validate_cgs(cgs)
     if problems:

@@ -8,7 +8,6 @@ the right action (sigma . gamma)(x) = sigma(gamma x).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from .errors import GroupMismatchError, ValidationError, is_int, json_field, json_kind
@@ -18,22 +17,28 @@ if TYPE_CHECKING:  # imported where it is used: it loads decimal too
     from fractions import Fraction
 
 
-@dataclass(frozen=True)
 class Alphabet:
     """Ordered finite symbol set."""
 
-    symbols: tuple
-
-    def __post_init__(self) -> None:
-        if len(self.symbols) < 1:
+    def __init__(self, symbols: tuple) -> None:
+        if len(symbols) < 1:
             raise ValidationError("alphabet must hold at least one symbol")
         try:
-            distinct = len(set(self.symbols))
+            distinct = len(set(symbols))
         except TypeError:
             raise ValidationError(
-                f"alphabet symbols must be strings or numbers, got {self.symbols!r}") from None
-        if distinct != len(self.symbols):
+                f"alphabet symbols must be strings or numbers, got {symbols!r}") from None
+        if distinct != len(symbols):
             raise ValidationError("alphabet symbols must be distinct")
+        self.symbols = symbols
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Alphabet:
+            return NotImplemented
+        return self.symbols == other.symbols
+
+    def __hash__(self) -> int:
+        return hash(self.symbols)
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -191,7 +196,10 @@ def _payload_token(payload) -> str:
 
 def random_config(group, alph: Alphabet, seed: int) -> Config:
     """Deterministic pseudo-random configuration (stable across runs)."""
-    from hashlib import blake2b
+    try:  # the built-in module: hashlib would also load OpenSSL's
+        from _blake2 import blake2b
+    except ImportError:
+        from hashlib import blake2b
 
     m = len(alph)
     symbols = alph.symbols
@@ -223,7 +231,6 @@ def flipped_config(sigma: Config, at: Word, seed: int = 0) -> Config:
     return Config(sigma.group, sigma.alphabet, rule, label=f"{sigma.label}+flip({at})")
 
 
-@dataclass(frozen=True)
 class AgreementDepth:
     """Largest verified radius of agreement between two configurations.
 
@@ -232,8 +239,17 @@ class AgreementDepth:
     shows up within the cap the result is the lower bound ">= cap".
     """
 
-    value: int
-    exact: bool
+    def __init__(self, value: int, exact: bool) -> None:
+        self.value = value
+        self.exact = exact
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not AgreementDepth:
+            return NotImplemented
+        return (self.value, self.exact) == (other.value, other.exact)
+
+    def __hash__(self) -> int:
+        return hash((self.value, self.exact))
 
     def __str__(self) -> str:
         if not self.exact:
@@ -285,12 +301,12 @@ def agree_depth(s1: Config, s2: Config, cap: int) -> AgreementDepth:
     return AgreementDepth(cap, exact=False)
 
 
-@dataclass(frozen=True)
 class MetricInterval:
     """Partial sum plus a rigorous tail bound: the true value lies inside."""
 
-    lower: Fraction
-    upper: Fraction
+    def __init__(self, lower: Fraction, upper: Fraction) -> None:
+        self.lower = lower
+        self.upper = upper
 
     def contains(self, x) -> bool:
         return self.lower <= x <= self.upper

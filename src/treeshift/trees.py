@@ -25,7 +25,6 @@ import math
 import random
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 from operator import floordiv
 from typing import Iterable, Sequence
@@ -53,11 +52,19 @@ from .freegroup import (
 )
 
 
-@dataclass(frozen=True)
 class PointedTree:
-    rank: int
-    radius: int
-    keys: frozenset[int]
+    def __init__(self, rank: int, radius: int, keys: frozenset[int]) -> None:
+        self.rank = rank
+        self.radius = radius
+        self.keys = keys
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not PointedTree:
+            return NotImplemented
+        return (self.rank, self.radius, self.keys) == (other.rank, other.radius, other.keys)
+
+    def __hash__(self) -> int:
+        return hash((self.rank, self.radius, self.keys))
 
     @classmethod
     def from_words(cls, rank: int, radius: int, words: Iterable[Word]) -> "PointedTree":
@@ -173,7 +180,6 @@ def ball(t: PointedTree, r: int) -> PointedTree:
     return PointedTree(t.rank, r, frozenset(keys[:bisect_left(keys, t._bound(r))]))
 
 
-@dataclass(frozen=True)
 class BoxDistance:
     """Result of the box metric e^(-r) at finite depth.
 
@@ -182,8 +188,19 @@ class BoxDistance:
     value is only an upper bound e^(-r).
     """
 
-    r: int
-    exact: bool
+    __slots__ = ("r", "exact")
+
+    def __init__(self, r: int, exact: bool) -> None:
+        self.r = r
+        self.exact = exact
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not BoxDistance:
+            return NotImplemented
+        return (self.r, self.exact) == (other.r, other.exact)
+
+    def __hash__(self) -> int:
+        return hash((self.r, self.exact))
 
     @property
     def value(self) -> float:
@@ -265,7 +282,6 @@ def act(t: PointedTree, g: Word) -> PointedTree:
     return PointedTree(t.rank, t.radius - len(g), frozenset(moved))
 
 
-@dataclass(frozen=True, eq=False)
 class OrbitGraph:
     """Bounded exploration of single-generator rebasings.
 
@@ -277,10 +293,12 @@ class OrbitGraph:
     same record.
     """
 
-    nodes: tuple[PointedTree, ...]
-    edges: tuple[tuple[int, int, int], ...]
-    working_radius: int
-    step_bound: int
+    def __init__(self, nodes: tuple[PointedTree, ...], edges: tuple[tuple[int, int, int], ...],
+                 working_radius: int, step_bound: int) -> None:
+        self.nodes = nodes
+        self.edges = edges
+        self.working_radius = working_radius
+        self.step_bound = step_bound
 
     @property
     def edge_labels(self) -> list[str]:

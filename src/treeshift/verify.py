@@ -6,8 +6,6 @@ sizes are fixed: they are the package's acceptance contract, not tunables.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .embed import (
     check_equivariance,
     decode_tree,
@@ -41,11 +39,11 @@ from .trees import (
 BITS = alphabet([0, 1])
 
 
-@dataclass(frozen=True)
 class CheckResult:
-    name: str
-    ok: bool
-    details: str
+    def __init__(self, name: str, ok: bool, details: str) -> None:
+        self.name = name
+        self.ok = ok
+        self.details = details
 
     def line(self) -> str:
         flag = "PASS" if self.ok else "FAIL"

@@ -3,12 +3,12 @@
 Each test prints one PASS/FAIL line (visible with pytest -s or in captured
 output) and asserts the criterion, including the stated runtime budgets.
 """
-import dataclasses
 import time
 
 import pytest
 
 from treeshift import verify
+from treeshift.embed import Embedding
 from treeshift.verify import (
     check_continuity,
     check_equivariance_suite,
@@ -92,7 +92,7 @@ def test_tree_shape_flags_a_vertex_of_another_length(monkeypatch):
     def misplaced(sigma, enc, depth):
         result = embed_config(sigma, enc, depth)
         (root, _), *rest = result.vertex_keys
-        return dataclasses.replace(result, vertex_keys=((root, result.tree.sorted_keys[1]), *rest))
+        return Embedding(result.tree, ((root, result.tree.sorted_keys[1]), *rest), result.depth)
 
     monkeypatch.setattr(verify, "embed_config", misplaced)
     assert check_tree_shape(SEED).details == "200 trees, 200 failures"

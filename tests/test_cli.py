@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import json
 import math
@@ -329,15 +330,27 @@ class TestMalformedInput:
         ("scenario", {"config": {"rule": "finite", "support": [1], "default": 0}}, "support"),
         ("point", {"cycle": True}, "cycle"),
         ("point", {"pre": 5}, "pre"),
-        ("cgs", {"name": None}, "name"),
-        ("cgs", {"domain": 3}, "domain"),
+        ("generator", {"name": None}, "name"),
+        ("generator", {"domain": 3}, "domain"),
         ("cgs", {"partition": []}, "partition"),
+        ("cgs", {"alphabet": None}, "generating system.alphabet"),
+        ("cgs", {"alphabet": "01"}, "generating system.alphabet"),
+        ("cgs", {"generators": 5}, "generating system.generators"),
+        ("generator", {"domain": [None]}, "generator.domain[0]"),
+        ("generator", {"domain": [{"0": 1}]}, "generator.domain[0]"),
+        ("generator", {"rewrite": {"consume": True, "emit": []}}, "generator.rewrite.consume"),
+        ("generator", {"rewrite": {"consume": ["0"], "emit": 1.5}}, "generator.rewrite.emit"),
+        ("cgs", {"partition": {"0": True, "1": [["1"]]}}, "generating system.partition.0"),
+        ("cgs", {"partition": {"0": [0], "1": [["1"]]}}, "generating system.partition.0[0]"),
         ("scenario", {"group": {"kind": "lattice", "d": 1, "images": [[1.5]]}}, "images"),
         ("scenario", {"group": {"kind": "lattice", "d": True, "images": [[1]]}}, "'d'"),
         ("scenario", {"config": {"rule": "periodic", "period": True, "table": [0, 1]}},
          "period"),
     ], ids=["alphabet-entry", "encoding-table", "encoding-alphabet", "config-support",
             "point-cycle", "point-pre", "generator-name", "generator-domain", "cgs-partition",
+            "cgs-alphabet-null", "cgs-alphabet-string", "cgs-generators-number",
+            "domain-entry-null", "domain-entry-object", "rewrite-consume-bool",
+            "rewrite-emit-float", "partition-value-bool", "partition-entry-number",
             "lattice-image-float", "lattice-d-bool", "config-period-bool"])
     def test_wrong_json_type_names_its_field(self, tmp_path, capsys, kind, change, field):
         bad, point = tmp_path / "bad.json", tmp_path / "point.json"
@@ -350,7 +363,7 @@ class TestMalformedInput:
             argv = ["itinerary", "--builtin-n0", "0,1", "--point", str(bad), "--depth", "2"]
         else:
             cgs = json.loads(run(capsys, "builtin", "n0")[1])
-            (cgs if "partition" in change else cgs["generators"][0]).update(change)
+            (cgs["generators"][0] if kind == "generator" else cgs).update(change)
             bad.write_text(json.dumps(cgs))
             argv = ["itinerary", "--cgs", str(bad), "--point", str(point), "--depth", "2"]
         code, _, err = run(capsys, *argv)
@@ -374,18 +387,30 @@ class TestMalformedInput:
         self.assert_clean_failure(code, err)
 
 
-def loaded_modules(code: str) -> set[str]:
-    """The ``treeshift`` modules in ``sys.modules`` after ``code`` runs in a
-    fresh interpreter (stdlib modules vary with the host's ``site``)."""
-    probe = code + (
-        "\nimport sys\n"
-        "print(*sorted(m for m in sys.modules if m.partition('.')[0] == 'treeshift'))\n")
+def _modules_after(code: str) -> set[str]:
+    """Every module in ``sys.modules`` after ``code`` runs in a fresh interpreter."""
     src = str(Path(treeshift.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
+    probe = code + "\nimport sys\nprint(*sys.modules)\n"
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     return set(done.stdout.split())
+
+
+@functools.lru_cache(maxsize=1)
+def _bare_modules() -> frozenset[str]:
+    """What ``python -c pass`` loads; it varies with the host's ``site``."""
+    return frozenset(_modules_after("pass"))
+
+
+def loaded_modules(code: str) -> set[str]:
+    """The modules that ``code`` loads beyond those of a bare interpreter."""
+    return _modules_after(code) - _bare_modules()
+
+
+def treeshift_modules(modules: set[str]) -> set[str]:
+    return {m for m in modules if m.partition(".")[0] == "treeshift"}
 
 
 BASE = {"treeshift", "treeshift.cli", "treeshift.errors"}
@@ -410,12 +435,17 @@ COMMANDS = [
     (["embed-pseudo", "--builtin-n0", "0,1", "--point", "{point}", "--alpha", "{alpha}",
       "--depth", "1"], PSEUDO),
     (["builtin", "n0"], PSEUDO),
-    (["verify", "--suite", "ladder-orbit"], EVERYTHING),
+    (["verify", "--suite", "lattice-collapse"], EVERYTHING),  # builds random configurations
 ]
+
+# modules no command needs: dataclasses brings inspect, ast, dis and tokenize, and
+# _hashlib (OpenSSL) comes with hashlib, although blake2b is the built-in _blake2
+SLOW_IMPORTS = {"dataclasses", "inspect", "_hashlib"}
 
 
 class TestImports:
-    """Each command loads the modules it runs and no others."""
+    """Each command loads the package modules it runs and no others, and
+    none of the slow standard modules."""
 
     @pytest.fixture(scope="class")
     def inputs(self, tmp_path_factory):
@@ -438,13 +468,15 @@ class TestImports:
                              ids=[argv[0].lstrip("-") for argv, _ in COMMANDS])
     def test_command_loads_only_its_modules(self, inputs, argv, expected):
         argv = [arg.format(**inputs) for arg in argv]
-        assert loaded_modules(
+        loaded = loaded_modules(
             "import contextlib, io\n"
             "from treeshift import cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    assert cli.main({argv!r}) == 0\n") == expected
+            f"    assert cli.main({argv!r}) == 0\n")
+        assert treeshift_modules(loaded) == expected
+        assert not loaded & SLOW_IMPORTS
 
     def test_package_root_loads_nothing(self):
-        assert loaded_modules("import treeshift") == {"treeshift"}
-        assert loaded_modules("from treeshift import act") == {
+        assert treeshift_modules(loaded_modules("import treeshift")) == {"treeshift"}
+        assert treeshift_modules(loaded_modules("from treeshift import act")) == {
             "treeshift", "treeshift.errors", "treeshift.freegroup", "treeshift.trees"}

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -9,6 +10,7 @@ from treeshift.groups import free_group
 from treeshift.embed import edge_encoding, embed_config
 from treeshift.pseudogroup import (
     Cylinder,
+    CylinderPseudogroup,
     CylinderUnion,
     S_EMPTY,
     SymbolStream,
@@ -54,6 +56,21 @@ class TestBuiltin:
         inv = N0.negative[0]
         assert inv.domain == CylinderUnion.full()
         assert inv.apply(OMEGA).prefix(3) == (0, 0, 1)
+
+    def test_errors_show_the_stream(self):
+        point = SymbolStream.eventually_periodic((1,), (0, 1))
+        shown = "SymbolStream(pre=(1,), cycle=(0, 1))"
+        assert repr(point) == shown
+        with pytest.raises(ActionUndefinedError, match=re.escape(f"1_0 undefined at {shown}")):
+            N0.positive[0].apply(point)
+        with pytest.raises(ActionUndefinedError,
+                           match=re.escape(f"composite along g0 undefined at {shown}")):
+            compose_word(N0, wrd(1)).apply(point)
+        doubled = CylinderPseudogroup(BITS, N0.positive, N0.negative,
+                                      ((0, CylinderUnion.full()), (1, CylinderUnion.full())))
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"stream {shown} lies in 2 partition pieces")):
+            itinerary(doubled, point, 1)
 
     def test_classify(self):
         assert N0.classify(OMEGA) == 0
