@@ -500,7 +500,7 @@ def cgs_from_json(obj: dict) -> CylinderPseudogroup:
                                       "generator.rewrite.consume"),
             emit=_prefix_from_json(json_field(rewrite, "emit", "rewrite"), alph,
                                    "generator.rewrite.emit"),
-            inverse_name=entry.get("inverse", name + "'"),
+            inverse_name=json_kind(entry.get("inverse", name + "'"), str, "generator.inverse"),
         )
         positive.append(pm)
         negative.append(inverse_of(pm))

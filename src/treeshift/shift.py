@@ -196,7 +196,7 @@ def _payload_token(payload) -> str:
 
 def random_config(group, alph: Alphabet, seed: int) -> Config:
     """Deterministic pseudo-random configuration (stable across runs)."""
-    try:  # the built-in module: hashlib would also load OpenSSL's
+    try:  # built in; `import hashlib` would also load OpenSSL's _hashlib
         from _blake2 import blake2b
     except ImportError:
         from hashlib import blake2b
