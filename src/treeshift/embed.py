@@ -382,10 +382,6 @@ class EquivarianceReport:
         self.alternate_defined = alternate_defined
         self.alternate_equal = alternate_equal
 
-    @property
-    def ok(self) -> bool:
-        return self.ball_equal
-
 
 def check_equivariance(sigma: Config, enc: EdgeEncoding, letters: Iterable[int],
                        depth: int) -> tuple[EquivarianceReport, ...]:

@@ -23,7 +23,10 @@ k lie in ``[k*B + 1, k*B + 2*rank]``, a word has length <= r exactly when
 ``k < B**r``, and numeric order is the canonical order.  Keys hash and compare
 in C without collisions.  This module is the only one that maps letters,
 tokens and words to digits and keys; :func:`key_words` and :func:`key_texts`
-name a whole key set at once, each name built from its parent's.
+name a whole key set at once, each name built from its parent's.  The other
+way round, :func:`text_keys` reads a text listed after its parent's text as
+that key times B plus the digit of its last token, and parses every other
+text whole with :func:`parse_key`, so the keys and errors are the same.
 """
 from __future__ import annotations
 
@@ -271,25 +274,26 @@ def ball_size(rank: int, radius: int) -> int:
 
 
 class _TokenTable(dict):
-    """Generator tokens of one rank and prefix, mapped to their letters and
-    filled as they are met, so its size follows the input, not the rank."""
+    """Generator tokens of one rank and prefix, mapped to their letters (or
+    their key digits) and filled as they are met, so its size follows the
+    input, not the rank.  A token :func:`parse_letter` refuses is a KeyError."""
 
-    def __init__(self, rank: int, prefix: str) -> None:
+    def __init__(self, rank: int, prefix: str, digits: bool) -> None:
         super().__init__()
-        self.rank, self.prefix = rank, prefix
+        self.rank, self.prefix, self.digits = rank, prefix, digits
 
     def __missing__(self, token: str) -> int:
         try:
             x = parse_letter(token, self.rank, self.prefix)
         except InvalidGeneratorError:
             raise KeyError(token) from None
-        self[token] = x
-        return x
+        value = self[token] = letter_digit(x) if self.digits else x
+        return value
 
 
 @lru_cache(maxsize=16)
-def _token_table(rank: int, prefix: str) -> _TokenTable:
-    return _TokenTable(rank, prefix)
+def _token_table(rank: int, prefix: str, digits: bool = False) -> _TokenTable:
+    return _TokenTable(rank, prefix, digits)
 
 
 def _parse_letters(text: str, rank: int, prefix: str) -> tuple[int, ...]:
@@ -389,3 +393,36 @@ def parse_key(text: str, rank: int) -> int:
     """The key of the word :func:`parse_word` reads from ``text``, with no
     ``Word`` built."""
     return _letters_key(_parse_letters(text, rank, "g"), rank)
+
+
+def text_keys(texts: Iterable[str], rank: int) -> list[int]:
+    """The key :func:`parse_key` reads from each text, read in order.
+
+    A text that is an earlier text, one space and one generator token takes
+    its key from that text's, ``parent * B + digit``, unless the token
+    cancels the parent's last letter.  Every text :func:`key_texts` lists
+    after its parent is read so.  Every other text (``"e"``, a child listed
+    before its parent, other whitespace, a cancelling or bad token, any
+    text at rank < 1) goes through :func:`parse_key`, so the keys, and the
+    first error, are those of :func:`parse_key` over the texts in order.
+    Only texts of nonzero key are kept as parents: ``"e g0"`` is no word.
+    """
+    base = key_base(rank)
+    digits = _token_table(rank, "g", True)
+    known: dict[str, int] = {}
+    keys = []
+    for text in texts:
+        head, space, token = text.rpartition(" ")
+        parent = known.get(head) if space else 0
+        try:
+            digit = digits[token]
+        except KeyError:
+            digit = 0  # no letter's digit
+        if parent is None or not digit or digit == inverse_digit(parent % base):
+            k = parse_key(text, rank)
+        else:
+            k = parent * base + digit
+        if k:
+            known[text] = k
+        keys.append(k)
+    return keys

@@ -226,6 +226,28 @@ def inverse_of(pm: PartialMap) -> PartialMap:
     )
 
 
+def _check_names(positive: Iterable[PartialMap]) -> None:
+    """Refuse generator names under which two words would share a text.
+
+    A word's text joins its letters' tokens with spaces, a token being a
+    generator's name, with ``'`` added for its inverse, and ``e`` is the
+    empty word's text.  So each name must be nonempty, not ``e``, not end in
+    ``'``, hold no character at or below ``" "``, and be unlike the others.
+    """
+    seen: dict[str, int] = {}
+    for i, pm in enumerate(positive):
+        name = pm.name
+        problem = ("is empty" if not name
+                   else "is the identity's text" if name == "e"
+                   else "ends in \"'\", which marks an inverse" if name.endswith("'")
+                   else "holds a character at or below ' '" if min(name) <= " "
+                   else f"repeats generators[{seen[name]}].name" if name in seen
+                   else None)
+        if problem:
+            raise ValidationError(f"generating system.generators[{i}].name {name!r} {problem}")
+        seen[name] = i
+
+
 class CylinderPseudogroup:
     """Finite symmetric generating family plus a clopen partition.
 
@@ -236,6 +258,7 @@ class CylinderPseudogroup:
     def __init__(self, base_alphabet: Alphabet, positive: tuple[PartialMap, ...],
                  negative: tuple[PartialMap, ...],
                  partition: tuple[tuple[Any, CylinderUnion], ...]) -> None:
+        _check_names(positive)
         self.base_alphabet = base_alphabet
         self.positive = positive
         self.negative = negative

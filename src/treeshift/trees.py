@@ -47,7 +47,7 @@ from .freegroup import (
     key_words,
     letter_digit,
     letter_str,
-    parse_key,
+    text_keys,
     word_key,
 )
 
@@ -158,7 +158,7 @@ def _check_tree(t: PointedTree) -> None:
 def make_tree(rank: int, radius: int, vertices: Iterable[str]) -> PointedTree:
     """Validating constructor from vertex texts; raises ValidationError
     listing every violation."""
-    t = PointedTree(rank, radius, frozenset(parse_key(v, rank) for v in vertices))
+    t = PointedTree(rank, radius, frozenset(text_keys(vertices, rank)))
     if t._problems:
         raise ValidationError("; ".join(t._problems))
     return t

@@ -14,6 +14,7 @@ from .embed import (
     random_encoding,
     separate_witness,
 )
+from .errors import ValidationError
 from .freegroup import Word, enumerate_ball, identity, key_base, signed_letters
 from .groups import free_group, induced_config, integer_lattice
 from .pseudogroup import (
@@ -303,6 +304,6 @@ def run_suites(names, seed: int = 0) -> list[CheckResult]:
     results = []
     for name in names:
         if name not in SUITES:
-            raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+            raise ValidationError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
         results.append(SUITES[name](seed))
     return results

@@ -206,7 +206,17 @@ class TestVerifyAndErrors:
     def test_verify_unknown_suite(self, capsys):
         code, _, err = run(capsys, "verify", "--suite", "nonsense")
         assert code == 1
-        assert "unknown suite" in err
+        assert err.splitlines()[-1].startswith("error: unknown suite 'nonsense'; choose from [")
+
+    def test_verify_reports_a_key_error_inside_a_suite_as_a_bug(self, capsys, monkeypatch):
+        from treeshift import verify
+
+        def broken(seed):
+            return {}[seed]
+
+        monkeypatch.setitem(verify.SUITES, "broken", broken)
+        with pytest.raises(KeyError):
+            main(["verify", "--suite", "broken"])
 
     def test_malformed_json(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -371,6 +381,33 @@ class TestMalformedInput:
         code, _, err = run(capsys, *argv)
         self.assert_clean_failure(code, err)
         assert field in err.splitlines()[-1]
+
+    @pytest.mark.parametrize("names,problem", [
+        (["", "b"], "generators[0].name '' is empty"),
+        (["e", "b"], "generators[0].name 'e' is the identity's text"),
+        (["a", "a"], "generators[1].name 'a' repeats generators[0].name"),
+        (["a", "a'"], "generators[1].name \"a'\" ends in"),
+        (["a", "a b"], "generators[1].name 'a b' holds a character at or below ' '"),
+    ], ids=["empty", "identity", "repeated", "inverse-mark", "space"])
+    def test_generator_names_tell_words_apart(self, tmp_path, capsys, names, problem):
+        cgs = json.loads(run(capsys, "builtin", "n0")[1])
+        for generator, name in zip(cgs["generators"], names):
+            generator["name"] = name
+        bad, point = tmp_path / "cgs.json", tmp_path / "point.json"
+        bad.write_text(json.dumps(cgs))
+        point.write_text(json.dumps({"pre": ["0", "1"], "cycle": ["0", "1"]}))
+        code, _, err = run(capsys, "itinerary", "--cgs", str(bad), "--point", str(point),
+                           "--depth", "2")
+        self.assert_clean_failure(code, err)
+        assert problem in err.splitlines()[-1]
+
+    def test_builtin_symbols_tell_words_apart(self, tmp_path, capsys):
+        point = tmp_path / "point.json"
+        point.write_text(json.dumps({"pre": [], "cycle": ["0", "0'"]}))
+        code, _, err = run(capsys, "itinerary", "--builtin-n0", "0,0'", "--point", str(point),
+                           "--depth", "1")
+        self.assert_clean_failure(code, err)
+        assert "generators[1].name \"1_0'\" ends in" in err.splitlines()[-1]
 
     def test_decode_partial_tree(self, tmp_path, capsys):
         point = tmp_path / "point.json"

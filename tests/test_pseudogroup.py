@@ -41,6 +41,19 @@ class TestBuiltin:
         assert len(N0.positive) == 2
         assert validate_cgs(N0) == []
 
+    @pytest.mark.parametrize("symbols,problem", [
+        (["0", "0'"], "generators[1].name \"1_0'\" ends in"),
+        (["0", " 1"], "generators[1].name '1_ 1' holds a character at or below ' '"),
+    ])
+    def test_symbols_that_would_merge_words_are_refused(self, symbols, problem):
+        with pytest.raises(ValidationError, match=re.escape(problem)):
+            builtin_n0_shift(alphabet(symbols))
+
+    def test_a_repeated_name_is_refused(self):
+        positive = N0.positive[:1] * 2
+        with pytest.raises(ValidationError, match=re.escape("repeats generators[0].name")):
+            CylinderPseudogroup(BITS, positive, positive, N0.partition)
+
     def test_drop_map(self):
         point = SymbolStream.eventually_periodic((0,), (1,))   # 0 1 1 1 ...
         dropped = N0.positive[0].apply(point)

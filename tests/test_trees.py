@@ -13,6 +13,7 @@ from treeshift.errors import (
     RankMismatchError,
     ValidationError,
 )
+from treeshift import freegroup
 from treeshift.freegroup import Word, identity, letter_str, parse_word, signed_letters
 from treeshift.trees import (
     BoxDistance,
@@ -371,6 +372,48 @@ def test_walk_renders_and_parses_like_the_sorted_path(t):
     assert tree_to_dot(t) == sorted_tree_dot(t)
     assert make_tree(t.rank, t.radius, blob["vertices"]) == t
     assert parse_word_tree(t.rank, t.radius, blob["vertices"]) == t
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_trees, st.randoms(use_true_random=False))
+def test_make_tree_reads_children_listed_before_their_parents(t, rng):
+    texts = tree_to_json(t)["vertices"]
+    early = {text for text in texts if rng.random() < 0.3}
+    texts = sorted(early, reverse=True) + [text for text in texts if text not in early]
+    assert outcome(make_tree, t.rank, t.radius, texts) == t
+    assert outcome(parse_word_tree, t.rank, t.radius, texts) == t
+
+
+@pytest.mark.parametrize("rank,radius,texts", [
+    (2, 2, ["e", "g0", "g0 g0'"]),
+    (2, 3, ["e", "g0", "g0 g0'", "g0 g0' g1", "g1"]),
+    (2, 2, ["e", "g0", "g0  g1"]),
+    (2, 2, ["e", "g0", "g0\tg1"]),
+    (2, 2, ["e", "g0", "g0 \tg1", "g0 g1 "]),
+    (2, 2, ["e", "g0", "g0 g2"]),
+    (2, 2, ["e", "g0", "g0 g2", "g0 x"]),
+    (2, 2, ["e", "g0", "g0 x", "g0 g2"]),
+    (2, 2, ["e", "g0", "g0", "g0 g1", "g0 g1", "e"]),
+    (2, 1, ["e", "e g0"]),
+    (2, 1, ["e", " g0"]),
+    (0, 1, ["e"]),
+    (0, 1, ["g0", "e"]),
+], ids=["cancelling-pair", "after-a-cancelled-parent", "two-spaces", "tab", "space-and-tab",
+        "out-of-range", "first-error-out-of-range", "first-error-junk", "duplicates",
+        "e-as-parent", "leading-space", "rank-0", "rank-0-generator"])
+def test_make_tree_reads_texts_after_their_parents_like_parse_word(rank, radius, texts):
+    expected = outcome(parse_word_tree, rank, radius, texts)
+    assert outcome(make_tree, rank, radius, texts) == expected
+
+
+def test_a_written_tree_reads_every_vertex_but_the_root_from_its_parent(monkeypatch):
+    t = random_tree(3, 5, 4, 0.6)
+    read = []
+    parse_key = freegroup.parse_key
+    monkeypatch.setattr(freegroup, "parse_key",
+                        lambda text, rank: read.append(text) or parse_key(text, rank))
+    assert tree_from_json(tree_to_json(t)) == t
+    assert len(t.keys) > 100 and read == ["e"]
 
 
 def messy_text(rng: random.Random, v: Word) -> str:
