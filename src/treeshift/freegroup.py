@@ -274,26 +274,25 @@ def ball_size(rank: int, radius: int) -> int:
 
 
 class _TokenTable(dict):
-    """Generator tokens of one rank and prefix, mapped to their letters (or
-    their key digits) and filled as they are met, so its size follows the
-    input, not the rank.  A token :func:`parse_letter` refuses is a KeyError."""
+    """Generator tokens of one rank and prefix, mapped to their letters and
+    filled as they are met, so its size follows the input, not the rank."""
 
-    def __init__(self, rank: int, prefix: str, digits: bool) -> None:
+    def __init__(self, rank: int, prefix: str) -> None:
         super().__init__()
-        self.rank, self.prefix, self.digits = rank, prefix, digits
+        self.rank, self.prefix = rank, prefix
 
     def __missing__(self, token: str) -> int:
         try:
             x = parse_letter(token, self.rank, self.prefix)
         except InvalidGeneratorError:
             raise KeyError(token) from None
-        value = self[token] = letter_digit(x) if self.digits else x
-        return value
+        self[token] = x
+        return x
 
 
 @lru_cache(maxsize=16)
-def _token_table(rank: int, prefix: str, digits: bool = False) -> _TokenTable:
-    return _TokenTable(rank, prefix, digits)
+def _token_table(rank: int, prefix: str) -> _TokenTable:
+    return _TokenTable(rank, prefix)
 
 
 def _parse_letters(text: str, rank: int, prefix: str) -> tuple[int, ...]:
@@ -408,14 +407,14 @@ def text_keys(texts: Iterable[str], rank: int) -> list[int]:
     Only texts of nonzero key are kept as parents: ``"e g0"`` is no word.
     """
     base = key_base(rank)
-    digits = _token_table(rank, "g", True)
+    letters = _token_table(rank, "g")
     known: dict[str, int] = {}
     keys = []
     for text in texts:
         head, space, token = text.rpartition(" ")
         parent = known.get(head) if space else 0
         try:
-            digit = digits[token]
+            digit = letter_digit(letters[token])
         except KeyError:
             digit = 0  # no letter's digit
         if parent is None or not digit or digit == inverse_digit(parent % base):
