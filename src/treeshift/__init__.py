@@ -36,9 +36,9 @@ _EXPORTS = {
         "random_config", "shift_act",
     ),
     "trees": (
-        "BoxDistance", "OrbitGraph", "PointedTree", "act", "ball", "balls_isomorphic",
-        "box_distance", "make_tree", "neighborhood", "orbit_graph", "random_tree",
-        "tree_from_json", "tree_to_dot", "tree_to_json", "validate_tree",
+        "BoxDistance", "OrbitGraph", "PointedTree", "act", "ball", "box_distance",
+        "make_tree", "neighborhood", "orbit_graph", "tree_from_json", "tree_to_dot",
+        "tree_to_json", "validate_tree",
     ),
     "embed": (
         "DecodedConfig", "EdgeEncoding", "Embedding", "EquivarianceReport",
@@ -50,6 +50,7 @@ _EXPORTS = {
         "S_EMPTY", "SymbolStream", "builtin_n0_shift", "compose_word", "embed_pseudo",
         "itinerary", "validate_cgs",
     ),
+    "verify": ("balls_isomorphic", "random_tree"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -8,6 +8,8 @@ words of different ranks is an error, never a coercion.
 Rendering: generator i prints as ``g{i}``, its inverse as ``g{i}'``, and the
 empty word as ``e``.  The canonical order on words is length first, then
 lexicographic by (generator index, sign) with the positive sign first.
+Parsing reads every token through one table per rank and prefix, whose
+misses raise the :func:`parse_letter` error.
 
 Letters are checked where they enter: ``Word(rank, letters)``, :func:`parse_word`,
 :func:`reduce`, and the letter given to :meth:`Word.append`.  Every other
@@ -31,7 +33,6 @@ text whole with :func:`parse_key`, so the keys and errors are the same.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import add
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InvalidGeneratorError, RankMismatchError
@@ -275,18 +276,15 @@ def ball_size(rank: int, radius: int) -> int:
 
 class _TokenTable(dict):
     """Generator tokens of one rank and prefix, mapped to their letters and
-    filled as they are met, so its size follows the input, not the rank."""
+    filled as they are met, so its size follows the input, not the rank.  A
+    token that names no letter raises the :func:`parse_letter` error."""
 
     def __init__(self, rank: int, prefix: str) -> None:
         super().__init__()
         self.rank, self.prefix = rank, prefix
 
     def __missing__(self, token: str) -> int:
-        try:
-            x = parse_letter(token, self.rank, self.prefix)
-        except InvalidGeneratorError:
-            raise KeyError(token) from None
-        self[token] = x
+        x = self[token] = parse_letter(token, self.rank, self.prefix)
         return x
 
 
@@ -296,20 +294,13 @@ def _token_table(rank: int, prefix: str) -> _TokenTable:
 
 
 def _parse_letters(text: str, rank: int, prefix: str) -> tuple[int, ...]:
-    """Generator tokens whose letters do not cancel are read through a token
-    table; anything else (``"e"``, a bad token) takes the token-by-token
-    path through :func:`parse_letter` and :func:`reduce`."""
-    try:
-        letters = tuple(map(_token_table(rank, prefix).__getitem__, text.split()))
-    except KeyError:
-        letters = ()
-    if letters and 0 not in map(add, letters, letters[1:]):
-        return letters
+    """The freely reduced letters of ``text``, each token read through the
+    token table."""
     text = text.strip()
     if text in ("e", ""):
         _check_letters((), rank)
         return ()
-    return reduce([parse_letter(tok, rank, prefix) for tok in text.split()], rank).letters
+    return reduce(map(_token_table(rank, prefix).__getitem__, text.split()), rank).letters
 
 
 def parse_word(text: str, rank: int, prefix: str = "g") -> Word:
@@ -394,8 +385,8 @@ def parse_key(text: str, rank: int) -> int:
     return _letters_key(_parse_letters(text, rank, "g"), rank)
 
 
-def text_keys(texts: Iterable[str], rank: int) -> list[int]:
-    """The key :func:`parse_key` reads from each text, read in order.
+def text_keys(texts: Iterable[str], rank: int) -> Iterator[int]:
+    """The key :func:`parse_key` reads from each text, yielded in order.
 
     A text that is an earlier text, one space and one generator token takes
     its key from that text's, ``parent * B + digit``, unless the token
@@ -409,13 +400,12 @@ def text_keys(texts: Iterable[str], rank: int) -> list[int]:
     base = key_base(rank)
     letters = _token_table(rank, "g")
     known: dict[str, int] = {}
-    keys = []
     for text in texts:
         head, space, token = text.rpartition(" ")
         parent = known.get(head) if space else 0
         try:
             digit = letter_digit(letters[token])
-        except KeyError:
+        except InvalidGeneratorError:
             digit = 0  # no letter's digit
         if parent is None or not digit or digit == inverse_digit(parent % base):
             k = parse_key(text, rank)
@@ -423,5 +413,4 @@ def text_keys(texts: Iterable[str], rank: int) -> list[int]:
             k = parent * base + digit
         if k:
             known[text] = k
-        keys.append(k)
-    return keys
+        yield k

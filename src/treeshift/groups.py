@@ -200,15 +200,6 @@ def induced_config(model: GroupModel, sigma: "shift.Config") -> "shift.Config":
     )
 
 
-def group_to_json(model: GroupModel) -> dict:
-    if model.kind == "free":
-        return {"kind": "free", "M": model.generator_count}
-    if model.kind == "lattice":
-        _, d, images = model.key
-        return {"kind": "lattice", "d": d, "images": [list(v) for v in images]}
-    raise ValidationError("custom group models have no JSON form")
-
-
 def group_from_json(obj: dict) -> GroupModel:
     kind = json_field(obj, "kind", "group")
     if kind == "free":

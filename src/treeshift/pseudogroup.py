@@ -96,10 +96,6 @@ class SymbolStream:
     def eventually_periodic(pre: Iterable, cycle: Iterable) -> "SymbolStream":
         return SymbolStream(tuple(pre), tuple(cycle))
 
-    @staticmethod
-    def constant(symbol) -> "SymbolStream":
-        return SymbolStream((), (symbol,))
-
 
 def _minimal(items: Iterable, prefix_of: Callable[[Any], tuple]) -> list:
     """Drop each item whose prefix extends a kept one; keep the rest, shortest first."""
@@ -159,18 +155,6 @@ class CylinderUnion:
     @staticmethod
     def of(parts: Iterable[Cylinder]) -> "CylinderUnion":
         return CylinderUnion(tuple(_minimal(parts, attrgetter("prefix"))))
-
-    @staticmethod
-    def full() -> "CylinderUnion":
-        return CylinderUnion((Cylinder(()),))
-
-    @staticmethod
-    def empty() -> "CylinderUnion":
-        return CylinderUnion(())
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.parts
 
     def contains(self, stream: SymbolStream) -> bool:
         return any(c.contains(stream) for c in self.parts)
@@ -392,9 +376,6 @@ class Itinerary:
         if len(w) > self.depth:
             raise InsufficientDepthError(f"itinerary stored to depth {self.depth}, asked at {w}")
         return self.values.get(w, S_EMPTY)
-
-    def defined(self, w: Word) -> bool:
-        return self.value(w) is not S_EMPTY
 
     def validate_propagation(self) -> list[str]:
         return [f"{w} is live below the dead word {w.parent}"

@@ -15,14 +15,14 @@ radius raise InsufficientDepthError rather than guessing.
 Ball comparison is key-set equality.  This is sound because a
 basepoint-preserving isometry that matches signed edge labels is forced,
 edge by edge, to be the identity on vertex names; an independent
-backtracking search (:func:`balls_isomorphic`) is kept as an oracle.
+backtracking search, :func:`treeshift.verify.balls_isomorphic`, is kept as
+an oracle beside the suites that run it, so no other command compiles it.
 """
 from __future__ import annotations
 
 import itertools
 import json
 import math
-import random
 from bisect import bisect_left
 from collections import deque
 from functools import cached_property
@@ -32,6 +32,7 @@ from typing import Iterable, Sequence
 from .errors import (
     ActionUndefinedError,
     InsufficientDepthError,
+    InvalidGeneratorError,
     RankMismatchError,
     ValidationError,
     json_field,
@@ -45,7 +46,6 @@ from .freegroup import (
     key_texts,
     key_word,
     key_words,
-    letter_digit,
     letter_str,
     text_keys,
     word_key,
@@ -157,15 +157,14 @@ def _check_tree(t: PointedTree) -> None:
 
 def make_tree(rank: int, radius: int, vertices: Iterable[str]) -> PointedTree:
     """Validating constructor from vertex texts; raises ValidationError
-    listing every violation."""
+    listing every violation.  A rank below 1 is refused once the texts are
+    read, so a bad text's own error comes first."""
     t = PointedTree(rank, radius, frozenset(text_keys(vertices, rank)))
+    if rank < 1:
+        raise InvalidGeneratorError(f"rank must be >= 1, got {rank}")
     if t._problems:
         raise ValidationError("; ".join(t._problems))
     return t
-
-
-def singleton_tree(rank: int) -> PointedTree:
-    return PointedTree(rank, 0, frozenset({0}))
 
 
 def ball(t: PointedTree, r: int) -> PointedTree:
@@ -340,109 +339,6 @@ def orbit_graph(t: PointedTree, step_bound: int, working_radius: int) -> OrbitGr
             if j not in expanded:
                 queue.append((j, image, depth + 1))
     return OrbitGraph(tuple(nodes), tuple(sorted(edges)), working_radius, step_bound)
-
-
-def balls_isomorphic(t1: PointedTree, t2: PointedTree, r: int) -> bool:
-    """Backtracking search for a basepoint-preserving isomorphism of balls.
-
-    Matches edges by signed label (generator plus direction away from the
-    basepoint, which is the last digit of a child's key) without assuming
-    labels are unique among siblings, so it stays an independent check on
-    the key-set-equality fast path.
-    """
-    if t1.rank != t2.rank:
-        raise RankMismatchError(f"ranks {t1.rank} and {t2.rank} differ")
-    if r > t1.radius or r > t2.radius:
-        raise InsufficientDepthError(f"radius {r} ball not stored on both trees")
-    b1, b2 = ball(t1, r), ball(t2, r)
-    base = key_base(t1.rank)
-
-    def match(u1: int, u2: int) -> bool:
-        kids1 = b1.child_keys(u1)
-        kids2 = b2.child_keys(u2)
-        if len(kids1) != len(kids2):
-            return False
-        by_label1: dict[int, list[int]] = {}
-        by_label2: dict[int, list[int]] = {}
-        for c in kids1:
-            by_label1.setdefault(c % base, []).append(c)
-        for c in kids2:
-            by_label2.setdefault(c % base, []).append(c)
-        if set(by_label1) != set(by_label2):
-            return False
-        for label, group1 in by_label1.items():
-            group2 = by_label2[label]
-            if len(group1) != len(group2):
-                return False
-            matched = False
-            for perm in itertools.permutations(group2):
-                if all(match(a, b) for a, b in zip(group1, perm)):
-                    matched = True
-                    break
-            if not matched:
-                return False
-        return True
-
-    return match(0, 0)
-
-
-def box_distance_brute(t1: PointedTree, t2: PointedTree) -> BoxDistance:
-    """Box metric through the isomorphism search instead of set equality."""
-    rmin = min(t1.radius, t2.radius)
-    for rr in range(rmin + 1):
-        if not balls_isomorphic(t1, t2, rr):
-            return BoxDistance(rr - 1, exact=True)
-    return BoxDistance(rmin, exact=False)
-
-
-def relabel_tree(t: PointedTree, letter_map: dict[int, int]) -> PointedTree:
-    """Apply a signed-letter permutation to every vertex word."""
-    full = dict(letter_map)
-    for x, y in list(letter_map.items()):
-        full.setdefault(-x, -y)
-    digits = {letter_digit(x): letter_digit(y) for x, y in full.items()}
-    base = key_base(t.rank)
-    moved = {0: 0}
-    for k in t.sorted_keys:
-        p = k // base
-        moved[k] = moved[p] * base + digits.get(k - p * base, k - p * base)
-    return PointedTree(t.rank, t.radius, frozenset(moved.values()))
-
-
-def _grow(keys: set[int], frontier: list[int], levels: int, base: int,
-          rng: random.Random, fill: float) -> frozenset[int]:
-    """Grow ``levels`` levels below an ascending frontier, keeping each child
-    with probability ``fill`` (one draw per child, in canonical order)."""
-    for _ in range(levels):
-        nxt = []
-        for k in frontier:
-            head, back = k * base, inverse_digit(k % base)
-            for d in range(1, base):
-                if d != back and rng.random() < fill:
-                    keys.add(head + d)
-                    nxt.append(head + d)
-        frontier = nxt
-    return frozenset(keys)
-
-
-def random_tree(rank: int, radius: int, seed: int, fill: float = 0.6) -> PointedTree:
-    """Seeded random prefix-closed tree grown level by level."""
-    return PointedTree(rank, radius, _grow({0}, [0], radius, key_base(rank),
-                                           random.Random(seed), fill))
-
-
-def regrown_tree(t: PointedTree, keep_below: int, seed: int, fill: float = 0.6) -> PointedTree:
-    """Copy of t rebuilt with fresh randomness from level ``keep_below`` on.
-
-    Useful for producing pairs that agree on a deep ball: the result shares
-    every level < keep_below with t.
-    """
-    start = max(keep_below - 1, 0)
-    base = key_base(t.rank)
-    kept = t.sorted_keys[:bisect_left(t.sorted_keys, base ** start)]
-    frontier = kept[bisect_left(kept, base ** start // base):]
-    return PointedTree(t.rank, t.radius, _grow(set(kept), frontier, t.radius - start, base,
-                                               random.Random(seed), fill))
 
 
 def tree_to_json(t: PointedTree) -> dict:

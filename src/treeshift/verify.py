@@ -3,8 +3,17 @@
 Each check returns a :class:`CheckResult` and is deterministic in its seed,
 so a run with the same seed produces byte-identical reports.  The sample
 sizes are fixed: they are the package's acceptance contract, not tunables.
+
+The module also holds what only the suites run: the seeded tree samplers
+:func:`random_tree` and :func:`regrown_tree`, and the isomorphism oracle
+:func:`balls_isomorphic` with :func:`box_distance_brute`, which the
+metric-axioms suite checks :func:`treeshift.trees.box_distance` against.
 """
 from __future__ import annotations
+
+import itertools
+import random
+from bisect import bisect_left
 
 from .embed import (
     check_equivariance,
@@ -14,8 +23,8 @@ from .embed import (
     random_encoding,
     separate_witness,
 )
-from .errors import ValidationError
-from .freegroup import Word, enumerate_ball, identity, key_base, signed_letters
+from .errors import InsufficientDepthError, RankMismatchError, ValidationError
+from .freegroup import Word, enumerate_ball, identity, inverse_digit, key_base, signed_letters
 from .groups import free_group, induced_config, integer_lattice
 from .pseudogroup import (
     S_EMPTY,
@@ -25,17 +34,7 @@ from .pseudogroup import (
     itinerary,
 )
 from .shift import agree_depth, alphabet, flipped_config, periodic_config, random_config
-from .trees import (
-    BoxDistance,
-    act,
-    ball,
-    box_distance,
-    box_distance_brute,
-    orbit_graph,
-    random_tree,
-    regrown_tree,
-    tree_to_json,
-)
+from .trees import BoxDistance, PointedTree, act, ball, box_distance, orbit_graph, tree_to_json
 
 BITS = alphabet([0, 1])
 
@@ -72,6 +71,95 @@ def _embedding_sample(seed: int):
                 depth = 1 + cs % 5
                 cases.append((M, m, sigma, enc, depth))
     return cases
+
+
+def _grow(keys: set[int], frontier: list[int], levels: int, base: int,
+          rng: random.Random, fill: float) -> frozenset[int]:
+    """Grow ``levels`` levels below an ascending frontier, keeping each child
+    with probability ``fill`` (one draw per child, in canonical order)."""
+    for _ in range(levels):
+        nxt = []
+        for k in frontier:
+            head, back = k * base, inverse_digit(k % base)
+            for d in range(1, base):
+                if d != back and rng.random() < fill:
+                    keys.add(head + d)
+                    nxt.append(head + d)
+        frontier = nxt
+    return frozenset(keys)
+
+
+def random_tree(rank: int, radius: int, seed: int, fill: float = 0.6) -> PointedTree:
+    """Seeded random prefix-closed tree grown level by level."""
+    return PointedTree(rank, radius, _grow({0}, [0], radius, key_base(rank),
+                                           random.Random(seed), fill))
+
+
+def regrown_tree(t: PointedTree, keep_below: int, seed: int, fill: float = 0.6) -> PointedTree:
+    """Copy of t rebuilt with fresh randomness from level ``keep_below`` on.
+
+    Useful for producing pairs that agree on a deep ball: the result shares
+    every level < keep_below with t.
+    """
+    start = max(keep_below - 1, 0)
+    base = key_base(t.rank)
+    kept = t.sorted_keys[:bisect_left(t.sorted_keys, base ** start)]
+    frontier = kept[bisect_left(kept, base ** start // base):]
+    return PointedTree(t.rank, t.radius, _grow(set(kept), frontier, t.radius - start, base,
+                                               random.Random(seed), fill))
+
+
+def balls_isomorphic(t1: PointedTree, t2: PointedTree, r: int) -> bool:
+    """Backtracking search for a basepoint-preserving isomorphism of balls.
+
+    Matches edges by signed label (generator plus direction away from the
+    basepoint, which is the last digit of a child's key) without assuming
+    labels are unique among siblings, so it stays an independent check on
+    the key-set-equality fast path.
+    """
+    if t1.rank != t2.rank:
+        raise RankMismatchError(f"ranks {t1.rank} and {t2.rank} differ")
+    if r > t1.radius or r > t2.radius:
+        raise InsufficientDepthError(f"radius {r} ball not stored on both trees")
+    b1, b2 = ball(t1, r), ball(t2, r)
+    base = key_base(t1.rank)
+
+    def match(u1: int, u2: int) -> bool:
+        kids1 = b1.child_keys(u1)
+        kids2 = b2.child_keys(u2)
+        if len(kids1) != len(kids2):
+            return False
+        by_label1: dict[int, list[int]] = {}
+        by_label2: dict[int, list[int]] = {}
+        for c in kids1:
+            by_label1.setdefault(c % base, []).append(c)
+        for c in kids2:
+            by_label2.setdefault(c % base, []).append(c)
+        if set(by_label1) != set(by_label2):
+            return False
+        for label, group1 in by_label1.items():
+            group2 = by_label2[label]
+            if len(group1) != len(group2):
+                return False
+            matched = False
+            for perm in itertools.permutations(group2):
+                if all(match(a, b) for a, b in zip(group1, perm)):
+                    matched = True
+                    break
+            if not matched:
+                return False
+        return True
+
+    return match(0, 0)
+
+
+def box_distance_brute(t1: PointedTree, t2: PointedTree) -> BoxDistance:
+    """Box metric through the isomorphism search instead of set equality."""
+    rmin = min(t1.radius, t2.radius)
+    for rr in range(rmin + 1):
+        if not balls_isomorphic(t1, t2, rr):
+            return BoxDistance(rr - 1, exact=True)
+    return BoxDistance(rmin, exact=False)
 
 
 def check_ladder_orbit(seed: int = 0) -> CheckResult:

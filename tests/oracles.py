@@ -122,6 +122,15 @@ def sorted_tree_dot(t) -> str:
 
 # Rebasing and the box metric on Word sets, as before integer keys.
 
+def relabel_tree(t, letter_map: dict[int, int]):
+    """Apply a signed-letter permutation to every vertex word."""
+    full = dict(letter_map)
+    for x, y in letter_map.items():
+        full.setdefault(-x, -y)
+    return PointedTree.from_words(t.rank, t.radius, (
+        Word(t.rank, tuple(full.get(x, x) for x in v.letters)) for v in t.vertices))
+
+
 def translated_act(t, g: Word):
     """Left-multiply every vertex by g^-1 and keep the radius - |g| ball."""
     if g.rank != t.rank:

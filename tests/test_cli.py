@@ -1,9 +1,11 @@
 import contextlib
+import copy
 import functools
 import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -320,6 +322,13 @@ class TestMalformedInput:
         code, _, err = run(capsys, "act", "--tree", str(path), "--word", "e")
         self.assert_clean_failure(code, err)
 
+    def test_tree_rank_below_one(self, tmp_path, capsys):
+        path = tmp_path / "tree.json"
+        path.write_text(json.dumps({"rank": 0, "radius": 0, "vertices": []}))
+        code, _, err = run(capsys, "act", "--tree", str(path), "--word", "e")
+        self.assert_clean_failure(code, err)
+        assert err.splitlines()[-1] == "error: rank must be >= 1, got 0"
+
     @pytest.mark.parametrize("vertices,field", [
         ("e", "tree.vertices must be a list"),
         ([{}], "tree.vertices[0] must be a string"),
@@ -424,6 +433,120 @@ class TestMalformedInput:
         code, _, err = run(capsys, "decode", "--tree", str(tree), "--alpha", str(alpha),
                            "--depth", "3")
         self.assert_clean_failure(code, err)
+
+
+ENCODING = {"M": 2, "alphabet": [0, 1], "n": 4,
+            "table": {"t0,0": "g0", "t0,1": "g1", "t1,0": "g2", "t1,1": "g3"}}
+FREE_SCENARIO = {"group": {"kind": "free", "M": 2}, "alphabet": [0, 1],
+                 "config": {"rule": "finite", "support": {"g0": 1, "g1 g0'": 1}, "default": 0},
+                 "alpha": ENCODING}
+Z2_SCENARIO = {"group": {"kind": "lattice", "d": 2, "images": [[1, 0], [0, 1]]},
+               "alphabet": [0, 1],
+               "config": {"rule": "periodic", "periods": [2, 2], "table": [[0, 1], [1, 0]]},
+               "alpha": ENCODING}
+POINT = {"pre": ["0"], "cycle": ["0", "1"]}
+PSEUDO_ENCODING = dict(ENCODING, alphabet=["0", "1"])
+
+# (command line, with "{input}" for the mutated file, and the file's base document);
+# "{scenario}", "{tree}", "{point}" stand for unmutated inputs
+MUTATED_COMMANDS = {
+    "embed-free": (["embed", "--scenario", "{input}", "--depth", "2"], FREE_SCENARIO),
+    "embed-z2": (["embed", "--scenario", "{input}", "--depth", "2"], Z2_SCENARIO),
+    "equivariance-z2": (["equivariance", "--scenario", "{input}", "--depth", "2"], Z2_SCENARIO),
+    "orbit-z1": (["orbit", "--scenario", "{input}", "--depth", "4", "--working-radius", "1",
+                  "--step-bound", "2"], E1_SCENARIO),
+    "act-tree": (["act", "--tree", "{input}", "--word", "g0"], "tree"),
+    "decode-tree": (["decode", "--tree", "{input}", "--scenario", "{scenario}", "--depth", "3"],
+                    "tree"),
+    "metric-tree": (["metric", "--tree", "{input}", "--tree", "{tree}"], "tree"),
+    "itinerary-point": (["itinerary", "--builtin-n0", "0,1", "--point", "{input}", "--depth", "2"],
+                        POINT),
+    "itinerary-cgs": (["itinerary", "--cgs", "{input}", "--point", "{point}", "--depth", "2"],
+                      "cgs"),
+    "embed-pseudo-encoding": (["embed-pseudo", "--builtin-n0", "0,1", "--point", "{point}",
+                               "--alpha", "{input}", "--depth", "2"], PSEUDO_ENCODING),
+}
+DELETE = object()
+FIELD_VALUES = [None, 0, -1, 1.5, True, "01", "", [], {}, [None], {"x": 1}, 10**6, DELETE]
+# names that would let two words share a text, for each generator of a system
+BAD_NAMES = ["", "e", "a'", "a b", "a\n", "{other}"]
+
+
+def json_paths(node, path=()):
+    """The path of every node of a JSON document, the root's ``()`` first."""
+    yield path
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield from json_paths(value, path + (key,))
+
+
+def with_field(doc, path, value):
+    """A copy of ``doc`` with the node at ``path`` set to ``value``, or deleted."""
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    parent = functools.reduce(lambda node, key: node[key], path[:-1], doc)
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+def mutations(name: str, doc, per_value: int = 4):
+    """A sample of the one-field mutations of ``doc``, seeded by ``name``:
+    ``per_value`` nodes for each value, and every bad name for each
+    generator of a two-generator system."""
+    rng = random.Random(name)
+    paths = list(json_paths(doc))
+    for value in FIELD_VALUES:
+        choices = [path for path in paths if path or value is not DELETE]
+        for path in rng.sample(choices, min(per_value, len(choices))):
+            yield path, value
+    generators = doc.get("generators", [])
+    for i in range(len(generators)):
+        for bad in BAD_NAMES:
+            yield ("generators", i, "name"), bad.format(other=generators[1 - i]["name"])
+
+
+class TestOneFieldMutations:
+    """Each input file with one node replaced by a value of another kind, or
+    deleted, ends in exit 0, 1 or 2; a failure ends in an ``error:`` line, and
+    nothing but a TreeshiftError (turned into that line by ``main``) escapes."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path, capsys):
+        scenario = self.write(tmp_path, "scenario", E1_SCENARIO)
+        tree = json.loads(run(capsys, "embed", "--scenario", scenario, "--depth", "3")[1])
+        docs = {"tree": tree, "cgs": json.loads(run(capsys, "builtin", "n0")[1])}
+        paths = {"scenario": scenario, "tree": self.write(tmp_path, "tree", tree),
+                 "point": self.write(tmp_path, "point", POINT)}
+        return tmp_path, docs, paths
+
+    @staticmethod
+    def write(root, name, doc) -> str:
+        path = root / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    @pytest.mark.parametrize("name", MUTATED_COMMANDS)
+    def test_every_exit_is_clean(self, inputs, capsys, name):
+        root, docs, paths = inputs
+        argv, doc = MUTATED_COMMANDS[name]
+        doc = docs[doc] if isinstance(doc, str) else doc
+        unclean = []
+        for path, value in mutations(name, doc):
+            mutated = self.write(root, "input", with_field(doc, path, value))
+            try:
+                code, _, err = run(capsys, *(arg.format(input=mutated, **paths) for arg in argv))
+            except Exception as exc:  # any escape is a finding: collect them all
+                unclean.append((path, value, repr(exc)))
+                continue
+            lines = err.splitlines()
+            if code not in (0, 1, 2) or code and not (lines and lines[-1].startswith("error:")):
+                unclean.append((path, value, code, err))
+        assert unclean == []
 
 
 def _modules_after(code: str) -> set[str]:

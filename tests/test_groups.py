@@ -6,7 +6,6 @@ from treeshift.groups import (
     custom_group,
     free_group,
     group_from_json,
-    group_to_json,
     induced_config,
     integer_lattice,
     lattice_unit_element,
@@ -141,16 +140,14 @@ class TestLatticeUnit:
 
 
 class TestJson:
-    def test_round_trip_free(self):
+    def test_reads_free(self):
         model = group_from_json({"kind": "free", "M": 2})
         assert model == free_group(2)
-        assert group_to_json(model) == {"kind": "free", "M": 2}
 
-    def test_round_trip_lattice(self):
+    def test_reads_lattice(self):
         spec = {"kind": "lattice", "d": 2, "images": [[1, 0], [0, 1]]}
         model = group_from_json(spec)
         assert model == integer_lattice(d=2)
-        assert group_to_json(model) == spec
 
     def test_unknown_kind(self):
         with pytest.raises(ValidationError):

@@ -1,5 +1,9 @@
-"""The package root resolves its public names lazily, on first use."""
+"""The package root resolves its public names lazily, on first use, and
+every definition in the package is public or run by the package, the
+benchmark or a demo."""
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -40,3 +44,50 @@ def test_unknown_name_raises_attribute_error():
     assert not hasattr(treeshift, "verify_suites")
     with pytest.raises(ImportError):
         from treeshift import no_such_name  # noqa: F401
+
+
+SRC = Path(treeshift.__file__).resolve().parent
+ROOT = SRC.parents[1]
+# documented in README and the builder of tests/oracles.py
+UNREAD_ALLOWED = {"PointedTree.from_words"}
+
+
+def definitions():
+    """``(qualified name, name)`` of each module-level function and class of
+    the package, and of each of its classes' methods.  Dunders, which the
+    interpreter calls, and overrides of an inherited method, which the
+    base class's callers call, are left out."""
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module(f"treeshift.{path.stem}")
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name[:2] != "__":
+                yield node.name, node.name
+            if isinstance(node, ast.ClassDef):
+                bases = getattr(module, node.name).__mro__[1:]
+                for item in node.body:
+                    if (isinstance(item, ast.FunctionDef) and item.name[:2] != "__"
+                            and not any(item.name in vars(base) for base in bases)):
+                        yield f"{node.name}.{item.name}", item.name
+
+
+def names_read(paths) -> set[str]:
+    """Every name the files read, as a name, an attribute or a string literal
+    (``bench/launch.py`` wraps functions by dotted name strings)."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.update(node.value.split("."))
+    return names
+
+
+def test_every_definition_is_public_or_read_outside_the_tests():
+    paths = [*SRC.glob("*.py"), *(ROOT / "bench").glob("*.py"), *(ROOT / "demos").glob("*.py")]
+    read = names_read(paths) | set(treeshift.__all__)
+    unread = [qualified for qualified, name in definitions()
+              if name not in read and qualified not in UNREAD_ALLOWED]
+    assert unread == []

@@ -27,6 +27,7 @@ from treeshift.pseudogroup import (
 BITS = alphabet([0, 1])
 N0 = builtin_n0_shift(BITS)
 OMEGA = SymbolStream.eventually_periodic((), (0, 1))   # 0 1 0 1 ...
+EVERYWHERE = CylinderUnion((Cylinder(()),))
 
 # encoding for the worked example: (1_0, 0)->g0, (1_0, 1)->g1, (1_1, 0)->g2, (1_1, 1)->g3
 ENC4 = edge_encoding(2, BITS, 4, {(1, 0): 1, (1, 1): 2, (2, 0): 3, (2, 1): 4})
@@ -67,7 +68,7 @@ class TestBuiltin:
 
     def test_inverse_prepends_everywhere(self):
         inv = N0.negative[0]
-        assert inv.domain == CylinderUnion.full()
+        assert inv.domain == EVERYWHERE
         assert inv.apply(OMEGA).prefix(3) == (0, 0, 1)
 
     def test_errors_show_the_stream(self):
@@ -80,7 +81,7 @@ class TestBuiltin:
                            match=re.escape(f"composite along g0 undefined at {shown}")):
             compose_word(N0, wrd(1)).apply(point)
         doubled = CylinderPseudogroup(BITS, N0.positive, N0.negative,
-                                      ((0, CylinderUnion.full()), (1, CylinderUnion.full())))
+                                      ((0, EVERYWHERE), (1, EVERYWHERE)))
         with pytest.raises(ValidationError,
                            match=re.escape(f"stream {shown} lies in 2 partition pieces")):
             itinerary(doubled, point, 1)
@@ -115,7 +116,7 @@ class TestSymbolStream:
 class TestComposeWord:
     def test_empty_word_is_identity(self):
         composed = compose_word(N0, identity(2))
-        assert composed.domain == CylinderUnion.full()
+        assert composed.domain == EVERYWHERE
         assert composed.apply(OMEGA).prefix(4) == OMEGA.prefix(4)
 
     def test_single_drop(self):
@@ -139,7 +140,7 @@ class TestComposeWord:
 
     def test_empty_composite(self):
         composed = compose_word(N0, wrd(-1, 2))
-        assert composed.domain.is_empty
+        assert composed.domain == CylinderUnion(())
         with pytest.raises(ActionUndefinedError):
             composed.apply(OMEGA)
 
@@ -265,7 +266,7 @@ class TestEmbedPseudo:
         ones = alphabet([0])
         cgs = builtin_n0_shift(ones)
         enc = edge_encoding(1, ones, 1, {(1, 0): 1})
-        point = SymbolStream.constant(0)
+        point = SymbolStream.eventually_periodic((), (0,))
         itin = itinerary(cgs, point, 3)
         assert all(s is not S_EMPTY for s in itin.values.values())
         via_pseudo = embed_pseudo(itin, enc, 3)

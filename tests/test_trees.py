@@ -19,30 +19,26 @@ from treeshift.trees import (
     BoxDistance,
     act,
     ball,
-    balls_isomorphic,
     box_distance,
-    box_distance_brute,
     make_tree,
     neighborhood,
     orbit_graph,
     orbit_to_dot,
     orbit_to_json,
     PointedTree,
-    random_tree,
-    regrown_tree,
-    relabel_tree,
-    singleton_tree,
     tree_from_json,
     tree_to_dot,
     tree_to_json,
     validate_tree,
 )
+from treeshift.verify import balls_isomorphic, box_distance_brute, random_tree, regrown_tree
 
 from treeshift.embed import separate_witness
 
 from oracles import (
     levelwise_box_distance,
     parse_word_tree,
+    relabel_tree,
     sorted_separate_witness,
     sorted_tree_dot,
     sorted_tree_json,
@@ -147,7 +143,7 @@ class TestBoxDistance:
 
     def test_rank_mismatch(self):
         with pytest.raises(RankMismatchError):
-            box_distance(parity_tree(1), singleton_tree(1))
+            box_distance(parity_tree(1), PointedTree(1, 0, frozenset({0})))
 
     def test_symmetry_and_ultrametric_random(self):
         for seed in range(60):
@@ -398,9 +394,12 @@ def test_make_tree_reads_children_listed_before_their_parents(t, rng):
     (2, 1, ["e", " g0"]),
     (0, 1, ["e"]),
     (0, 1, ["g0", "e"]),
+    (0, 1, []),
+    (-1, -1, []),
 ], ids=["cancelling-pair", "after-a-cancelled-parent", "two-spaces", "tab", "space-and-tab",
         "out-of-range", "first-error-out-of-range", "first-error-junk", "duplicates",
-        "e-as-parent", "leading-space", "rank-0", "rank-0-generator"])
+        "e-as-parent", "leading-space", "rank-0", "rank-0-generator", "rank-0-no-vertices",
+        "rank-negative-no-vertices"])
 def test_make_tree_reads_texts_after_their_parents_like_parse_word(rank, radius, texts):
     expected = outcome(parse_word_tree, rank, radius, texts)
     assert outcome(make_tree, rank, radius, texts) == expected

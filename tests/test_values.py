@@ -28,7 +28,7 @@ CASES = {
                  [Cylinder((0,)), Cylinder(())]),
     "CylinderUnion": (CylinderUnion.of([Cylinder((0, 1)), Cylinder((0,))]),
                       CylinderUnion((Cylinder((0,)),)),
-                      [CylinderUnion.full(), CylinderUnion.empty()]),
+                      [CylinderUnion((Cylinder(()),)), CylinderUnion(())]),
     "PointedTree": (make_tree(2, 1, ["e", "g0"]), PointedTree(2, 1, frozenset({0, 1})),
                     [PointedTree(2, 2, frozenset({0, 1})), PointedTree(3, 1, frozenset({0, 1}))]),
     "BoxDistance": (BoxDistance(2, exact=True), BoxDistance(2, True),
