@@ -107,10 +107,8 @@ def cmd_decode(args) -> int:
     else:
         encoding = load_scenario(args.scenario).encoding
     decoded = decode_tree(tree, encoding, args.depth)
-    # decoded.values holds the whole ball in canonical order, as walk_ball names it
-    texts = (text for _, text in walk_ball(decoded.source_rank, decoded.depth,
-                                           lambda x: letter_str(x, prefix="t")))
-    values = dict(zip(texts, decoded.values.values()))
+    values = {text: decoded.values[k] for k, text in walk_ball(
+        decoded.source_rank, decoded.depth, lambda x: letter_str(x, prefix="t"))}
     sys.stdout.write(dumps_json({"depth": decoded.depth, "values": values}))
     return 0
 
@@ -181,13 +179,12 @@ def cmd_itinerary(args) -> int:
     point = stream_from_json(load_json(args.point), cgs.base_alphabet)
     itin = itinerary(cgs, point, args.depth)
     names = [pm.name for pm in cgs.positive]
-    live = {w.letters: s for w, s in itin.values.items()}
 
     def token(x: int) -> str:
         return names[abs(x) - 1] + ("" if x > 0 else "'")
 
-    values = {text: live.get(letters)
-              for letters, text in walk_ball(itin.source_rank, itin.depth, token)}
+    values = {text: itin.values.get(k)
+              for k, text in walk_ball(itin.source_rank, itin.depth, token)}
     sys.stdout.write(dumps_json({"depth": itin.depth, "values": values}))
     return 0
 

@@ -16,6 +16,10 @@ positive letter reads its symbol off any outward positive continuation
 (all of them, and the entering edge of an inverse step, must agree).
 Decoding a radius-j tree therefore recovers symbols on words of length
 at most j - 1, and no further.
+
+Both walks carry each source word as its :mod:`freegroup` key, as trees do
+their vertices; a ``Word`` is built only where a user's rule reads one (a
+free group's walk state) or where one leaves (errors, ``vertex_of``).
 """
 from __future__ import annotations
 
@@ -36,7 +40,6 @@ from .errors import (
 )
 from .freegroup import (
     Word,
-    _word,
     ball_size,
     digit_letter,
     enumerate_ball,
@@ -191,28 +194,31 @@ def encoding_from_json(obj: dict, alphabet: Alphabet | None = None) -> EdgeEncod
 class Embedding:
     """A depth-j image tree with the source-word-to-vertex bijection.
 
-    ``vertex_keys`` pairs each source word with the key of its vertex, in
-    canonical order; ``vertex_of`` is the same bijection onto ``Word``s,
-    built when first read.
+    ``vertex_keys`` pairs the key of each source word (of rank
+    ``source_rank``) with the key of its vertex, in canonical order;
+    ``vertex_of`` is the same bijection between ``Word``s, built when
+    first read.
     """
 
-    def __init__(self, tree: PointedTree, vertex_keys: tuple[tuple[Word, int], ...],
-                 depth: int) -> None:
+    def __init__(self, tree: PointedTree, vertex_keys: tuple[tuple[int, int], ...],
+                 depth: int, source_rank: int) -> None:
         self.tree = tree
         self.vertex_keys = vertex_keys
         self.depth = depth
+        self.source_rank = source_rank
 
     @cached_property
     def vertex_of(self) -> dict[Word, Word]:
-        words = key_words(self.tree.sorted_keys, self.tree.rank)
-        return {w: words[k] for w, k in self.vertex_keys}
+        sources = key_words([s for s, _ in self.vertex_keys], self.source_rank)
+        targets = key_words(self.tree.sorted_keys, self.tree.rank)
+        return {sources[s]: targets[k] for s, k in self.vertex_keys}
 
 
 def _run_embedding(source_rank: int, depth: int, root: tuple[Any, Any],
                    step: Callable[[Any, int], tuple[Any, Any]], enc: EdgeEncoding) -> Embedding:
     """Level-synchronous recursion shared by the total and partial embeddings.
 
-    Each source word carries a symbol and a walk state: ``root`` is the
+    Each source word is a key with a symbol and a walk state: ``root`` is the
     ``(symbol, state)`` of the empty word and ``step(state, x)`` that of w·x
     from the state of w.  A symbol None skips the word (an undefined
     itinerary entry) and prunes its whole subtree.  ``step`` runs once per
@@ -223,20 +229,20 @@ def _run_embedding(source_rank: int, depth: int, root: tuple[Any, Any],
     root_symbol, root_state = root
     if root_symbol is None:
         raise ValidationError("the empty word carries no symbol; nothing to embed")
-    base = key_base(enc.target_rank)
-    alphabet = signed_letters(source_rank)
+    base, source_base = key_base(enc.target_rank), key_base(source_rank)
+    source_digits = [(x, letter_digit(x)) for x in signed_letters(source_rank)]
     digits = {}
     for g, s, t in enc.entries:
         digits[g, s], digits[-g, s] = letter_digit(t), letter_digit(-t)
-    placed = [(identity(source_rank), 0)]
-    frontier = [((), root_symbol, root_state, 0)]
+    placed = [(0, 0)]
+    frontier = [(0, root_symbol, root_state, 0)]
     for _ in range(depth):
         nxt = []
-        for letters, parent_symbol, parent_state, parent_key in frontier:
-            back_letter = -letters[-1] if letters else 0
+        for source_key, parent_symbol, parent_state, parent_key in frontier:
+            back_source = inverse_digit(source_key % source_base)
             back_digit = inverse_digit(parent_key % base)
-            for x in alphabet:
-                if x == back_letter:
+            for x, source_digit in source_digits:
+                if source_digit == back_source:
                     continue
                 child_symbol, child_state = step(parent_state, x)
                 if child_symbol is None:
@@ -247,18 +253,19 @@ def _run_embedding(source_rank: int, depth: int, root: tuple[Any, Any],
                 except KeyError:
                     enc.encode(abs(x), symbol)  # raises: no table entry
                     raise
-                child = letters + (x,)
+                child = source_key * source_base + source_digit
                 if digit == back_digit:
-                    raise ConsistencyError(f"cancellation while embedding {_word(source_rank, child)}"
-                                           "; encoding is not injective")
+                    raise ConsistencyError(
+                        f"cancellation while embedding {key_word(child, source_rank)}; "
+                        "encoding is not injective")
                 key = parent_key * base + digit
-                placed.append((_word(source_rank, child), key))
+                placed.append((child, key))
                 nxt.append((child, child_symbol, child_state, key))
         frontier = nxt
     keys = frozenset(k for _, k in placed)
     if len(keys) != len(placed):
         raise ConsistencyError("embedding produced colliding vertices")
-    return Embedding(PointedTree(enc.target_rank, depth, keys), tuple(placed), depth)
+    return Embedding(PointedTree(enc.target_rank, depth, keys), tuple(placed), depth, source_rank)
 
 
 def embed_config(sigma: Config, enc: EdgeEncoding, depth: int) -> Embedding:
@@ -287,11 +294,11 @@ class DecodedConfig:
 
     Symbols are known exactly on words of length <= depth; anything longer
     would need edges beyond the decoded ball, so asking for it raises.
-    ``values`` holds every word of length <= depth, in canonical order.
+    ``values`` maps the key of every word of length <= depth to its symbol.
     """
 
     def __init__(self, source_rank: int, depth: int, alphabet: Alphabet,
-                 values: Mapping[Word, Any]) -> None:
+                 values: Mapping[int, Any]) -> None:
         self.source_rank = source_rank
         self.depth = depth
         self.alphabet = alphabet
@@ -303,7 +310,7 @@ class DecodedConfig:
         if len(w) > self.depth:
             raise InsufficientDepthError(
                 f"symbol at {w} needs a deeper tree (decoded depth {self.depth})")
-        return self.values[w]
+        return self.values[word_key(w)]
 
 
 def decode_tree(tree: PointedTree | Embedding, enc: EdgeEncoding, depth: int) -> DecodedConfig:
@@ -347,14 +354,13 @@ def decode_tree(tree: PointedTree | Embedding, enc: EdgeEncoding, depth: int) ->
         frontier = nxt
     if len(set(lam.values())) != len(lam):
         raise ConsistencyError("decoded vertex words collide; not an image tree")
-    known = sorted(k for k in values if k < source_base ** (depth - 1))
+    limit = source_base ** (depth - 1)
+    known = {k: s for k, s in values.items() if k < limit}
     if len(known) != ball_size(source_rank, depth - 1):
         w = next(w for w in enumerate_ball(source_rank, depth - 1) if word_key(w) not in values)
         raise ConsistencyError(f"cannot read the symbol at {w}: no vertex decodes to it, "
                                "or none that does has an outward positive continuation")
-    words = key_words(known, source_rank)
-    domain = {words[k]: values[k] for k in known}
-    return DecodedConfig(source_rank, depth - 1, enc.alphabet, domain)
+    return DecodedConfig(source_rank, depth - 1, enc.alphabet, known)
 
 
 def _edge(tree: PointedTree, v: int, u: int) -> str:

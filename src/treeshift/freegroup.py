@@ -71,7 +71,7 @@ def signed_letters(rank: int) -> list[int]:
     return [x for i in range(1, rank + 1) for x in (i, -i)]
 
 
-def _check_letters(letters: Sequence[int], rank: int) -> None:
+def check_letters(letters: Sequence[int], rank: int) -> None:
     if rank < 1:
         raise InvalidGeneratorError(f"rank must be >= 1, got {rank}")
     for x in letters:
@@ -90,7 +90,7 @@ class Word:
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        _check_letters(self.letters, self.rank)
+        check_letters(self.letters, self.rank)
         for a, b in zip(self.letters, self.letters[1:]):
             if a == -b:
                 raise ValueError(f"word {self.letters} is not freely reduced")
@@ -137,13 +137,14 @@ class Word:
 
     def append(self, letter: int) -> "Word":
         """Right-multiply by a single letter (reduces if it cancels)."""
-        _check_letters((letter,), self.rank)
+        check_letters((letter,), self.rank)
         return extend(self, letter)
 
     def children(self) -> list["Word"]:
         """The one-letter extensions that do not cancel, in canonical order."""
-        rank = self.rank
-        return [_word(rank, c) for c in _extensions(self.letters, signed_letters(rank))]
+        rank, letters = self.rank, self.letters
+        back = -letters[-1] if letters else 0
+        return [_word(rank, letters + (x,)) for x in signed_letters(rank) if x != back]
 
     def inverse(self) -> "Word":
         return _word(self.rank, tuple(-x for x in reversed(self.letters)))
@@ -175,33 +176,26 @@ def extend(w: Word, letter: int) -> Word:
     return _word(w.rank, letters + (letter,))
 
 
-def _extensions(letters: tuple[int, ...], alphabet: list[int]) -> list[tuple[int, ...]]:
-    """The child rule: ``letters`` extended by each letter of ``alphabet`` (in
-    canonical order) that does not cancel its last one."""
-    back = -letters[-1] if letters else 0
-    return [letters + (x,) for x in alphabet if x != back]
-
-
 def walk_ball(rank: int, radius: int, token: Callable[[int], str] = letter_str
-              ) -> Iterator[tuple[tuple[int, ...], str]]:
-    """``(letters, text)`` for the reduced words of length <= radius, in
+              ) -> Iterator[tuple[int, str]]:
+    """``(key, text)`` for the reduced words of length <= radius, in
     canonical order, one level held at a time.
 
     ``text`` renders a word as its letters' tokens joined by spaces (``"e"``
     for the empty word), each built from its parent's text plus one token.
     """
-    _check_letters((), rank)
-    alphabet = signed_letters(rank)
-    tokens = {x: token(x) for x in alphabet}
-    level = [((), "e")]
+    check_letters((), rank)
+    base = key_base(rank)
+    steps = [(letter_digit(x), token(x)) for x in signed_letters(rank)]
+    level = [(0, "e")]
     for depth in range(radius + 1):
         yield from level
         if depth == radius:
             return
         nxt = []
-        for letters, text in level:
-            head = text + " " if letters else ""
-            nxt += [(c, head + tokens[c[-1]]) for c in _extensions(letters, alphabet)]
+        for k, text in level:
+            back, head = inverse_digit(k % base), text + " " if k else ""
+            nxt += [(k * base + d, head + t) for d, t in steps if d != back]
         level = nxt
 
 
@@ -221,7 +215,7 @@ def identity(rank: int) -> Word:
 def reduce(letters: Iterable[int], rank: int) -> Word:
     """Freely reduce an arbitrary letter sequence."""
     letters = tuple(letters)
-    _check_letters(letters, rank)
+    check_letters(letters, rank)
     out: list[int] = []
     for x in letters:
         if out and out[-1] == -x:
@@ -298,7 +292,7 @@ def _parse_letters(text: str, rank: int, prefix: str) -> tuple[int, ...]:
     token table."""
     text = text.strip()
     if text in ("e", ""):
-        _check_letters((), rank)
+        check_letters((), rank)
         return ()
     return reduce(map(_token_table(rank, prefix).__getitem__, text.split()), rank).letters
 

@@ -13,9 +13,9 @@ one finite normal form however often it has been moved.
 An itinerary records, for each reduced word over the generators, which
 partition piece the composed map sends a point to.  Words whose composition
 is undefined at the point are dead, and once a word is dead every extension
-of it is dead too; so the itinerary stores the live words only and reports
-the reserved empty symbol for the rest.  Itineraries feed the same
-tree-building recursion as total configurations, restricted to the live
+of it is dead too; so the itinerary stores the live words only, as keys,
+and reports the reserved empty symbol for the rest.  Itineraries feed the
+same tree-building recursion as total configurations, restricted to the live
 words, which is why vertex degrees may drop below the regular 2M.
 """
 from __future__ import annotations
@@ -33,7 +33,8 @@ from .errors import (
     json_field,
     json_kind,
 )
-from .freegroup import Word, extend, identity
+from .freegroup import (Word, check_letters, inverse_digit, key_base, key_word, letter_digit,
+                        signed_letters, word_key)
 from .shift import Alphabet
 
 
@@ -68,10 +69,6 @@ class SymbolStream:
     def __repr__(self) -> str:
         return f"SymbolStream(pre={self.pre!r}, cycle={self.cycle!r})"
 
-    def symbol_at(self, i: int) -> Any:
-        pre = self.pre
-        return pre[i] if i < len(pre) else self.cycle[(i - len(pre)) % len(self.cycle)]
-
     def prefix(self, k: int) -> tuple:
         pre, cycle = self.pre, self.cycle
         if k <= len(pre):
@@ -88,9 +85,6 @@ class SymbolStream:
             return SymbolStream(emit + pre[consume:], cycle)
         turn = (consume - len(pre)) % len(cycle)
         return SymbolStream(emit, cycle[turn:] + cycle[:turn])
-
-    def drop(self, k: int) -> "SymbolStream":
-        return self.rewrite(k, ())
 
     @staticmethod
     def eventually_periodic(pre: Iterable, cycle: Iterable) -> "SymbolStream":
@@ -357,14 +351,14 @@ def compose_word(cgs: CylinderPseudogroup, g: Word) -> ComposedMap:
 class Itinerary:
     """Symbols of the partition pieces visited along every live reduced word.
 
-    ``values`` holds exactly the words of length <= depth whose composition
-    is defined at the point.  That set is prefix-closed and stored whole, so
-    a word within the depth that is missing from it is dead, and ``value``
-    gives it the empty symbol.
+    ``values`` maps the key of each word of length <= depth whose
+    composition is defined at the point to its symbol.  That key set is
+    prefix-closed and stored whole, so a word within the depth whose key is
+    missing from it is dead, and ``value`` gives it the empty symbol.
     """
 
     def __init__(self, source_rank: int, depth: int, symbols: Alphabet,
-                 values: Mapping[Word, Any]) -> None:
+                 values: Mapping[int, Any]) -> None:
         self.source_rank = source_rank
         self.depth = depth
         self.symbols = symbols
@@ -375,11 +369,12 @@ class Itinerary:
             raise RankMismatchError(f"word rank {w.rank} vs itinerary rank {self.source_rank}")
         if len(w) > self.depth:
             raise InsufficientDepthError(f"itinerary stored to depth {self.depth}, asked at {w}")
-        return self.values.get(w, S_EMPTY)
+        return self.values.get(word_key(w), S_EMPTY)
 
     def validate_propagation(self) -> list[str]:
-        return [f"{w} is live below the dead word {w.parent}"
-                for w in self.values if w.letters and w.parent not in self.values]
+        rank, base = self.source_rank, key_base(self.source_rank)
+        return [f"{key_word(k, rank)} is live below the dead word {key_word(k // base, rank)}"
+                for k in self.values if k and k // base not in self.values]
 
 
 def itinerary(cgs: CylinderPseudogroup, stream: SymbolStream, depth: int) -> Itinerary:
@@ -391,16 +386,19 @@ def itinerary(cgs: CylinderPseudogroup, stream: SymbolStream, depth: int) -> Iti
     if depth < 0:
         raise ValidationError(f"depth {depth} is negative")
     rank = cgs.generator_count
-    root = identity(rank)
-    values: dict[Word, Any] = {root: cgs.classify(stream)}
-    frontier = [(root, stream)]
+    check_letters((), rank)  # a rank below 1 raises
+    base = key_base(rank)
+    steps = list(enumerate(map(cgs.map_for_letter, signed_letters(rank)), 1))
+    values = {0: cgs.classify(stream)}
+    frontier = [(0, stream)]
     for _ in range(depth):
         nxt = []
-        for w, point in frontier:
-            for child in w.children():
-                pm = cgs.map_for_letter(child.last)
-                if pm.defined_at(point):
+        for k, point in frontier:
+            back = inverse_digit(k % base)
+            for d, pm in steps:
+                if d != back and pm.defined_at(point):
                     moved = pm.apply(point)
+                    child = k * base + d
                     values[child] = cgs.classify(moved)
                     nxt.append((child, moved))
         frontier = nxt
@@ -421,14 +419,13 @@ def embed_pseudo(itin: Itinerary, enc: EdgeEncoding, depth: int) -> Embedding:
     if depth < 0:
         raise ValidationError(f"depth {depth} is negative")
 
-    values = itin.values
+    values, base = itin.values, key_base(itin.source_rank)
 
-    def step(w: Word, x: int) -> tuple[Any, Word]:
-        child = extend(w, x)
+    def step(k: int, x: int) -> tuple[Any, int]:
+        child = k * base + letter_digit(x)
         return values.get(child), child
 
-    root = identity(itin.source_rank)
-    return _run_embedding(itin.source_rank, depth, (values.get(root), root), step, enc)
+    return _run_embedding(itin.source_rank, depth, (values.get(0), 0), step, enc)
 
 
 def builtin_n0_shift(alph: Alphabet) -> CylinderPseudogroup:
@@ -504,7 +501,7 @@ def cgs_from_json(obj: dict) -> CylinderPseudogroup:
                                       "generator.rewrite.consume"),
             emit=_prefix_from_json(json_field(rewrite, "emit", "rewrite"), alph,
                                    "generator.rewrite.emit"),
-            inverse_name=json_kind(entry.get("inverse", name + "'"), str, "generator.inverse"),
+            inverse_name=name + "'",
         )
         positive.append(pm)
         negative.append(inverse_of(pm))

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 
 from .embed import (
     check_equivariance,
@@ -210,16 +210,17 @@ def check_equivariance_suite(seed: int = 0) -> CheckResult:
 def check_tree_shape(seed: int = 0) -> CheckResult:
     """Embedded words keep their length; interior vertices have degree 2M.
 
-    A vertex key has the length n of its word exactly when
-    ``B**n // B <= key < B**n``, so no vertex is named as a ``Word``.
+    A key's length n <= depth is the number of powers ``B**0, ..., B**depth``
+    at or below it, so no word, of the source or the target, is a ``Word``.
     """
     failures = 0
     trees = 0
     for M, m, sigma, enc, depth in _embedding_sample(seed):
         result = embed_config(sigma, enc, depth)
         trees += 1
-        base = key_base(result.tree.rank)
-        if any(not base ** len(w) // base <= k < base ** len(w) for w, k in result.vertex_keys):
+        source, target = ([b ** j for j in range(depth + 1)]
+                          for b in (key_base(M), key_base(result.tree.rank)))
+        if any(bisect_right(source, s) != bisect_right(target, k) for s, k in result.vertex_keys):
             failures += 1
             continue
         if any(d != 2 * M for d in result.tree.degrees(depth - 1)):

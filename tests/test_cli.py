@@ -359,7 +359,6 @@ class TestMalformedInput:
         ("generator", {"domain": [{"0": 1}]}, "generator.domain[0]"),
         ("generator", {"rewrite": {"consume": True, "emit": []}}, "generator.rewrite.consume"),
         ("generator", {"rewrite": {"consume": ["0"], "emit": 1.5}}, "generator.rewrite.emit"),
-        ("generator", {"inverse": 5}, "generator.inverse"),
         ("cgs", {"partition": {"0": True, "1": [["1"]]}}, "generating system.partition.0"),
         ("cgs", {"partition": {"0": [0], "1": [["1"]]}}, "generating system.partition.0[0]"),
         ("scenario", {"group": {"kind": "lattice", "d": 1, "images": [[1.5]]}}, "images"),
@@ -370,7 +369,7 @@ class TestMalformedInput:
             "point-cycle", "point-pre", "generator-name", "generator-domain", "cgs-partition",
             "cgs-alphabet-null", "cgs-alphabet-string", "cgs-generators-number",
             "domain-entry-null", "domain-entry-object", "rewrite-consume-bool",
-            "rewrite-emit-float", "generator-inverse-number", "partition-value-bool",
+            "rewrite-emit-float", "partition-value-bool",
             "partition-entry-number",
             "lattice-image-float", "lattice-d-bool", "config-period-bool"])
     def test_wrong_json_type_names_its_field(self, tmp_path, capsys, kind, change, field):

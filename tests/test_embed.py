@@ -2,14 +2,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import embed_by_words, sphere_agree_depth
-from treeshift import groups
+from treeshift import freegroup, groups
 from treeshift.errors import (
     ConsistencyError,
     InsufficientDepthError,
     NotInImageError,
     ValidationError,
 )
-from treeshift.freegroup import enumerate_ball, enumerate_spheres, identity, parse_word
+from treeshift.freegroup import enumerate_ball, enumerate_spheres, identity, parse_word, word_key
 from treeshift.groups import custom_group, free_group, induced_config, integer_lattice
 from treeshift.shift import (
     AgreementDepth,
@@ -34,6 +34,7 @@ from treeshift.embed import (
     separate_witness,
     validate_alpha,
 )
+from treeshift.pseudogroup import SymbolStream, builtin_n0_shift, embed_pseudo, itinerary
 from treeshift.trees import BoxDistance, box_distance, make_tree, validate_tree
 
 BITS = alphabet([0, 1])
@@ -336,7 +337,8 @@ class TestGroupWalk:
         tree, vertex_of = embed_by_words(sigma, enc, depth)
         assert result.tree.keys == tree.keys
         assert result.vertex_of == vertex_of
-        assert [w for w, _ in result.vertex_keys] == enumerate_ball(enc.source_rank, depth)
+        assert [s for s, _ in result.vertex_keys] == [
+            word_key(w) for w in enumerate_ball(enc.source_rank, depth)]
 
     @settings(max_examples=40, deadline=None)
     @given(walked_configs())
@@ -348,14 +350,28 @@ class TestGroupWalk:
         assert direct.vertex_keys == pulled.vertex_keys
 
     def test_lattice_embed_normalizes_no_word(self, monkeypatch):
-        z3 = integer_lattice(d=3)
-        sigma = random_config(z3, BITS, seed=2)
-        calls = []
+        # nor does it build one; nor do the itinerary walks, the decoder or
+        # walk_ball, which carry each source word as its key
+        sigma = random_config(integer_lattice(d=3), BITS, seed=2)
+        enc = random_encoding(3, BITS, 6, seed=1)
+        tree = embed_config(sigma, enc, 5).tree
+        shift = builtin_n0_shift(BITS)
+        omega = SymbolStream.eventually_periodic((), (0, 1))
+        enc4 = edge_encoding(2, BITS, 4, {(1, 0): 1, (1, 1): 2, (2, 0): 3, (2, 1): 4})
+        calls, built = [], []
         normalize = groups.GroupModel.normalize
         monkeypatch.setattr(groups.GroupModel, "normalize",
                             lambda self, w: calls.append(w) or normalize(self, w))
-        embed_config(sigma, random_encoding(3, BITS, 6, seed=1), 4)
+        check, word = freegroup.Word.__post_init__, freegroup._word
+        monkeypatch.setattr(freegroup.Word, "__post_init__",
+                            lambda self: built.append(self) or check(self))
+        monkeypatch.setattr(freegroup, "_word", lambda *args: built.append(args) or word(*args))
+        embed_config(sigma, enc, 4)
         assert calls == []
+        decode_tree(tree, enc, 5)
+        embed_pseudo(itinerary(shift, omega, 6), enc4, 6)
+        list(freegroup.walk_ball(3, 4))
+        assert built == []
 
     def test_custom_group_walk_renormalizes_the_representative(self):
         seen = []

@@ -186,7 +186,7 @@ class TestWalkBall:
     @pytest.mark.parametrize("rank,radius", [(1, 4), (2, 3), (3, 2)])
     def test_names_the_ball_in_canonical_order(self, rank, radius):
         ball = enumerate_ball(rank, radius)
-        assert list(walk_ball(rank, radius)) == [(w.letters, str(w)) for w in ball]
+        assert list(walk_ball(rank, radius)) == [(word_key(w), str(w)) for w in ball]
 
     def test_custom_tokens(self):
         names = [text for _, text in walk_ball(2, 2, lambda x: letter_str(x, prefix="t"))]
