@@ -21,6 +21,7 @@ from .errors import InsufficientDepthError, TreeshiftError, json_field, json_kin
 if TYPE_CHECKING:
     from .embed import EdgeEncoding
     from .shift import Alphabet, Config
+    from .trees import BoxDistance
 
 
 class _Parser(argparse.ArgumentParser):
@@ -113,6 +114,10 @@ def cmd_decode(args) -> int:
     return 0
 
 
+def _distance_json(d: BoxDistance) -> dict:
+    return {"kind": "exact" if d.exact else "at-least", "r": d.r, "value": d.value}
+
+
 def cmd_metric(args) -> int:
     from .trees import box_distance, dumps_json, tree_from_json
 
@@ -122,8 +127,7 @@ def cmd_metric(args) -> int:
     t2 = tree_from_json(load_json(args.tree[1]))
     d = box_distance(t1, t2)
     if args.format == "json":
-        kind = "exact" if d.exact else "at-least"
-        sys.stdout.write(dumps_json({"kind": kind, "r": d.r, "value": d.value}))
+        sys.stdout.write(dumps_json(_distance_json(d)))
     else:
         sys.stdout.write(str(d) + "\n")
     return 0
@@ -230,17 +234,18 @@ def cmd_equivariance(args) -> int:
     else:
         letters = signed_letters(scenario.encoding.source_rank)
     reports = check_equivariance(scenario.config, scenario.encoding, letters, args.depth)
+    all_equal = all(r.ball_equal for r in reports)
     sys.stdout.write(dumps_json({
         "depth": args.depth,
-        "all_equal": all(r.ball_equal for r in reports),
+        "all_equal": all_equal,
         "reports": [_equivariance_report_json(r) for r in reports],
     }))
-    return 0 if all(r.ball_equal for r in reports) else 1
+    return 0 if all_equal else 1
 
 
 def cmd_separate(args) -> int:
     from .embed import separate_witness
-    from .trees import act, box_distance, dumps_json, tree_from_json
+    from .trees import BoxDistance, dumps_json, tree_from_json
 
     if len(args.tree) != 2:
         raise TreeshiftError("separate needs exactly two --tree arguments")
@@ -251,12 +256,11 @@ def cmd_separate(args) -> int:
         sys.stdout.write(dumps_json({"witness": None,
                                      "note": "trees ball-equal to their common depth"}))
         return 0
-    rebased = box_distance(act(t1, witness), act(t2, witness))
+    # separate_witness has checked that the rebased trees are at exact distance 1
     sys.stdout.write(dumps_json({
         "witness": str(witness),
         "length": len(witness),
-        "rebased": {"kind": "exact" if rebased.exact else "at-least",
-                    "r": rebased.r, "value": rebased.value},
+        "rebased": _distance_json(BoxDistance(0, exact=True)),
     }))
     return 0
 

@@ -62,7 +62,8 @@ class EdgeEncoding:
 
     Drives the embedding: the table must be total on the source generators
     times the alphabet, injective, and fit inside the target rank, which
-    forces target_rank >= source_rank * len(alphabet).
+    forces target_rank >= source_rank * len(alphabet).  The constructor
+    refuses any table :func:`validate_alpha` finds fault with.
     """
 
     def __init__(self, source_rank: int, alphabet: Alphabet, target_rank: int,
@@ -71,6 +72,9 @@ class EdgeEncoding:
         self.alphabet = alphabet
         self.target_rank = target_rank
         self.entries = entries
+        problems = validate_alpha(self)
+        if problems:
+            raise ValidationError("invalid encoding: " + "; ".join(problems))
 
     @cached_property
     def _forward(self) -> dict[tuple[int, Any], int]:
@@ -111,7 +115,7 @@ def _symbol_order(alphabet: Alphabet, symbol) -> int:
 
 
 def validate_alpha(enc: EdgeEncoding) -> list[str]:
-    """Violation list; empty means the encoding is usable."""
+    """What the ``EdgeEncoding`` constructor refuses; empty means usable."""
     violations = []
     m = len(enc.alphabet)
     if enc.target_rank < enc.source_rank * m:
@@ -276,9 +280,6 @@ def embed_config(sigma: Config, enc: EdgeEncoding, depth: int) -> Embedding:
     (``groups.induced_config``).  The symbols are read by walking the group,
     one generator step per source word (:meth:`Config.walk`).
     """
-    problems = validate_alpha(enc)
-    if problems:
-        raise ValidationError("invalid encoding: " + "; ".join(problems))
     if depth < 0:
         raise ValidationError(f"depth {depth} is negative")
     if sigma.group.generator_count != enc.source_rank:
@@ -317,9 +318,6 @@ def decode_tree(tree: PointedTree | Embedding, enc: EdgeEncoding, depth: int) ->
     """Invert the embedding on a radius-depth ball of an image tree."""
     if isinstance(tree, Embedding):
         tree = tree.tree
-    problems = validate_alpha(enc)
-    if problems:
-        raise ValidationError("invalid encoding: " + "; ".join(problems))
     if tree.rank != enc.target_rank:
         raise RankMismatchError(f"tree rank {tree.rank} vs encoding target {enc.target_rank}")
     if depth < 1:

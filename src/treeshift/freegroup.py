@@ -8,8 +8,8 @@ words of different ranks is an error, never a coercion.
 Rendering: generator i prints as ``g{i}``, its inverse as ``g{i}'``, and the
 empty word as ``e``.  The canonical order on words is length first, then
 lexicographic by (generator index, sign) with the positive sign first.
-Parsing reads every token through one table per rank and prefix, whose
-misses raise the :func:`parse_letter` error.
+Parsing reads every token through one table per rank, whose misses raise
+the :func:`parse_letter` error.
 
 Letters are checked where they enter: ``Word(rank, letters)``, :func:`parse_word`,
 :func:`reduce`, and the letter given to :meth:`Word.append`.  Every other
@@ -269,37 +269,37 @@ def ball_size(rank: int, radius: int) -> int:
 
 
 class _TokenTable(dict):
-    """Generator tokens of one rank and prefix, mapped to their letters and
-    filled as they are met, so its size follows the input, not the rank.  A
-    token that names no letter raises the :func:`parse_letter` error."""
+    """Generator tokens of one rank, mapped to their letters and filled as
+    they are met, so its size follows the input, not the rank.  A token that
+    names no letter raises the :func:`parse_letter` error."""
 
-    def __init__(self, rank: int, prefix: str) -> None:
+    def __init__(self, rank: int) -> None:
         super().__init__()
-        self.rank, self.prefix = rank, prefix
+        self.rank = rank
 
     def __missing__(self, token: str) -> int:
-        x = self[token] = parse_letter(token, self.rank, self.prefix)
+        x = self[token] = parse_letter(token, self.rank)
         return x
 
 
 @lru_cache(maxsize=16)
-def _token_table(rank: int, prefix: str) -> _TokenTable:
-    return _TokenTable(rank, prefix)
+def _token_table(rank: int) -> _TokenTable:
+    return _TokenTable(rank)
 
 
-def _parse_letters(text: str, rank: int, prefix: str) -> tuple[int, ...]:
+def _parse_letters(text: str, rank: int) -> tuple[int, ...]:
     """The freely reduced letters of ``text``, each token read through the
     token table."""
     text = text.strip()
     if text in ("e", ""):
         check_letters((), rank)
         return ()
-    return reduce(map(_token_table(rank, prefix).__getitem__, text.split()), rank).letters
+    return reduce(map(_token_table(rank).__getitem__, text.split()), rank).letters
 
 
-def parse_word(text: str, rank: int, prefix: str = "g") -> Word:
+def parse_word(text: str, rank: int) -> Word:
     """Parse the rendering produced by ``str(word)`` (``"e"`` or ``"g0 g1'"``)."""
-    return _word(rank, _parse_letters(text, rank, prefix))
+    return _word(rank, _parse_letters(text, rank))
 
 
 def key_base(rank: int) -> int:
@@ -376,7 +376,7 @@ def key_texts(keys: list[int], rank: int) -> dict[int, str]:
 def parse_key(text: str, rank: int) -> int:
     """The key of the word :func:`parse_word` reads from ``text``, with no
     ``Word`` built."""
-    return _letters_key(_parse_letters(text, rank, "g"), rank)
+    return _letters_key(_parse_letters(text, rank), rank)
 
 
 def text_keys(texts: Iterable[str], rank: int) -> Iterator[int]:
@@ -392,7 +392,7 @@ def text_keys(texts: Iterable[str], rank: int) -> Iterator[int]:
     Only texts of nonzero key are kept as parents: ``"e g0"`` is no word.
     """
     base = key_base(rank)
-    letters = _token_table(rank, "g")
+    letters = _token_table(rank)
     known: dict[str, int] = {}
     for text in texts:
         head, space, token = text.rpartition(" ")

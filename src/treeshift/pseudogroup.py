@@ -24,7 +24,7 @@ from functools import cached_property
 from operator import attrgetter, itemgetter
 from typing import Any, Callable, Iterable, Mapping
 
-from .embed import EdgeEncoding, Embedding, _run_embedding, validate_alpha
+from .embed import EdgeEncoding, Embedding, _run_embedding
 from .errors import (
     ActionUndefinedError,
     InsufficientDepthError,
@@ -230,7 +230,8 @@ class CylinderPseudogroup:
     """Finite symmetric generating family plus a clopen partition.
 
     ``positive[i]`` and ``negative[i]`` are mutually inverse; the partition
-    pieces must be pairwise disjoint and cover the whole stream space.
+    pieces must be pairwise disjoint and cover the whole stream space.  The
+    constructor refuses any family :func:`validate_cgs` finds fault with.
     """
 
     def __init__(self, base_alphabet: Alphabet, positive: tuple[PartialMap, ...],
@@ -241,6 +242,9 @@ class CylinderPseudogroup:
         self.positive = positive
         self.negative = negative
         self.partition = partition
+        problems = validate_cgs(self)
+        if problems:
+            raise ValidationError("invalid generating system: " + "; ".join(problems))
 
     @property
     def generator_count(self) -> int:
@@ -256,15 +260,13 @@ class CylinderPseudogroup:
         return self.positive[x - 1] if x > 0 else self.negative[-x - 1]
 
     def classify(self, stream: SymbolStream) -> Any:
-        hits = [s for s, union in self.partition if union.contains(stream)]
-        if len(hits) != 1:
-            raise ValidationError(
-                f"stream {stream!r} lies in {len(hits)} partition pieces; expected exactly 1")
-        return hits[0]
+        """The symbol of the one piece that holds a stream over the alphabet."""
+        return next(s for s, union in self.partition if union.contains(stream))
 
 
 def validate_cgs(cgs: CylinderPseudogroup) -> list[str]:
-    """Structural checks: inverse pairing, partition disjointness and covering."""
+    """What the ``CylinderPseudogroup`` constructor refuses: broken inverse
+    pairs, and partition pieces that overlap or leave a stream uncovered."""
     violations = []
     if len(cgs.positive) != len(cgs.negative):
         violations.append("positive and negative generator lists differ in length")
@@ -385,6 +387,8 @@ def itinerary(cgs: CylinderPseudogroup, stream: SymbolStream, depth: int) -> Iti
     """
     if depth < 0:
         raise ValidationError(f"depth {depth} is negative")
+    if not set(stream.pre + stream.cycle) <= set(cgs.base_alphabet.symbols):
+        raise ValidationError(f"stream {stream!r} holds a symbol outside the system's alphabet")
     rank = cgs.generator_count
     check_letters((), rank)  # a rank below 1 raises
     base = key_base(rank)
@@ -407,9 +411,6 @@ def itinerary(cgs: CylinderPseudogroup, stream: SymbolStream, depth: int) -> Iti
 
 def embed_pseudo(itin: Itinerary, enc: EdgeEncoding, depth: int) -> Embedding:
     """The tree of an itinerary: the usual recursion restricted to live words."""
-    problems = validate_alpha(enc)
-    if problems:
-        raise ValidationError("invalid encoding: " + "; ".join(problems))
     if enc.source_rank != itin.source_rank:
         raise ValidationError(
             f"encoding covers {enc.source_rank} generators, itinerary has {itin.source_rank}")
@@ -509,11 +510,7 @@ def cgs_from_json(obj: dict) -> CylinderPseudogroup:
         (alph.match(token), _cylinders_from_json(prefixes, alph, f"{system}.partition.{token}"))
         for token, prefixes in json_kind(json_field(obj, "partition", system), dict,
                                          f"{system}.partition").items())
-    cgs = CylinderPseudogroup(alph, tuple(positive), tuple(negative), partition)
-    problems = validate_cgs(cgs)
-    if problems:
-        raise ValidationError("invalid generating system: " + "; ".join(problems))
-    return cgs
+    return CylinderPseudogroup(alph, tuple(positive), tuple(negative), partition)
 
 
 def stream_from_json(obj: dict, alph: Alphabet) -> SymbolStream:

@@ -66,11 +66,11 @@ def brute_ball_words(rank: int, radius: int) -> set[tuple[int, ...]]:
 # The tree boundary as it was before the canonical walk: every vertex parsed
 # token by token, and every listing sorted by Word.sort_key and rendered by str.
 
-def parse_word_checked(text: str, rank: int, prefix: str = "g") -> Word:
+def parse_word_checked(text: str, rank: int) -> Word:
     text = text.strip()
     if text in ("e", ""):
         return identity(rank)
-    return reduce([parse_letter(tok, rank, prefix) for tok in text.split()], rank)
+    return reduce([parse_letter(tok, rank) for tok in text.split()], rank)
 
 
 def sorted_violations(t) -> list[str]:

@@ -173,22 +173,42 @@ class TestEquivarianceAndSeparate:
         assert blob["reports"][0]["clause"] == "positive"
         assert blob["reports"][0]["witness"] == "g0"
 
-    def test_separate(self, scenario_file, tmp_path, capsys):
-        _, out, _ = run(capsys, "embed", "--scenario", scenario_file, "--depth", "3")
-        a = tmp_path / "a.json"
-        a.write_text(out)
-        constant = dict(E1_SCENARIO)
-        constant["config"] = {"rule": "periodic", "period": 1, "table": [0]}
+    @staticmethod
+    def separable_trees(scenario_file, tmp_path, capsys) -> list[str]:
+        """Radius-3 trees of the E1 parity and of the constant configuration."""
+        constant = dict(E1_SCENARIO, config={"rule": "periodic", "period": 1, "table": [0]})
         other_scenario = tmp_path / "const.json"
         other_scenario.write_text(json.dumps(constant))
-        _, out, _ = run(capsys, "embed", "--scenario", str(other_scenario), "--depth", "3")
-        b = tmp_path / "b.json"
-        b.write_text(out)
-        code, out, _ = run(capsys, "separate", "--tree", str(a), "--tree", str(b))
+        paths = []
+        for name, scenario in (("a", scenario_file), ("b", str(other_scenario))):
+            _, out, _ = run(capsys, "embed", "--scenario", scenario, "--depth", "3")
+            (tmp_path / f"{name}.json").write_text(out)
+            paths.append(str(tmp_path / f"{name}.json"))
+        return paths
+
+    def test_separate(self, scenario_file, tmp_path, capsys):
+        a, b = self.separable_trees(scenario_file, tmp_path, capsys)
+        code, out, _ = run(capsys, "separate", "--tree", a, "--tree", b)
         assert code == 0
         blob = json.loads(out)
         assert blob["witness"] == "e"
         assert blob["rebased"] == {"kind": "exact", "r": 0, "value": 1.0}
+
+    def test_separate_rebases_each_tree_once(self, scenario_file, tmp_path, capsys, monkeypatch):
+        from treeshift import embed, trees
+
+        a, b = self.separable_trees(scenario_file, tmp_path, capsys)
+        calls = []
+        act = trees.act
+
+        def counted(*args):
+            calls.append(args)
+            return act(*args)
+
+        monkeypatch.setattr(trees, "act", counted)
+        monkeypatch.setattr(embed, "act", counted)
+        assert run(capsys, "separate", "--tree", a, "--tree", b)[0] == 0
+        assert len(calls) == 2
 
     def test_separate_identical(self, scenario_file, tmp_path, capsys):
         _, out, _ = run(capsys, "embed", "--scenario", scenario_file, "--depth", "3")
@@ -231,6 +251,22 @@ class TestVerifyAndErrors:
         code, _, err = run(capsys, "frobnicate")
         assert code == 1
         assert "usage" in err.lower()
+
+    @pytest.mark.parametrize("argv", [
+        ["embed", "--scenario", "{scenario}", "--depth", "2"],
+        ["decode", "--tree", "{tree}", "--alpha", "{alpha}", "--depth", "2"],
+    ], ids=["embed", "decode"])
+    def test_encoding_not_injective(self, scenario_file, tmp_path, capsys, argv):
+        alpha = dict(E1_SCENARIO["alpha"], table={"t0,0": "g0", "t0,1": "g0"})
+        paths = {name: tmp_path / f"{name}.json" for name in ("scenario", "alpha", "tree")}
+        paths["scenario"].write_text(json.dumps(dict(E1_SCENARIO, alpha=alpha)))
+        paths["alpha"].write_text(json.dumps(alpha))
+        paths["tree"].write_text(
+            run(capsys, "embed", "--scenario", scenario_file, "--depth", "2")[1])
+        code, _, err = run(capsys, *(arg.format(**paths) for arg in argv))
+        assert code == 1
+        assert err.splitlines()[-1] == (
+            "error: invalid encoding: not injective: g0 assigned to both (1, 0) and (1, 1)")
 
     def test_scenario_cross_validation(self, tmp_path, capsys):
         broken = dict(E1_SCENARIO)

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import embed_by_words, sphere_agree_depth
-from treeshift import freegroup, groups
+from treeshift import embed as embed_module, freegroup, groups
 from treeshift.errors import (
     ConsistencyError,
     InsufficientDepthError,
@@ -61,17 +61,29 @@ class TestValidateAlpha:
         assert validate_alpha(E1) == []
 
     def test_not_injective(self):
-        enc = edge_encoding(1, BITS, 2, {(1, 0): 1, (1, 1): 1})
-        assert any("not injective" in v for v in validate_alpha(enc))
+        with pytest.raises(ValidationError, match="invalid encoding: .*not injective"):
+            edge_encoding(1, BITS, 2, {(1, 0): 1, (1, 1): 1})
 
     def test_pigeonhole(self):
         enc = random_encoding(2, BITS, 4, seed=0)
-        squeezed = EdgeEncoding(2, BITS, 3, enc.entries)
-        assert any("below" in v for v in validate_alpha(squeezed))
+        with pytest.raises(ValidationError, match="invalid encoding: target rank 3 below"):
+            EdgeEncoding(2, BITS, 3, enc.entries)
 
     def test_missing_entry(self):
-        enc = edge_encoding(1, BITS, 2, {(1, 0): 1})
-        assert any("missing entry" in v for v in validate_alpha(enc))
+        with pytest.raises(ValidationError, match="invalid encoding: .*missing entry"):
+            edge_encoding(1, BITS, 2, {(1, 0): 1})
+
+    def test_walks_trust_the_encoding(self, monkeypatch):
+        sigma = parity_on_f1()
+        tree = embed_config(sigma, E1, 2)
+        itin = itinerary(builtin_n0_shift(BITS), SymbolStream((0,), (1,)), 2)
+        enc4 = random_encoding(2, BITS, 4, seed=0)
+        calls = []
+        monkeypatch.setattr(embed_module, "validate_alpha", lambda enc: calls.append(enc) or [])
+        embed_config(sigma, E1, 2)
+        decode_tree(tree, E1, 2)
+        embed_pseudo(itin, enc4, 2)
+        assert calls == []
 
     def test_json_round_trip(self):
         blob = encoding_to_json(E1)
@@ -129,9 +141,9 @@ class TestEmbed:
                 embed_config(sigma, E1, 2)
 
     def test_rejects_bad_encoding(self):
-        enc = edge_encoding(1, BITS, 2, {(1, 0): 1, (1, 1): 1})
-        with pytest.raises(ValidationError):
-            embed_config(parity_on_f1(), enc, 1)
+        blob = dict(encoding_to_json(E1), table={"t0,0": "g0", "t0,1": "g0"})
+        with pytest.raises(ValidationError, match="invalid encoding: not injective"):
+            encoding_from_json(blob)
 
     def test_injectivity_within_depth(self):
         sigma = parity_on_f1()

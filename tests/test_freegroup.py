@@ -96,21 +96,20 @@ class TestWord:
         with pytest.raises(InvalidGeneratorError):
             parse_word("g2", 2)
 
-    @pytest.mark.parametrize("text,rank,prefix", [
-        ("", 0, "g"), ("g0", 0, "g"), (" e ", 2, "g"), ("g0 e", 2, "g"),
-        ("g0 g0' g1", 2, "g"), ("g01", 2, "g"), ("t1' t0", 2, "t"), ("g0", 2, "t")])
-    def test_parse_matches_token_by_token_parse(self, text, rank, prefix):
+    @pytest.mark.parametrize("text,rank", [
+        ("", 0), ("g0", 0), (" e ", 2), ("g0 e", 2), ("g0 g0' g1", 2), ("g01", 2)])
+    def test_parse_matches_token_by_token_parse(self, text, rank):
         try:
-            expected = parse_word_checked(text, rank, prefix)
+            expected = parse_word_checked(text, rank)
         except InvalidGeneratorError as exc:
             with pytest.raises(InvalidGeneratorError, match=re.escape(str(exc))):
-                parse_word(text, rank, prefix)
+                parse_word(text, rank)
         else:
-            assert parse_word(text, rank, prefix) == expected
+            assert parse_word(text, rank) == expected
 
     def test_parse_table_holds_only_the_tokens_met(self):
         assert str(parse_word("g5 g7' g5 g0 g0'", 10_001)) == "g5 g7' g5"
-        assert sorted(_token_table(10_001, "g")) == ["g0", "g0'", "g5", "g7'"]
+        assert sorted(_token_table(10_001)) == ["g0", "g0'", "g5", "g7'"]
 
 
 class TestMultiplyInvert:

@@ -80,11 +80,16 @@ class TestBuiltin:
         with pytest.raises(ActionUndefinedError,
                            match=re.escape(f"composite along g0 undefined at {shown}")):
             compose_word(N0, wrd(1)).apply(point)
-        doubled = CylinderPseudogroup(BITS, N0.positive, N0.negative,
-                                      ((0, EVERYWHERE), (1, EVERYWHERE)))
-        with pytest.raises(ValidationError,
-                           match=re.escape(f"stream {shown} lies in 2 partition pieces")):
-            itinerary(doubled, point, 1)
+        foreign = SymbolStream((2,), (0, 1))
+        with pytest.raises(ValidationError, match=re.escape(
+                f"stream {foreign!r} holds a symbol outside the system's alphabet")):
+            itinerary(N0, foreign, 1)
+
+    def test_overlapping_pieces_are_refused(self):
+        with pytest.raises(ValidationError, match=re.escape(
+                "invalid generating system: cylinder on () met 2 partition pieces")):
+            CylinderPseudogroup(BITS, N0.positive, N0.negative,
+                                ((0, EVERYWHERE), (1, EVERYWHERE)))
 
     def test_classify(self):
         assert N0.classify(OMEGA) == 0
