@@ -97,8 +97,8 @@ def cmd_embed(args) -> int:
 
 def cmd_decode(args) -> int:
     from .embed import decode_tree, encoding_from_json
-    from .freegroup import letter_str, walk_ball
-    from .trees import dumps_json, tree_from_json
+    from .freegroup import ball_json, letter_str
+    from .trees import tree_from_json
 
     if not (args.alpha or args.scenario):
         raise TreeshiftError("decode needs --alpha or --scenario")
@@ -108,9 +108,8 @@ def cmd_decode(args) -> int:
     else:
         encoding = load_scenario(args.scenario).encoding
     decoded = decode_tree(tree, encoding, args.depth)
-    values = {text: decoded.values[k] for k, text in walk_ball(
-        decoded.source_rank, decoded.depth, lambda x: letter_str(x, prefix="t"))}
-    sys.stdout.write(dumps_json({"depth": decoded.depth, "values": values}))
+    sys.stdout.write(ball_json(decoded.source_rank, decoded.depth, decoded.values,
+                               lambda x: letter_str(x, prefix="t")))
     return 0
 
 
@@ -175,9 +174,8 @@ def _load_cgs(args):
 
 
 def cmd_itinerary(args) -> int:
-    from .freegroup import walk_ball
+    from .freegroup import ball_json
     from .pseudogroup import itinerary, stream_from_json
-    from .trees import dumps_json
 
     cgs = _load_cgs(args)
     point = stream_from_json(load_json(args.point), cgs.base_alphabet)
@@ -187,9 +185,8 @@ def cmd_itinerary(args) -> int:
     def token(x: int) -> str:
         return names[abs(x) - 1] + ("" if x > 0 else "'")
 
-    values = {text: itin.values.get(k)
-              for k, text in walk_ball(itin.source_rank, itin.depth, token)}
-    sys.stdout.write(dumps_json({"depth": itin.depth, "values": values}))
+    # a dead word's key is missing from itin.values, and it prints as null
+    sys.stdout.write(ball_json(itin.source_rank, itin.depth, itin.values, token))
     return 0
 
 

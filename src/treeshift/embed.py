@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import random
 from functools import cached_property
+from itertools import islice
 from typing import Any, Callable, Iterable, Mapping
 
 from .errors import (
@@ -137,10 +138,14 @@ def validate_alpha(enc: EdgeEncoding) -> list[str]:
             violations.append(
                 f"not injective: {letter_str(t)} assigned to both {seen_targets[t]} and {(g, s)}")
         seen_targets.setdefault(t, (g, s))
-    for g in range(1, enc.source_rank + 1):
-        for s in enc.alphabet:
-            if (g, s) not in seen_pairs:
-                violations.append(f"missing entry for (t{g - 1}, {s!r})")
+    # there can be M times the alphabet missing pairs, whatever the table's size: list
+    # three, then count the rest from the table
+    missing = ((g, s) for g in range(1, enc.source_rank + 1) for s in enc.alphabet
+               if (g, s) not in seen_pairs)
+    violations += [f"missing entry for (t{g - 1}, {s!r})" for g, s in islice(missing, 3)]
+    if next(missing, None):
+        present = sum(1 for g, s in seen_pairs if 1 <= g <= enc.source_rank and s in enc.alphabet)
+        violations.append(f"and {enc.source_rank * m - present - 3} more missing entries")
     return violations
 
 

@@ -29,11 +29,15 @@ name a whole key set at once, each name built from its parent's.  The other
 way round, :func:`text_keys` reads a text listed after its parent's text as
 that key times B plus the digit of its last token, and parses every other
 text whole with :func:`parse_key`, so the keys and errors are the same.
+:func:`ball_json` prints the texts of a ball with their values in the
+order of the texts, by one walk over keys.
 """
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Sequence
+from json import dumps
+from json.encoder import encode_basestring_ascii
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import InvalidGeneratorError, RankMismatchError
 
@@ -176,27 +180,63 @@ def extend(w: Word, letter: int) -> Word:
     return _word(w.rank, letters + (letter,))
 
 
-def walk_ball(rank: int, radius: int, token: Callable[[int], str] = letter_str
-              ) -> Iterator[tuple[int, str]]:
-    """``(key, text)`` for the reduced words of length <= radius, in
-    canonical order, one level held at a time.
+def ball_json(rank: int, radius: int, values: Mapping[int, object],
+              token: Callable[[int], str] = letter_str) -> str:
+    """What ``dumps_json({"depth": radius, "values": texts})`` prints, where
+    ``texts`` maps the text of each reduced word of length <= radius to the
+    value of its key in ``values``, or to ``None`` where the key is missing.
 
-    ``text`` renders a word as its letters' tokens joined by spaces (``"e"``
-    for the empty word), each built from its parent's text plus one token.
+    A text joins the word's tokens with spaces (``"e"`` for the empty word).
+    The missing keys must be closed under extension, as an itinerary's dead
+    words are, and values that compare equal must print alike, as the
+    distinct symbols of an ``Alphabet`` do: each prints once.  The lines come out of one depth-first walk with each
+    word's children in the string order of their tokens, which is the order
+    ``sort_keys`` gives, because no token holds a character at or below
+    ``" "`` and no two letters share a token; ``"e"`` goes where it sorts
+    among the first tokens.  A word missing from ``values`` prints its
+    subtree from one list of suffixes, shared by the missing words of the
+    same last digit and depth left.  The walk keeps its own stack, so any
+    radius prints without recursion.
     """
     check_letters((), rank)
     base = key_base(rank)
-    steps = [(letter_digit(x), token(x)) for x in signed_letters(rank)]
-    level = [(0, "e")]
-    for depth in range(radius + 1):
-        yield from level
-        if depth == radius:
-            return
-        nxt = []
-        for k, text in level:
-            back, head = inverse_digit(k % base), text + " " if k else ""
-            nxt += [(k * base + d, head + t) for d, t in steps if d != back]
-        level = nxt
+    tokens = {d: token(digit_letter(d)) for d in range(1, base)}
+    escaped = {d: encode_basestring_ascii(t)[1:-1] for d, t in tokens.items()}
+    order = sorted(tokens, key=tokens.__getitem__)
+    # (digit, " " + escaped token) of each child after a last digit, last child first
+    pushes = [[(c, " " + escaped[c]) for c in reversed(order) if c != inverse_digit(d)]
+              for d in range(base)]
+    rendered = {v: dumps(v) for v in set(values.values())}
+    tails: dict[tuple[int, int], list[str]] = {}
+
+    def dead_tails(d: int, left: int) -> list[str]:
+        """What follows the text of a missing word of last digit d on its own
+        line and on those of its subtree, ``left`` levels deep."""
+        out, stack = [], [("", d, left)]
+        while stack:
+            text, d, left = stack.pop()
+            out.append(text + '": null')
+            if left:
+                stack += [(text + t, c, left - 1) for c, t in pushes[d]]
+        return out
+
+    # the first words' texts do not start with "e ", so they start the stack themselves
+    stack = [(c, '    "' + escaped[c], radius - 1) for c in reversed(order)] if radius else []
+    stack.insert(sum(tokens[c] > "e" for c in order), (0, '    "e', 0))
+    lines = []
+    while stack:
+        k, text, left = stack.pop()
+        if k in values:
+            lines.append(text + '": ' + rendered[values[k]])
+            if left:
+                stack += [(k * base + c, text + t, left - 1) for c, t in pushes[k % base]]
+        else:
+            ends = tails.get((k % base, left))
+            if ends is None:
+                ends = tails[k % base, left] = dead_tails(k % base, left)
+            lines.append(text + (",\n" + text).join(ends))
+    return ('{\n  "depth": ' + str(radius) + ',\n  "values": {\n'
+            + ",\n".join(lines) + "\n  }\n}\n")
 
 
 def _word(rank: int, letters: tuple[int, ...], _new=object.__new__) -> Word:

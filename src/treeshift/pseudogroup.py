@@ -22,9 +22,8 @@ from __future__ import annotations
 
 from functools import cached_property
 from operator import attrgetter, itemgetter
-from typing import Any, Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
 
-from .embed import EdgeEncoding, Embedding, _run_embedding
 from .errors import (
     ActionUndefinedError,
     InsufficientDepthError,
@@ -36,6 +35,9 @@ from .errors import (
 from .freegroup import (Word, check_letters, inverse_digit, key_base, key_word, letter_digit,
                         signed_letters, word_key)
 from .shift import Alphabet
+
+if TYPE_CHECKING:
+    from .embed import EdgeEncoding, Embedding
 
 
 class _EmptySymbol:
@@ -411,6 +413,8 @@ def itinerary(cgs: CylinderPseudogroup, stream: SymbolStream, depth: int) -> Iti
 
 def embed_pseudo(itin: Itinerary, enc: EdgeEncoding, depth: int) -> Embedding:
     """The tree of an itinerary: the usual recursion restricted to live words."""
+    from .embed import _run_embedding  # here, so that itinerary alone never loads embed
+
     if enc.source_rank != itin.source_rank:
         raise ValidationError(
             f"encoding covers {enc.source_rank} generators, itinerary has {itin.source_rank}")

@@ -25,9 +25,12 @@ class Alphabet:
             raise ValidationError("alphabet must hold at least one symbol")
         try:
             distinct = len(set(symbols))
-        except TypeError:
+        except TypeError:  # a list or an object
+            distinct = None
+        # JSON's null, true and false are not symbols: an itinerary prints null for dead words
+        if distinct is None or any(s is None or s.__class__ is bool for s in symbols):
             raise ValidationError(
-                f"alphabet symbols must be strings or numbers, got {symbols!r}") from None
+                f"alphabet symbols must be strings or numbers, got {symbols!r}")
         if distinct != len(symbols):
             raise ValidationError("alphabet symbols must be distinct")
         self.symbols = symbols

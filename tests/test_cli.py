@@ -75,6 +75,24 @@ class TestDecode:
         assert decoded["values"]["t0'"] == 1
 
 
+    def test_rank_eleven_prints_t10_after_t1_inverse(self, tmp_path, capsys):
+        table = {f"t{i},{s}": f"g{2 * i + s}" for i in range(11) for s in (0, 1)}
+        scenario = {"group": {"kind": "free", "M": 11}, "alphabet": [0, 1],
+                    "config": {"rule": "finite", "support": {"g10": 1}, "default": 0},
+                    "alpha": {"M": 11, "alphabet": [0, 1], "n": 22, "table": table}}
+        path, tree = tmp_path / "m11.json", tmp_path / "tree.json"
+        path.write_text(json.dumps(scenario))
+        tree.write_text(run(capsys, "embed", "--scenario", str(path), "--depth", "3")[1])
+        code, out, _ = run(capsys, "decode", "--tree", str(tree), "--scenario", str(path),
+                           "--depth", "3")
+        assert code == 0
+        values = json.loads(out)["values"]
+        assert out == dumps_json({"depth": 2, "values": values})
+        texts = list(values)
+        assert texts.index("t1' t9'") + 1 == texts.index("t10")
+        assert values["t10"] == 1 and values["t10 t0"] == 0 and len(values) == 1 + 22 + 22 * 21
+
+
 class TestMetric:
     def test_identical_trees(self, scenario_file, tmp_path, capsys):
         _, out, _ = run(capsys, "embed", "--scenario", scenario_file, "--depth", "2")
@@ -139,6 +157,26 @@ class TestPseudogroupCommands:
         assert values["1_0"] == "1"
         assert values["1_1"] is None
         assert values["1_0'"] == "0"
+
+    def test_deep_itinerary_needs_no_recursion(self, tmp_path):
+        class Sink:  # counts the characters of a 40 MB output without keeping them
+            chars = 0
+            tail = ""
+
+            def write(self, text):
+                self.chars += len(text)
+                self.tail = text[-40:]
+
+        point = tmp_path / "point.json"
+        point.write_text('{"pre": [], "cycle": ["0"]}')
+        sink = Sink()
+        with contextlib.redirect_stdout(sink):
+            code = main(["itinerary", "--builtin-n0", "0", "--point", str(point),
+                         "--depth", "3000"])
+        assert code == 0
+        # what the pure-Python JSON encoder printed: 6,001 words, "e" sorting last
+        assert sink.chars == 40_585_552
+        assert sink.tail.endswith(" 1_0'\": \"0\",\n    \"e\": \"0\"\n  }\n}\n")
 
     def test_embed_pseudo(self, tmp_path, capsys):
         point = tmp_path / "point.json"
@@ -453,6 +491,41 @@ class TestMalformedInput:
         self.assert_clean_failure(code, err)
         assert "generators[1].name \"1_0'\" ends in" in err.splitlines()[-1]
 
+    @pytest.mark.parametrize("symbol", [None, True, False])
+    @pytest.mark.parametrize("command", ["itinerary", "embed"])
+    def test_null_and_boolean_symbols(self, tmp_path, capsys, command, symbol):
+        # an itinerary prints a dead word as null, so null cannot be a live word's symbol
+        path, point = tmp_path / "input.json", tmp_path / "point.json"
+        if command == "itinerary":
+            path.write_text(json.dumps({
+                "alphabet": [symbol, "1"],
+                "generators": [{"name": "a", "domain": [["1"]],
+                                "rewrite": {"consume": "1", "emit": ""}}],
+                "partition": {str(symbol): [[symbol]], "1": [["1"]]}}))
+            point.write_text(json.dumps({"pre": [], "cycle": [symbol, "1"]}))
+            argv = ["itinerary", "--cgs", str(path), "--point", str(point), "--depth", "1"]
+        else:
+            alpha = dict(E1_SCENARIO["alpha"], alphabet=[symbol, 1],
+                         table={f"t0,{symbol}": "g0", "t0,1": "g1"})
+            path.write_text(json.dumps(dict(E1_SCENARIO, alphabet=[symbol, 1], alpha=alpha)))
+            argv = ["embed", "--scenario", str(path), "--depth", "2"]
+        code, _, err = run(capsys, *argv)
+        self.assert_clean_failure(code, err)
+        assert "alphabet symbols must be strings or numbers" in err.splitlines()[-1]
+
+    def test_missing_entries_of_a_huge_source_rank(self, tmp_path, capsys):
+        point, alpha = tmp_path / "point.json", tmp_path / "alpha.json"
+        point.write_text('{"pre": [], "cycle": ["0", "1"]}')
+        alpha.write_text(json.dumps(dict(PSEUDO_ENCODING, M=1_000_000)))
+        code, _, err = run(capsys, "embed-pseudo", "--builtin-n0", "0,1", "--point", str(point),
+                           "--alpha", str(alpha), "--depth", "1")
+        self.assert_clean_failure(code, err)
+        line = err.splitlines()[-1]
+        assert len(line) < 1024
+        assert "target rank 4 below source_rank*alphabet = 2000000" in line
+        assert line.endswith("missing entry for (t2, '0'); missing entry for (t2, '1'); "
+                             "missing entry for (t3, '0'); and 1999993 more missing entries")
+
     def test_decode_partial_tree(self, tmp_path, capsys):
         point = tmp_path / "point.json"
         point.write_text('{"pre": ["0", "0"], "cycle": ["0", "1", "0"]}')
@@ -615,6 +688,7 @@ TREES = BASE | {"treeshift.freegroup", "treeshift.trees"}
 EMBED = TREES | {"treeshift.embed", "treeshift.shift"}
 SCENARIO = EMBED | {"treeshift.groups"}
 PSEUDO = EMBED | {"treeshift.pseudogroup"}
+ITINERARY = BASE | {"treeshift.freegroup", "treeshift.shift", "treeshift.pseudogroup"}
 EVERYTHING = SCENARIO | PSEUDO | {"treeshift.verify"}
 
 # one run of every subcommand, with "{name}" standing for an input file of TestImports
@@ -628,10 +702,10 @@ COMMANDS = [
     (["orbit", "--scenario", "{scenario}", "--depth", "4", "--working-radius", "1",
       "--step-bound", "2"], SCENARIO),
     (["equivariance", "--scenario", "{scenario}", "--depth", "2"], SCENARIO),
-    (["itinerary", "--builtin-n0", "0,1", "--point", "{point}", "--depth", "2"], PSEUDO),
+    (["itinerary", "--builtin-n0", "0,1", "--point", "{point}", "--depth", "2"], ITINERARY),
     (["embed-pseudo", "--builtin-n0", "0,1", "--point", "{point}", "--alpha", "{alpha}",
       "--depth", "1"], PSEUDO),
-    (["builtin", "n0"], PSEUDO),
+    (["builtin", "n0"], ITINERARY | {"treeshift.trees"}),
     (["verify", "--suite", "lattice-collapse"], EVERYTHING),  # builds random configurations
 ]
 

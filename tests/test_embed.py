@@ -363,7 +363,7 @@ class TestGroupWalk:
 
     def test_lattice_embed_normalizes_no_word(self, monkeypatch):
         # nor does it build one; nor do the itinerary walks, the decoder or
-        # walk_ball, which carry each source word as its key
+        # ball_json, which carry each source word as its key
         sigma = random_config(integer_lattice(d=3), BITS, seed=2)
         enc = random_encoding(3, BITS, 6, seed=1)
         tree = embed_config(sigma, enc, 5).tree
@@ -382,7 +382,7 @@ class TestGroupWalk:
         assert calls == []
         decode_tree(tree, enc, 5)
         embed_pseudo(itinerary(shift, omega, 6), enc4, 6)
-        list(freegroup.walk_ball(3, 4))
+        freegroup.ball_json(3, 4, dict.fromkeys(range(10), 0))
         assert built == []
 
     def test_custom_group_walk_renormalizes_the_representative(self):

@@ -1,12 +1,14 @@
+import json
 import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from treeshift.errors import InvalidGeneratorError, RankMismatchError
 from treeshift.freegroup import (
     _token_table,
     Word,
+    ball_json,
     ball_size,
     enumerate_ball,
     enumerate_spheres,
@@ -22,10 +24,10 @@ from treeshift.freegroup import (
     parse_key,
     parse_word,
     reduce,
-    walk_ball,
     word_key,
 )
 import treeshift.freegroup as freegroup
+from treeshift.trees import dumps_json
 
 from oracles import brute_ball_words, brute_reduce, parse_word_checked
 
@@ -181,15 +183,77 @@ class TestEnumerateBall:
             assert all(len(w) == level for w in words)
 
 
-class TestWalkBall:
+def ball_oracle(rank, radius, values, token=letter_str):
+    """What ``ball_json`` must print: the ball's texts, in canonical order,
+    through ``dumps_json``, whose ``sort_keys`` puts them in text order."""
+    texts = {" ".join(map(token, w.letters)) or "e": values.get(word_key(w))
+             for w in enumerate_ball(rank, radius)}
+    return dumps_json({"depth": radius, "values": texts})
+
+
+# generator names that pass the name rules: some prefix one another, some sort
+# on either side of "e", some need escaping or are not ASCII
+TRICKY_NAMES = ["a", "ab", "a'b", "d", "E", "ex", "f", "\\", '"q', "q\"", "\u00e9", "\u00e9a",
+                "\u5b57", "\U0001f600", "~", "!", "e'x", "t1", "t10", "t1'0"]
+NAMES = st.one_of(
+    st.sampled_from(TRICKY_NAMES),
+    st.text(st.characters(min_codepoint=0x21, blacklist_categories=("Cs",)), min_size=1,
+            max_size=3).filter(lambda name: name != "e" and not name.endswith("'")))
+SYMBOLS = st.one_of(st.text(max_size=3), st.integers(-5, 300), st.floats())
+
+
+@st.composite
+def named_balls(draw):
+    """(rank, radius, values, token): random names, and a random prefix-closed
+    set of live keys whose symbols come from a set of distinct symbols."""
+    rank = draw(st.integers(1, 3))
+    radius = draw(st.integers(0, 4))
+    names = draw(st.lists(NAMES, min_size=rank, max_size=rank, unique=True))
+    symbols = draw(st.lists(SYMBOLS, min_size=1, max_size=4, unique=True))
+    rng = draw(st.randoms(use_true_random=False))
+    keep = draw(st.floats(0, 1))
+    base, values = key_base(rank), {}
+    for w in enumerate_ball(rank, radius):
+        k = word_key(w)
+        if not k or (k // base in values and rng.random() < keep):
+            values[k] = rng.choice(symbols)
+
+    def token(x):
+        return names[abs(x) - 1] + ("" if x > 0 else "'")
+    return rank, radius, values, token
+
+
+class TestBallJson:
     @pytest.mark.parametrize("rank,radius", [(1, 4), (2, 3), (3, 2)])
-    def test_names_the_ball_in_canonical_order(self, rank, radius):
-        ball = enumerate_ball(rank, radius)
-        assert list(walk_ball(rank, radius)) == [(word_key(w), str(w)) for w in ball]
+    def test_prints_the_whole_ball_as_dumps_json(self, rank, radius):
+        values = {word_key(w): i % 3 for i, w in enumerate(enumerate_ball(rank, radius))}
+        assert ball_json(rank, radius, values) == ball_oracle(rank, radius, values)
 
     def test_custom_tokens(self):
-        names = [text for _, text in walk_ball(2, 2, lambda x: letter_str(x, prefix="t"))]
-        assert names[:6] == ["e", "t0", "t0'", "t1", "t1'", "t0 t0"]
+        values = dict.fromkeys(range(25), "s")
+        out = ball_json(2, 2, values, lambda x: letter_str(x, prefix="t"))
+        assert out == ball_oracle(2, 2, values, lambda x: letter_str(x, prefix="t"))
+        texts = [line.split('"')[1] for line in out.splitlines()[3:-2]]
+        assert texts[:7] == ["e", "t0", "t0 t0", "t0 t1", "t0 t1'", "t0'", "t0' t0'"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(named_balls())
+    def test_matches_dumps_json(self, case):
+        rank, radius, values, token = case
+        assert ball_json(rank, radius, values, token) == ball_oracle(rank, radius, values, token)
+
+    def test_a_word_is_dead_where_its_key_is_missing(self):
+        # the keys of e, g0 and g0 g0 are present, whatever their values
+        out = ball_json(1, 2, {0: "", 1: None, 4: 0})
+        assert json.loads(out)["values"] == {
+            "e": "", "g0": None, "g0 g0": 0, "g0'": None, "g0' g0'": None}
+        assert ball_json(2, 3, {}) == ball_oracle(2, 3, {})
+
+    def test_deep_rank_one_ball_needs_no_recursion(self):
+        # deeper than the recursion limit: g0^n lives to the end, g0'^n to n = 700
+        live = [(3 ** n - 1) // 2 for n in range(1201)] + [3 ** n - 1 for n in range(1, 701)]
+        values = dict.fromkeys(live, 1)
+        assert ball_json(1, 1200, values) == ball_oracle(1, 1200, values)
 
 
 class TestKeys:
