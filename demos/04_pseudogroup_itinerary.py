@@ -18,7 +18,7 @@ from treeshift import (
     enumerate_ball,
     itinerary,
 )
-from treeshift.freegroup import Word, identity
+from treeshift.freegroup import Word
 from treeshift.trees import tree_to_dot
 
 bits = alphabet([0, 1])
@@ -50,7 +50,7 @@ print()
 encoding = edge_encoding(2, bits, 4, {(1, 0): 1, (1, 1): 2, (2, 0): 3, (2, 1): 4})
 tree = embed_pseudo(itin, encoding, 1).tree
 print(f"depth-1 tree: vertices {sorted(str(v) for v in tree.vertices)}")
-print(f"basepoint degree {tree.degree(identity(4))} "
+print(f"basepoint degree {tree.degrees(0)[0]} "
       f"(below the regular degree 4: the 1_1 branch is missing)")
 print()
 print(tree_to_dot(embed_pseudo(itinerary(shift, omega, 3), encoding, 3).tree))

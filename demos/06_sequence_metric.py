@@ -18,14 +18,13 @@ from treeshift import (
     integer_lattice,
     periodic_config,
     random_config,
-    shift_act,
 )
 from treeshift.groups import lattice_unit_element
 
 bits = alphabet([0, 1])
 z = integer_lattice(d=1)
 parity = periodic_config(z, bits, [0, 1])
-shifted = shift_act(parity, lattice_unit_element(z, 1))
+shifted = parity.shifted(lattice_unit_element(z, 1))
 
 interval = config_metric_interval(parity, shifted, tail_cutoff=10)
 print("distance between parity and its translate:")
@@ -39,5 +38,5 @@ print(f"two random configurations agree to radius: {agree_depth(s1, s2, cap=8)}"
 n = expansivity_witness(s1, s2, cap=10)
 print(f"translating both by n = {n} separates them:")
 g = lattice_unit_element(z, n)
-moved = config_metric_interval(shift_act(s1, g), shift_act(s2, g), tail_cutoff=0)
+moved = config_metric_interval(s1.shifted(g), s2.shifted(g), tail_cutoff=0)
 print(f"  lower bound after translation: {moved.lower} >= 1")

@@ -22,18 +22,16 @@ _EXPORTS = {
         "RankMismatchError", "TreeshiftError", "ValidationError",
     ),
     "freegroup": (
-        "Word", "enumerate_ball", "identity", "invert", "make_letter", "multiply",
-        "parse_word", "reduce",
+        "Word", "enumerate_ball", "identity", "multiply", "parse_word", "reduce",
     ),
     "groups": (
         "GroupElement", "GroupModel", "custom_group", "free_group", "induced_config",
-        "integer_lattice", "normal_form",
+        "integer_lattice",
     ),
     "shift": (
         "AgreementDepth", "Alphabet", "Config", "MetricInterval", "agree_depth",
-        "alphabet", "config_metric_interval", "custom_config", "eval_config",
-        "expansivity_witness", "finite_support_config", "periodic_config",
-        "random_config", "shift_act",
+        "alphabet", "config_metric_interval", "expansivity_witness",
+        "finite_support_config", "periodic_config", "random_config",
     ),
     "trees": (
         "BoxDistance", "OrbitGraph", "PointedTree", "act", "ball", "box_distance",

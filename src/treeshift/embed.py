@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import random
 from functools import cached_property
-from itertools import islice
+from itertools import chain, islice
 from typing import Any, Callable, Iterable, Mapping
 
 from .errors import (
@@ -43,7 +43,6 @@ from .freegroup import (
     Word,
     ball_size,
     digit_letter,
-    enumerate_ball,
     identity,
     inverse_digit,
     key_base,
@@ -335,6 +334,8 @@ def decode_tree(tree: PointedTree | Embedding, enc: EdgeEncoding, depth: int) ->
     values: dict[int, Any] = {}  # source key -> symbol
     frontier = [0]
     for _ in range(depth):
+        if not frontier:
+            break
         nxt = []
         for v in frontier:
             wv = lam[v]
@@ -360,10 +361,21 @@ def decode_tree(tree: PointedTree | Embedding, enc: EdgeEncoding, depth: int) ->
     limit = source_base ** (depth - 1)
     known = {k: s for k, s in values.items() if k < limit}
     if len(known) != ball_size(source_rank, depth - 1):
-        w = next(w for w in enumerate_ball(source_rank, depth - 1) if word_key(w) not in values)
+        w = key_word(_first_missing(known, source_rank, limit), source_rank)
         raise ConsistencyError(f"cannot read the symbol at {w}: no vertex decodes to it, "
                                "or none that does has an outward positive continuation")
     return DecodedConfig(source_rank, depth - 1, enc.alphabet, known)
+
+
+def _first_missing(keys: Mapping[int, Any], rank: int, limit: int) -> int:
+    """The smallest key below ``limit`` of a reduced word that ``keys``
+    lacks, where one is missing.  Its parent's key is smaller, so present:
+    the key is 0 or the first missing child met over the keys in ascending
+    order."""
+    base = key_base(rank)
+    children = (k * base + d for k in sorted(keys) for d in range(1, base)
+                if d != inverse_digit(k % base))
+    return next(k for k in chain((0,), children) if k < limit and k not in keys)
 
 
 def _edge(tree: PointedTree, v: int, u: int) -> str:

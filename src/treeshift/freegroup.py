@@ -42,13 +42,6 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 from .errors import InvalidGeneratorError, RankMismatchError
 
 
-def make_letter(index: int, inverse: bool = False) -> int:
-    """Letter for generator ``index`` (0-based), optionally inverted."""
-    if index < 0:
-        raise InvalidGeneratorError(f"negative generator index {index}")
-    return -(index + 1) if inverse else index + 1
-
-
 def letter_key(letter: int) -> tuple[int, int]:
     """Sort key realising the canonical letter order g0 < g0' < g1 < g1' < ..."""
     return (abs(letter) - 1, 0 if letter > 0 else 1)
@@ -67,7 +60,7 @@ def parse_letter(token: str, rank: int, prefix: str = "g") -> int:
     index = int(body[len(prefix):])
     if index >= rank:
         raise InvalidGeneratorError(f"generator {token!r} out of range for rank {rank}")
-    return make_letter(index, inverse)
+    return -(index + 1) if inverse else index + 1
 
 
 def signed_letters(rank: int) -> list[int]:
@@ -274,10 +267,6 @@ def multiply(w1: Word, w2: Word) -> Word:
     while k < n and a[-1 - k] == -b[k]:
         k += 1
     return _word(w1.rank, a[:len(a) - k] + b[k:])
-
-
-def invert(w: Word) -> Word:
-    return w.inverse()
 
 
 def enumerate_spheres(rank: int, radius: int) -> list[list[Word]]:

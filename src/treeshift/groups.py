@@ -166,10 +166,6 @@ def custom_group(generator_count: int, normalizer: Callable[[Word], Any],
     return GroupModel("custom", ("custom", name, normalizer), generator_count, normalizer)
 
 
-def normal_form(model: GroupModel, w: Word) -> GroupElement:
-    return model.normalize(w)
-
-
 def lattice_unit_element(model: GroupModel, k: int) -> GroupElement:
     """The element k of a rank-1 lattice, via a generator of image +-1."""
     if model.kind != "lattice" or model.key[1] != 1:

@@ -21,8 +21,9 @@ words, which is why vertex degrees may drop below the regular 2M.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import islice
 from operator import attrgetter, itemgetter
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping
 
 from .errors import (
     ActionUndefinedError,
@@ -268,7 +269,8 @@ class CylinderPseudogroup:
 
 def validate_cgs(cgs: CylinderPseudogroup) -> list[str]:
     """What the ``CylinderPseudogroup`` constructor refuses: broken inverse
-    pairs, and partition pieces that overlap or leave a stream uncovered."""
+    pairs, and partition pieces that overlap or leave a stream uncovered,
+    each at the shortest cylinder where it shows (:func:`partition_faults`)."""
     violations = []
     if len(cgs.positive) != len(cgs.negative):
         violations.append("positive and negative generator lists differ in length")
@@ -286,18 +288,55 @@ def validate_cgs(cgs: CylinderPseudogroup) -> list[str]:
             back = inv.emit + image.prefix[len(inv.consume):]
             if back != part.prefix:
                 violations.append(f"{inv.name} does not invert {pm.name} on {part}")
-    depth = max((len(c.prefix) for _, union in cgs.partition for c in union.parts), default=0)
-    words = [()]
-    for _ in range(depth):
-        words = [w + (s,) for w in words for s in cgs.base_alphabet]
-    for w in words:
-        covers = sum(
-            1 for _, union in cgs.partition for c in union.parts
-            if c.prefix == w[: len(c.prefix)])
-        if covers != 1:
-            violations.append(
-                f"cylinder on {w} met {covers} partition pieces; expected exactly 1")
+    # list three faults, then count the rest
+    faults = partition_faults(cgs.partition, cgs.base_alphabet.symbols)
+    violations += [f"cylinder on {prefix} met {met} partition pieces; expected exactly 1"
+                   for prefix, met in islice(faults, 3)]
+    rest = sum(1 for _ in faults)
+    if rest:
+        violations.append(f"and {rest} more cylinders not met by exactly 1 partition piece")
     return violations
+
+
+def partition_faults(partition: Iterable[tuple[Any, CylinderUnion]],
+                     symbols: tuple) -> Iterator[tuple[tuple, int]]:
+    """``(prefix, cylinders)`` of each shortest cylinder that does not lie in
+    exactly one of the partition's cylinders, in the alphabet's order.
+
+    The prefixes form a trie whose nodes count the cylinders ending there.
+    A node held by two or more is an overlap.  Below a node held by none, a
+    symbol that leads to no prefix is a gap, as is the root of an empty
+    partition.  The walk follows the alphabet's symbols, so a prefix holding
+    another symbol holds no stream, and its cost follows the prefixes'
+    total length, not the words as long as the longest prefix.
+    """
+    root: list = [0, {}]  # a node: [cylinders whose prefix ends here, children by symbol]
+    for _, union in partition:
+        for part in union.parts:
+            node = root
+            for s in part.prefix:
+                node = node[1].setdefault(s, [0, {}])
+            node[0] += 1
+    # (node, cylinders holding it, its prefix as a (parent's, symbol) chain): the walk
+    # keeps its own stack, so a prefix of any length needs no recursion
+    stack = [(root, 0, None)]
+    while stack:
+        node, above, chain = stack.pop()
+        met = above + node[0]
+        if met > 1 or not (met or node[1]):
+            prefix = []
+            while chain:
+                chain, s = chain
+                prefix.append(s)
+            yield tuple(reversed(prefix)), met
+            continue
+        for s in reversed(symbols):
+            child = node[1].get(s)
+            if child is not None or not met:
+                stack.append((child or _LEAF, met, (chain, s)))
+
+
+_LEAF = (0, {})  # a gap's node: no piece ends in it and nothing lies below it
 
 
 class ComposedMap:

@@ -134,15 +134,6 @@ class Config:
                       label=self.label)
 
 
-def eval_config(sigma: Config, g) -> Any:
-    return sigma.eval(g)
-
-
-def shift_act(sigma: Config, gamma) -> Config:
-    """The right action: shift_act(sigma, gamma)(x) = sigma(gamma x)."""
-    return sigma.shifted(gamma)
-
-
 def periodic_config(group, alph: Alphabet, table, periods=None, label="periodic") -> Config:
     """Periodic configuration on a lattice model.
 
@@ -187,10 +178,6 @@ def finite_support_config(group, alph: Alphabet, support: dict, default, label="
     """Default symbol everywhere except finitely many payloads."""
     frozen = dict(support)
     return Config(group, alph, lambda p: frozen.get(p, default), label=label)
-
-
-def custom_config(group, alph: Alphabet, fn: Callable[[Any], Any], label="custom") -> Config:
-    return Config(group, alph, fn, label=label)
 
 
 def _payload_token(payload) -> str:

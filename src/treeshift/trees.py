@@ -6,9 +6,9 @@ keys of :mod:`freegroup` (numeric order is the canonical order, the parent
 of k is ``k // B`` and its children lie in ``[k*B + 1, k*B + 2*rank]``), and
 every operation here works on those keys; ``Word``s are built only where
 words enter (parsing, the word of :func:`act`) or leave (the lazily built
-``vertices`` and ``children`` views, printing).  Edges are implicit: v and
-its one-letter extensions are adjacent, and the edge between them is labeled
-by the positive generator of the appended letter.  Every operation states
+``vertices`` view, printing).  Edges are implicit: v and its one-letter
+extensions are adjacent, and the edge between them is labeled by the
+positive generator of the appended letter.  Every operation states
 exactly what it knows: answers that would need vertices beyond the stored
 radius raise InsufficientDepthError rather than guessing.
 
@@ -66,16 +66,6 @@ class PointedTree:
     def __hash__(self) -> int:
         return hash((self.rank, self.radius, self.keys))
 
-    @classmethod
-    def from_words(cls, rank: int, radius: int, words: Iterable[Word]) -> "PointedTree":
-        """Unchecked constructor from ``Word``s; a word of another rank has no
-        key here and raises ValidationError."""
-        words = list(words)
-        for v in words:
-            if v.rank != rank:
-                raise ValidationError(f"vertex {v} has rank {v.rank}, tree has rank {rank}")
-        return cls(rank, radius, frozenset(map(word_key, words)))
-
     @cached_property
     def sorted_keys(self) -> list[int]:
         return sorted(self.keys)
@@ -103,25 +93,10 @@ class PointedTree:
         i = bisect_left(keys, low + 1)
         return keys[i:bisect_left(keys, low + base, i)]
 
-    def children(self, v: Word) -> tuple[Word, ...]:
-        """The vertices one letter below v, in canonical order; none for a
-        word of another rank."""
-        if v.rank != self.rank:
-            return ()
-        base = key_base(self.rank)
-        return tuple(v.append(digit_letter(c % base)) for c in self.child_keys(word_key(v)))
-
-    def degree(self, v: Word) -> int:
-        d = len(self.child_keys(word_key(v))) if v.rank == self.rank else 0
-        return d if v.is_identity else d + 1
-
     def degrees(self, r: int) -> list[int]:
         """The degrees of the vertices within distance r of the basepoint, in
         canonical order."""
         return [len(self.child_keys(k)) + (k > 0) for k in ball(self, r).sorted_keys]
-
-    def __contains__(self, w: Word) -> bool:
-        return w.rank == self.rank and word_key(w) in self.keys
 
     def __repr__(self) -> str:
         return f"PointedTree(rank={self.rank}, radius={self.radius}, {len(self.keys)} vertices)"

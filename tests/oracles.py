@@ -8,7 +8,8 @@ token table (every token through :func:`parse_letter` and :func:`reduce`,
 sorting by :meth:`Word.sort_key`).  The embedding oracle reads every source
 word's symbol through ``Config.eval_word``, which renormalizes the whole word,
 and builds every image vertex as a ``Word``.  The agreement-depth oracle
-normalizes every free word of each sphere up to the cap.
+normalizes every free word of each sphere up to the cap.  The partition
+oracle counts the cylinders over every word as long as the longest prefix.
 """
 from __future__ import annotations
 
@@ -21,7 +22,8 @@ from treeshift.errors import (
     RankMismatchError,
     ValidationError,
 )
-from treeshift.freegroup import Word, enumerate_spheres, identity, letter_str, parse_letter, reduce
+from treeshift.freegroup import (Word, enumerate_spheres, identity, letter_str, parse_letter,
+                                 reduce, word_key)
 from treeshift.shift import AgreementDepth
 from treeshift.trees import BoxDistance, PointedTree
 
@@ -63,6 +65,16 @@ def brute_ball_words(rank: int, radius: int) -> set[tuple[int, ...]]:
     return {w for w in out if len(w) <= radius}
 
 
+def tree_from_words(rank: int, radius: int, words) -> PointedTree:
+    """The tree on ``Word``s, unchecked; a word of another rank has no key
+    in the tree and raises ValidationError."""
+    words = list(words)
+    for v in words:
+        if v.rank != rank:
+            raise ValidationError(f"vertex {v} has rank {v.rank}, tree has rank {rank}")
+    return PointedTree(rank, radius, frozenset(map(word_key, words)))
+
+
 # The tree boundary as it was before the canonical walk: every vertex parsed
 # token by token, and every listing sorted by Word.sort_key and rendered by str.
 
@@ -91,7 +103,7 @@ def sorted_violations(t) -> list[str]:
 
 
 def parse_word_tree(rank: int, radius: int, texts):
-    t = PointedTree.from_words(rank, radius, [parse_word_checked(v, rank) for v in texts])
+    t = tree_from_words(rank, radius, [parse_word_checked(v, rank) for v in texts])
     problems = sorted_violations(t)
     if problems:
         raise ValidationError("; ".join(problems))
@@ -127,7 +139,7 @@ def relabel_tree(t, letter_map: dict[int, int]):
     full = dict(letter_map)
     for x, y in letter_map.items():
         full.setdefault(-x, -y)
-    return PointedTree.from_words(t.rank, t.radius, (
+    return tree_from_words(t.rank, t.radius, (
         Word(t.rank, tuple(full.get(x, x) for x in v.letters)) for v in t.vertices))
 
 
@@ -142,7 +154,7 @@ def translated_act(t, g: Word):
     gi = g.inverse()
     new_radius = t.radius - len(g)
     moved = [w for w in (gi * v for v in t.vertices) if len(w) <= new_radius]
-    return PointedTree.from_words(t.rank, new_radius, moved)
+    return tree_from_words(t.rank, new_radius, moved)
 
 
 def level(t, d: int) -> set:
@@ -194,7 +206,7 @@ def embed_by_words(sigma, enc, depth: int):
         frontier = nxt
     if len(set(vertex_of.values())) != len(vertex_of):
         raise ConsistencyError("embedding produced colliding vertices")
-    return PointedTree.from_words(enc.target_rank, depth, vertex_of.values()), vertex_of
+    return tree_from_words(enc.target_rank, depth, vertex_of.values()), vertex_of
 
 
 # Agreement depth as it was computed before the walk over group elements.
@@ -212,3 +224,21 @@ def sphere_agree_depth(s1, s2, cap: int) -> AgreementDepth:
             if s1.eval(g) != s2.eval(g):
                 return AgreementDepth(j - 1, exact=True)
     return AgreementDepth(cap, exact=False)
+
+
+# The partition check as it was before the prefix trie.
+
+def wordwise_partition_faults(partition, symbols) -> list[tuple[tuple, int]]:
+    """``(word, cylinders)`` for each word as long as the partition's longest
+    prefix that lies in other than exactly one of its cylinders."""
+    depth = max((len(c.prefix) for _, union in partition for c in union.parts), default=0)
+    words = [()]
+    for _ in range(depth):
+        words = [w + (s,) for w in words for s in symbols]
+    faults = []
+    for w in words:
+        covers = sum(1 for _, union in partition for c in union.parts
+                     if c.prefix == w[: len(c.prefix)])
+        if covers != 1:
+            faults.append((w, covers))
+    return faults

@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -541,6 +542,49 @@ class TestMalformedInput:
         code, _, err = run(capsys, "decode", "--tree", str(tree), "--alpha", str(alpha),
                            "--depth", "3")
         self.assert_clean_failure(code, err)
+
+    def test_decode_names_the_first_unreadable_word_without_the_ball(self, tmp_path, capsys):
+        # a rank-1 ball of radius 29,999 holds 59,999 words of up to 29,999 letters
+        tree, alpha = tmp_path / "tree.json", tmp_path / "alpha.json"
+        tree.write_text(json.dumps({"rank": 2, "radius": 30_000, "vertices": ["e", "g0", "g0'"]}))
+        alpha.write_text(json.dumps(E1_SCENARIO["alpha"]))
+        start = time.perf_counter()
+        code, _, err = run(capsys, "decode", "--tree", str(tree), "--alpha", str(alpha),
+                           "--depth", "30000")
+        assert time.perf_counter() - start < 1
+        self.assert_clean_failure(code, err)
+        assert err.splitlines()[-1] == (
+            "error: cannot read the symbol at g0: no vertex decodes to it, "
+            "or none that does has an outward positive continuation")
+
+    @pytest.mark.parametrize("valid", [True, False])
+    @pytest.mark.parametrize("d", [10, 16, 30])
+    def test_partition_with_a_long_prefix(self, tmp_path, capsys, d, valid):
+        # valid: 0, 10, 110, ..., 1^(d-1) 0 and 1^d; invalid: 0 and 1^d, which leave
+        # 1 0, 1 1 0, ..., 1^(d-1) 0 uncovered
+        ends = [["1"] * k + ["0"] for k in range(d)] if valid else [["0"]]
+        system, point = tmp_path / "cgs.json", tmp_path / "point.json"
+        system.write_text(json.dumps({
+            "alphabet": ["0", "1"],
+            "generators": [{"name": "a", "domain": [["0"]],
+                            "rewrite": {"consume": ["0"], "emit": []}}],
+            "partition": {"0": ends[::2], "1": ends[1::2] + [["1"] * d]},
+        }))
+        point.write_text('{"pre": [], "cycle": ["0", "1"]}')
+        start = time.perf_counter()
+        code, out, err = run(capsys, "itinerary", "--cgs", str(system), "--point", str(point),
+                             "--depth", "2")
+        assert time.perf_counter() - start < 1
+        if valid:
+            assert code == 0 and json.loads(out)["values"]["e"] == "0"
+            return
+        self.assert_clean_failure(code, err)
+        line = err.splitlines()[-1]
+        assert len(line) < 1024
+        gaps = [f"cylinder on {('1',) * k + ('0',)} met 0 partition pieces; expected exactly 1"
+                for k in (1, 2, 3)]
+        assert line == ("error: invalid generating system: " + "; ".join(gaps)
+                        + f"; and {d - 4} more cylinders not met by exactly 1 partition piece")
 
 
 ENCODING = {"M": 2, "alphabet": [0, 1], "n": 4,

@@ -16,7 +16,6 @@ from treeshift.shift import (
     Config,
     agree_depth,
     alphabet,
-    custom_config,
     finite_support_config,
     flipped_config,
     periodic_config,
@@ -51,9 +50,7 @@ def parity_on_f1():
 
 
 def constant_on_f1(symbol=0):
-    from treeshift.shift import custom_config
-
-    return custom_config(F1, BITS, lambda p: symbol, label=f"const{symbol}")
+    return Config(F1, BITS, lambda p: symbol, label=f"const{symbol}")
 
 
 class TestValidateAlpha:
@@ -129,9 +126,7 @@ class TestEmbed:
             enc = random_encoding(2, BITS, 4, seed=seed)
             sigma = random_config(free_group(2), BITS, seed=seed)
             result = embed_config(sigma, enc, 3)
-            for v in result.tree.vertices:
-                if len(v) <= 2:
-                    assert result.tree.degree(v) == 4
+            assert all(d == 4 for d in result.tree.degrees(2))
 
     def test_rejects_config_of_other_generator_count(self):
         z2 = integer_lattice(d=2)
@@ -207,6 +202,19 @@ class TestDecode:
         twisted = make_tree(2, 1, ["e", "g0", "g1"])
         with pytest.raises(ConsistencyError):
             decode_tree(twisted, E1, 1)
+
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 4), st.randoms(use_true_random=False))
+def test_first_missing_key_is_the_first_missing_word_of_the_ball(rank, radius, rng):
+    ball = [word_key(w) for w in enumerate_ball(rank, radius)]
+    kept = rng.choice([0.5, 0.9, 0.99])
+    keys = {k: None for k in ball if rng.random() < kept}
+    missing = [k for k in ball if k not in keys]
+    if missing:
+        limit = freegroup.key_base(rank) ** radius
+        assert embed_module._first_missing(keys, rank, limit) == missing[0]
 
 
 class TestEquivariance:
@@ -333,7 +341,7 @@ def walked_configs(draw):
         support = {group.normalize(w).payload: rng.choice(alph.symbols) for w in words}
         sigma = finite_support_config(group, alph, support, rng.choice(alph.symbols))
     else:
-        sigma = custom_config(group, alph, lambda p: len(str(p)) % m)
+        sigma = Config(group, alph, lambda p: len(str(p)) % m)
     if draw(st.booleans()):
         sigma = sigma.shifted(rng.choice(enumerate_ball(M, 3)))
     enc = random_encoding(M, alph, M * m + rng.randint(0, 2), seed=rng.randrange(1000))
@@ -399,7 +407,7 @@ class TestGroupWalk:
         assert seen == [parse_word("g0 g1", 2) * w for w in enumerate_ball(2, 2)]
 
     def test_symbol_outside_the_alphabet(self):
-        sigma = custom_config(integer_lattice(d=1), BITS, lambda p: 2 if p == (2,) else 0)
+        sigma = Config(integer_lattice(d=1), BITS, lambda p: 2 if p == (2,) else 0)
         embed_config(sigma, E1, 1)
         with pytest.raises(ValidationError, match="outside the alphabet"):
             embed_config(sigma, E1, 2)

@@ -13,13 +13,11 @@ from treeshift.freegroup import (
     enumerate_ball,
     enumerate_spheres,
     identity,
-    invert,
     key_base,
     key_texts,
     key_word,
     key_words,
     letter_str,
-    make_letter,
     multiply,
     parse_key,
     parse_word,
@@ -31,10 +29,7 @@ from treeshift.trees import dumps_json
 
 from oracles import brute_ball_words, brute_reduce, parse_word_checked
 
-A = make_letter(0)          # g0
-B = make_letter(1)          # g1
-Ai = make_letter(0, True)   # g0'
-Bi = make_letter(1, True)   # g1'
+A, B, Ai, Bi = 1, 2, -1, -2  # g0, g1, g0', g1'
 
 
 def letters_strategy(rank=2, max_len=12):
@@ -125,20 +120,20 @@ class TestMultiplyInvert:
 
     def test_inverse_law(self):
         w = Word(2, (A, B, Ai))
-        assert multiply(w, invert(w)) == identity(2)
+        assert multiply(w, w.inverse()) == identity(2)
 
     def test_rank_mismatch(self):
         with pytest.raises(RankMismatchError):
             multiply(Word(1, (1,)), Word(2, (1,)))
 
     def test_invert_examples(self):
-        assert invert(identity(2)) == identity(2)
-        assert invert(Word(2, (A, B))) == Word(2, (Bi, Ai))
+        assert identity(2).inverse() == identity(2)
+        assert Word(2, (A, B)).inverse() == Word(2, (Bi, Ai))
 
     @given(letters_strategy())
     def test_invert_involution(self, letters):
         w = reduce(letters, 2)
-        assert invert(invert(w)) == w
+        assert w.inverse().inverse() == w
 
     @given(letters_strategy(max_len=8), letters_strategy(max_len=8))
     def test_length_bounds(self, l1, l2):

@@ -1,8 +1,9 @@
-"""The package root resolves its public names lazily, on first use, and
-every definition in the package is public or run by the package, the
-benchmark or a demo."""
+"""The package root resolves its public names lazily, on first use; every
+definition in the package is run by the package, the benchmark or a demo,
+or is a public name that one of them runs or README names."""
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -48,8 +49,10 @@ def test_unknown_name_raises_attribute_error():
 
 SRC = Path(treeshift.__file__).resolve().parent
 ROOT = SRC.parents[1]
-# documented in README and the builder of tests/oracles.py
-UNREAD_ALLOWED = {"PointedTree.from_words"}
+# the files whose reads keep a definition alive; the package root's export
+# table names every public name, so it reads none of them
+READERS = [*(p for p in SRC.glob("*.py") if p.name != "__init__.py"),
+           *(ROOT / "bench").glob("*.py"), *(ROOT / "demos").glob("*.py")]
 
 
 def definitions():
@@ -86,14 +89,25 @@ def names_read(paths) -> tuple[set[str], set[str]]:
     return bare, attributes
 
 
+def names_documented() -> set[str]:
+    """The names README gives a code span of their own: ``name``, a call
+    ``name(...)``, or a dotted ``module.name``."""
+    text = (ROOT / "README.md").read_text()
+    return set(re.findall(r"`(?:[\w.]*\.)?(\w+)(?:\([^`]*\))?`", text))
+
+
 def test_every_definition_is_public_or_read_outside_the_tests():
     # a method is read only through an attribute or a string: a bare name
     # that matches it is some other variable's
-    paths = [*SRC.glob("*.py"), *(ROOT / "bench").glob("*.py"), *(ROOT / "demos").glob("*.py")]
-    bare, attributes = names_read(paths)
+    bare, attributes = names_read(READERS)
     method_read = attributes | set(treeshift.__all__)
     read = method_read | bare
     unread = [qualified for qualified, name in definitions()
-              if name not in (method_read if "." in qualified else read)
-              and qualified not in UNREAD_ALLOWED]
+              if name not in (method_read if "." in qualified else read)]
     assert unread == []
+
+
+def test_every_public_name_is_read_outside_the_tests_or_documented():
+    bare, attributes = names_read(READERS)
+    known = bare | attributes | names_documented()
+    assert [name for name in treeshift.__all__ if name not in known] == []

@@ -1,11 +1,14 @@
+import itertools
 import math
 import re
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treeshift.errors import ActionUndefinedError, InsufficientDepthError, ValidationError
 from treeshift.freegroup import Word, enumerate_ball, identity, multiply
-from treeshift.shift import alphabet, custom_config
+from treeshift.shift import Config, alphabet
 from treeshift.groups import free_group
 from treeshift.embed import edge_encoding, embed_config
 from treeshift.pseudogroup import (
@@ -20,9 +23,12 @@ from treeshift.pseudogroup import (
     compose_word,
     embed_pseudo,
     itinerary,
+    partition_faults,
     stream_from_json,
     validate_cgs,
 )
+
+from oracles import wordwise_partition_faults
 
 BITS = alphabet([0, 1])
 N0 = builtin_n0_shift(BITS)
@@ -259,8 +265,8 @@ class TestEmbedPseudo:
         itin = itinerary(N0, OMEGA, 1)
         result = embed_pseudo(itin, ENC4, 1)
         assert {str(v) for v in result.tree.vertices} == {"e", "g0", "g0'", "g3'"}
-        assert result.tree.degree(identity(4)) == 3
-        assert result.tree.degree(identity(4)) <= 2 * N0.generator_count
+        assert result.tree.degrees(0) == [3]
+        assert result.tree.degrees(0)[0] <= 2 * N0.generator_count
 
     def test_depth_zero(self):
         itin = itinerary(N0, OMEGA, 2)
@@ -275,7 +281,7 @@ class TestEmbedPseudo:
         itin = itinerary(cgs, point, 3)
         assert all(s is not S_EMPTY for s in itin.values.values())
         via_pseudo = embed_pseudo(itin, enc, 3)
-        total = custom_config(free_group(1), ones, lambda p: 0)
+        total = Config(free_group(1), ones, lambda p: 0)
         via_config = embed_config(total, enc, 3)
         assert via_pseudo.tree == via_config.tree
 
@@ -301,9 +307,7 @@ class TestEmbedPseudo:
             itin = itinerary(N0, point, 4)
             assert itin.validate_propagation() == []
             tree = embed_pseudo(itin, ENC4, 4).tree
-            for v in tree.vertices:
-                if len(v) <= 3:
-                    assert tree.degree(v) <= 2 * N0.generator_count
+            assert max(tree.degrees(3)) <= 2 * N0.generator_count
 
 
 class TestJson:
@@ -335,3 +339,56 @@ class TestJson:
         blob["partition"] = {"0": [["0"]], "1": [["0"]]}
         with pytest.raises(ValidationError):
             cgs_from_json(blob)
+
+
+@st.composite
+def partitions(draw):
+    """An alphabet of 2-3 symbols and a partition of prefixes of length <= 5:
+    a complete prefix code, split at random leaves, then perhaps broken by
+    dropping, repeating, lengthening or adding a prefix, or adding one that
+    ends in a symbol outside the alphabet, and dealt to 1-3 pieces."""
+    symbols = tuple(range(draw(st.integers(2, 3))))
+    prefixes = [()]
+    for _ in range(draw(st.integers(0, 6))):
+        i = draw(st.integers(0, len(prefixes) - 1))
+        if len(prefixes[i]) < 5:
+            prefixes[i:i + 1] = [prefixes[i] + (s,) for s in symbols]
+    word = st.lists(st.sampled_from(symbols), max_size=5).map(tuple)
+    changes = ["drop", "repeat", "lengthen", "add", "foreign"]
+    for change in draw(st.lists(st.sampled_from(changes), max_size=2)):
+        i = draw(st.integers(0, len(prefixes) - 1))
+        if change == "drop" and len(prefixes) > 1:
+            del prefixes[i]
+        elif change == "repeat":
+            prefixes.append(prefixes[i])
+        elif change == "lengthen":
+            prefixes[i] = (prefixes[i] + draw(word))[:5]
+        elif change == "add":
+            prefixes.append(draw(word))
+        elif change == "foreign":
+            prefixes.append(draw(word)[:4] + (len(symbols),))
+    pieces = draw(st.integers(1, 3))
+    dealt = [draw(st.integers(0, pieces - 1)) for _ in prefixes]
+    return symbols, tuple(
+        (p, CylinderUnion(tuple(Cylinder(q) for q, d in zip(prefixes, dealt) if d == p)))
+        for p in range(pieces))
+
+
+@settings(max_examples=300, deadline=None)
+@given(partitions())
+def test_partition_trie_accepts_what_the_wordwise_check_accepts(case):
+    symbols, partition = case
+    expected = wordwise_partition_faults(partition, symbols)
+    system = SimpleNamespace(positive=(), negative=(), partition=partition,
+                             base_alphabet=alphabet(symbols))
+    assert (validate_cgs(system) == []) == (expected == [])
+    # each word the wordwise check flags lies in exactly one reported cylinder, a
+    # gap where no cylinder meets it and an overlap where two or more do
+    faults = list(partition_faults(partition, symbols))
+    depth = max((len(c.prefix) for _, union in partition for c in union.parts), default=0)
+    for w in itertools.product(symbols, repeat=depth):
+        under = [met for prefix, met in faults if w[: len(prefix)] == prefix]
+        covers = dict(expected).get(w, 1)
+        assert len(under) == (covers != 1)
+        assert all((met == 0) == (covers == 0) and met <= covers for met in under)
+

@@ -8,18 +8,16 @@ from treeshift.freegroup import enumerate_ball, parse_word
 from treeshift.groups import free_group, integer_lattice, lattice_unit_element
 from treeshift.shift import (
     AgreementDepth,
+    Config,
     agree_depth,
     alphabet,
     config_from_json,
     config_metric_interval,
-    custom_config,
-    eval_config,
     expansivity_witness,
     finite_support_config,
     flipped_config,
     periodic_config,
     random_config,
-    shift_act,
 )
 
 BITS = alphabet([0, 1])
@@ -37,7 +35,7 @@ def z_point(k):
 
 class TestEval:
     def test_parity_at_three(self):
-        assert eval_config(parity(), z_point(3)) == 1
+        assert parity().eval(z_point(3)) == 1
 
     def test_finite_support_default(self):
         sigma = finite_support_config(Z, BITS, {(0,): 1}, 0)
@@ -45,7 +43,7 @@ class TestEval:
         assert sigma.eval(z_point(0)) == 1
 
     def test_constant(self):
-        sigma = custom_config(Z, BITS, lambda p: 1)
+        sigma = Config(Z, BITS, lambda p: 1)
         for k in (-4, 0, 7):
             assert sigma.eval(z_point(k)) == 1
 
@@ -56,17 +54,17 @@ class TestEval:
 
 class TestShiftAction:
     def test_translate_by_one(self):
-        assert shift_act(parity(), z_point(1)).eval(z_point(0)) == 1
+        assert parity().shifted(z_point(1)).eval(z_point(0)) == 1
 
     def test_identity_shift(self):
         sigma = random_config(Z, BITS, seed=3)
-        moved = shift_act(sigma, Z.identity())
+        moved = sigma.shifted(Z.identity())
         for w in enumerate_ball(1, 3):
             assert moved.eval_word(w) == sigma.eval_word(w)
 
     def test_lattice_shift(self):
         sigma = random_config(Z2, BITS, seed=4)
-        moved = shift_act(sigma, Z2.normalize(parse_word("g0", 2)))
+        moved = sigma.shifted(Z2.normalize(parse_word("g0", 2)))
         lhs = moved.eval(Z2.normalize(parse_word("g1", 2)))
         rhs = sigma.eval(Z2.normalize(parse_word("g0 g1", 2)))
         assert lhs == rhs
@@ -79,8 +77,8 @@ class TestShiftAction:
         sigma = random_config(f2, BITS, seed=seed)
         gamma1 = f2.normalize(parse_word(t1, 2))
         gamma2 = f2.normalize(parse_word(t2, 2))
-        double = shift_act(shift_act(sigma, gamma1), gamma2)
-        joined = shift_act(sigma, f2.multiply(gamma1, gamma2))
+        double = sigma.shifted(gamma1).shifted(gamma2)
+        joined = sigma.shifted(f2.multiply(gamma1, gamma2))
         for w in enumerate_ball(2, 3):
             assert double.eval_word(w) == joined.eval_word(w)
 
@@ -92,7 +90,7 @@ class TestAgreeDepth:
         assert str(result) == ">=4"
 
     def test_differ_at_identity(self):
-        shifted = shift_act(parity(), z_point(1))
+        shifted = parity().shifted(z_point(1))
         result = agree_depth(parity(), shifted, cap=4)
         assert result == AgreementDepth(-1, exact=True)
         assert str(result) == "differ at radius 0"
@@ -126,7 +124,7 @@ class TestMetric:
         cutoff = 10
         partial = Fraction(1) + 2 * sum(Fraction(1, 2 ** i) for i in range(1, cutoff + 1))
         assert partial == 3 - Fraction(2, 2 ** cutoff)
-        interval = config_metric_interval(parity(), shift_act(parity(), z_point(1)), cutoff)
+        interval = config_metric_interval(parity(), parity().shifted(z_point(1)), cutoff)
         assert interval.lower == partial
         assert interval.upper == 3
         assert interval.contains(3)
