@@ -267,8 +267,6 @@ def cmd_builtin(args) -> int:
     from .shift import Alphabet
     from .trees import dumps_json
 
-    if args.which != "n0":
-        raise TreeshiftError(f"unknown builtin {args.which!r}; available: n0")
     cgs = builtin_n0_shift(Alphabet(tuple(args.alphabet.split(","))))
     sys.stdout.write(dumps_json(cgs_to_json(cgs)))
     return 0

@@ -42,14 +42,7 @@ if TYPE_CHECKING:
 
 
 class _EmptySymbol:
-    """Singleton marker for 'composition undefined here'."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    """The marker for 'composition undefined here'; ``S_EMPTY`` is its one instance."""
 
     def __repr__(self) -> str:
         return "s_empty"
@@ -94,18 +87,26 @@ class SymbolStream:
         return SymbolStream(tuple(pre), tuple(cycle))
 
 
+def _within(p: tuple, prefixes: set[tuple], lengths: set[int], stop: int) -> bool:
+    """Whether ``p[:n]`` is one of ``prefixes`` for some ``n < stop`` among
+    their ``lengths``.  At ``stop = len(p) + 1`` this says whether the cylinder
+    on p lies in the union of the cylinders on ``prefixes``; at ``len(p)``,
+    whether one of p's proper prefixes is among them."""
+    return any(p[:n] in prefixes for n in lengths if n < stop)
+
+
 def _minimal(items: Iterable, prefix_of: Callable[[Any], tuple]) -> list:
-    """Drop each item whose prefix extends a kept one; keep the rest, shortest first."""
+    """Drop each item whose prefix extends another item's; keep the rest,
+    shortest first.  Each prefix comes with one item."""
     def order(item) -> tuple:
         p = prefix_of(item)
         return len(p), tuple(map(str, p))
 
-    kept: list = []
-    for item in sorted(set(items), key=order):
-        p = prefix_of(item)
-        if not any(p[: len(prefix_of(k))] == prefix_of(k) for k in kept):
-            kept.append(item)
-    return kept
+    items = set(items)
+    prefixes = set(map(prefix_of, items))
+    lengths = set(map(len, prefixes))
+    return sorted((i for i in items if not _within(p := prefix_of(i), prefixes, lengths, len(p))),
+                  key=order)
 
 
 class Cylinder:
@@ -121,9 +122,6 @@ class Cylinder:
 
     def __hash__(self) -> int:
         return hash(self.prefix)
-
-    def contains(self, stream: SymbolStream) -> bool:
-        return stream.starts_with(self.prefix)
 
     def meet(self, other: "Cylinder") -> "Cylinder | None":
         a, b = self.prefix, other.prefix
@@ -154,7 +152,7 @@ class CylinderUnion:
         return CylinderUnion(tuple(_minimal(parts, attrgetter("prefix"))))
 
     def contains(self, stream: SymbolStream) -> bool:
-        return any(c.contains(stream) for c in self.parts)
+        return any(stream.starts_with(c.prefix) for c in self.parts)
 
 
 class PartialMap:
@@ -166,13 +164,9 @@ class PartialMap:
 
     def __init__(self, name: str, domain: CylinderUnion, consume: tuple, emit: tuple,
                  inverse_name: str) -> None:
-        effective = []
-        for part in domain.parts:
-            met = part.meet(Cylinder(consume))
-            if met is not None:
-                effective.append(met)
         self.name = name
-        self.domain = CylinderUnion.of(effective)
+        self.domain = CylinderUnion.of(
+            filter(None, (part.meet(Cylinder(consume)) for part in domain.parts)))
         self.consume = consume
         self.emit = emit
         self.inverse_name = inverse_name
@@ -191,16 +185,12 @@ class PartialMap:
     def image_cylinder(self, part: Cylinder) -> Cylinder:
         return Cylinder(self.emit + part.prefix[len(self.consume):])
 
-    @property
-    def range(self) -> CylinderUnion:
-        return CylinderUnion.of(self.image_cylinder(p) for p in self.domain.parts)
-
 
 def inverse_of(pm: PartialMap) -> PartialMap:
     """The inverse rewrite, defined exactly on the image of pm's domain."""
     return PartialMap(
         name=pm.inverse_name,
-        domain=pm.range,
+        domain=CylinderUnion.of(map(pm.image_cylinder, pm.domain.parts)),
         consume=pm.emit,
         emit=pm.consume,
         inverse_name=pm.name,
@@ -277,9 +267,11 @@ def validate_cgs(cgs: CylinderPseudogroup) -> list[str]:
     for pm, inv in zip(cgs.positive, cgs.negative):
         if pm.inverse_name != inv.name or inv.inverse_name != pm.name:
             violations.append(f"{pm.name} and {inv.name} are not declared inverses")
+        into = {q.prefix for q in inv.domain.parts}
+        lengths = set(map(len, into))
         for part in pm.domain.parts:
             image = pm.image_cylinder(part)
-            if not any(q.prefix == image.prefix[: len(q.prefix)] for q in inv.domain.parts):
+            if not _within(image.prefix, into, lengths, len(image.prefix) + 1):
                 violations.append(f"image of {part} under {pm.name} escapes dom {inv.name}")
                 continue
             if len(image.prefix) < len(inv.consume):
@@ -375,18 +367,8 @@ def compose_word(cgs: CylinderPseudogroup, g: Word) -> ComposedMap:
         consume = len(pm.consume)
         new: list[tuple[tuple, tuple]] = []
         for dp, ip in pieces:
-            for part in pm.domain.parts:
-                q = part.prefix
-                if len(q) <= len(ip):
-                    if ip[: len(q)] != q:
-                        continue
-                    extension = ()
-                else:
-                    if q[: len(ip)] != ip:
-                        continue
-                    extension = q[len(ip):]
-                ip_ext = ip + extension
-                new.append((dp + extension, pm.emit + ip_ext[consume:]))
+            for met in filter(None, (part.meet(Cylinder(ip)) for part in pm.domain.parts)):
+                new.append((dp + met.prefix[len(ip):], pm.emit + met.prefix[consume:]))
         pieces = _minimal(new, itemgetter(0))
     return ComposedMap(g, tuple(pieces))
 

@@ -27,7 +27,7 @@ from bisect import bisect_left
 from collections import deque
 from functools import cached_property
 from operator import floordiv
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     ActionUndefinedError,
@@ -77,7 +77,11 @@ class PointedTree:
 
     @cached_property
     def _problems(self) -> list[str]:
-        return validate_tree(self)
+        """The first three violations of :func:`validate_tree`, then a count of the rest."""
+        faults = _faults(self)
+        problems = [_named(fault, self.rank) for fault in itertools.islice(faults, 3)]
+        rest = sum(1 for _ in faults)
+        return problems + [f"and {rest} more violations"] if rest else problems
 
     def _bound(self, r: int) -> int:
         """``B**r``: the keys of words of length <= r are those below it.  The
@@ -104,24 +108,33 @@ class PointedTree:
 
 def validate_tree(t: PointedTree) -> list[str]:
     """All invariant violations, each with a witness vertex; empty means ok."""
-    violations = []
+    return [_named(fault, t.rank) for fault in _faults(t)]
+
+
+def _faults(t: PointedTree) -> Iterator[tuple[str, int]]:
+    """:func:`validate_tree`'s violations, each as a text and the key of its
+    witness vertex (0 if none), which the text names as ``{v}`` and its parent
+    as ``{p}``: a vertex is named only if its violation is printed."""
     keys = t.keys
     if t.radius < 0:
-        violations.append(f"radius {t.radius} is negative")
+        yield f"radius {t.radius} is negative", 0
     if 0 not in keys:
-        violations.append("missing basepoint e")
+        yield "missing basepoint e", 0
     base = key_base(t.rank)
     limit = t._bound(t.radius) if t.radius >= 0 else 0
     orphans = set(map(floordiv, keys, itertools.repeat(base))) - keys  # parents that are missing
     if not orphans and max(keys, default=0) < limit:
-        return violations
+        return
     for k in sorted(k for k in keys if k >= limit or k // base in orphans):
-        v = key_word(k, t.rank)
         if k >= limit:
-            violations.append(f"vertex {v} exceeds radius {t.radius}")
+            yield f"vertex {{v}} exceeds radius {t.radius}", k
         if k // base in orphans:
-            violations.append(f"missing prefix {v.parent} of vertex {v}")
-    return violations
+            yield "missing prefix {p} of vertex {v}", k
+
+
+def _named(fault: tuple[str, int], rank: int) -> str:
+    text, k = fault
+    return text.format(v=key_word(k, rank), p=key_word(k // key_base(rank), rank))
 
 
 def _check_tree(t: PointedTree) -> None:
@@ -132,8 +145,8 @@ def _check_tree(t: PointedTree) -> None:
 
 def make_tree(rank: int, radius: int, vertices: Iterable[str]) -> PointedTree:
     """Validating constructor from vertex texts; raises ValidationError
-    listing every violation.  A rank below 1 is refused once the texts are
-    read, so a bad text's own error comes first."""
+    listing three violations and counting the rest.  A rank below 1 is
+    refused once the texts are read, so a bad text's own error comes first."""
     t = PointedTree(rank, radius, frozenset(text_keys(vertices, rank)))
     if rank < 1:
         raise InvalidGeneratorError(f"rank must be >= 1, got {rank}")

@@ -9,7 +9,8 @@ sorting by :meth:`Word.sort_key`).  The embedding oracle reads every source
 word's symbol through ``Config.eval_word``, which renormalizes the whole word,
 and builds every image vertex as a ``Word``.  The agreement-depth oracle
 normalizes every free word of each sphere up to the cap.  The partition
-oracle counts the cylinders over every word as long as the longest prefix.
+oracle counts the cylinders over every word as long as the longest prefix,
+and the subsumption oracle compares each prefix with every kept one.
 """
 from __future__ import annotations
 
@@ -105,8 +106,9 @@ def sorted_violations(t) -> list[str]:
 def parse_word_tree(rank: int, radius: int, texts):
     t = tree_from_words(rank, radius, [parse_word_checked(v, rank) for v in texts])
     problems = sorted_violations(t)
-    if problems:
-        raise ValidationError("; ".join(problems))
+    if problems:  # three violations, then a count of the rest
+        rest = [f"and {len(problems) - 3} more violations"] if len(problems) > 3 else []
+        raise ValidationError("; ".join(problems[:3] + rest))
     return t
 
 
@@ -242,3 +244,20 @@ def wordwise_partition_faults(partition, symbols) -> list[tuple[tuple, int]]:
         if covers != 1:
             faults.append((w, covers))
     return faults
+
+
+# Cylinder subsumption as it was before the prefix lookups.
+
+def pairwise_minimal(items, prefix_of) -> list:
+    """Drop each item whose prefix extends a kept one; keep the rest, shortest
+    first, comparing each item with every kept one."""
+    def order(item) -> tuple:
+        p = prefix_of(item)
+        return len(p), tuple(map(str, p))
+
+    kept: list = []
+    for item in sorted(set(items), key=order):
+        p = prefix_of(item)
+        if not any(p[: len(prefix_of(k))] == prefix_of(k) for k in kept):
+            kept.append(item)
+    return kept

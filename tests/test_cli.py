@@ -2,6 +2,7 @@ import contextlib
 import copy
 import functools
 import io
+import itertools
 import json
 import math
 import os
@@ -585,6 +586,55 @@ class TestMalformedInput:
                 for k in (1, 2, 3)]
         assert line == ("error: invalid generating system: " + "; ".join(gaps)
                         + f"; and {d - 4} more cylinders not met by exactly 1 partition piece")
+
+    @pytest.mark.parametrize("shape", ["partition", "gap", "domain"])
+    def test_thousands_of_prefixes_load_without_comparing_pairs(self, tmp_path, capsys, shape):
+        # the 8,192 binary prefixes of length 13 dealt to two pieces, the same with
+        # 1^13 dropped, or one generator's domain
+        prefixes = [list(p) for p in itertools.product("01", repeat=13)]
+        generator = {"name": "a", "domain": [["0"]], "rewrite": {"consume": ["0"], "emit": []}}
+        partition = {"0": prefixes[::2], "1": prefixes[1::2]}
+        if shape == "gap":
+            partition["1"] = partition["1"][:-1]
+        elif shape == "domain":
+            generator = {"name": "a", "domain": prefixes,
+                         "rewrite": {"consume": [], "emit": ["1"]}}
+            partition = {"0": [["0"]], "1": [["1"]]}
+        system, point = tmp_path / "cgs.json", tmp_path / "point.json"
+        system.write_text(json.dumps({"alphabet": ["0", "1"], "generators": [generator],
+                                      "partition": partition}))
+        point.write_text('{"pre": [], "cycle": ["0", "1"]}')
+        start = time.perf_counter()
+        code, out, err = run(capsys, "itinerary", "--cgs", str(system), "--point", str(point),
+                             "--depth", "3")
+        assert time.perf_counter() - start < 2
+        if shape == "gap":
+            self.assert_clean_failure(code, err)
+            assert err.splitlines()[-1] == (
+                f"error: invalid generating system: cylinder on {('1',) * 13} met 0 "
+                "partition pieces; expected exactly 1")
+            return
+        live = ({"a": "1", "a'": "1", "a' a'": "0", "a' a' a'": "1"} if shape == "partition"
+                else {"a": "1", "a a": "1", "a a a": "1"})
+        dead = {"a": None, "a a": None, "a a a": None, "a'": None, "a' a'": None,
+                "a' a' a'": None}
+        assert code == 0 and json.loads(out) == {"depth": 3,
+                                                 "values": {**dead, **live, "e": "0"}}
+
+    def test_a_long_path_names_three_vertices(self, tmp_path, capsys):
+        # 3,000 vertices beyond radius 0, whose texts add up to 13.5 MB
+        tree = tmp_path / "tree.json"
+        tree.write_text(json.dumps({"rank": 1, "radius": 0,
+                                    "vertices": ["e"] + [" ".join(["g0"] * n)
+                                                         for n in range(1, 3001)]}))
+        start = time.perf_counter()
+        code, _, err = run(capsys, "act", "--tree", str(tree), "--word", "e")
+        assert time.perf_counter() - start < 1
+        self.assert_clean_failure(code, err)
+        line = err.splitlines()[-1]
+        assert len(line) < 1024
+        assert line == ("error: vertex g0 exceeds radius 0; vertex g0 g0 exceeds radius 0; "
+                        "vertex g0 g0 g0 exceeds radius 0; and 2997 more violations")
 
 
 ENCODING = {"M": 2, "alphabet": [0, 1], "n": 4,

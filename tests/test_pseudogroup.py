@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+from operator import attrgetter, itemgetter
 from types import SimpleNamespace
 
 import pytest
@@ -25,10 +26,11 @@ from treeshift.pseudogroup import (
     itinerary,
     partition_faults,
     stream_from_json,
+    _minimal,
     validate_cgs,
 )
 
-from oracles import wordwise_partition_faults
+from oracles import pairwise_minimal, wordwise_partition_faults
 
 BITS = alphabet([0, 1])
 N0 = builtin_n0_shift(BITS)
@@ -392,3 +394,19 @@ def test_partition_trie_accepts_what_the_wordwise_check_accepts(case):
         assert len(under) == (covers != 1)
         assert all((met == 0) == (covers == 0) and met <= covers for met in under)
 
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_minimal_by_prefix_lookup_matches_the_pairwise_scan(data):
+    # 2-3 symbols, ints or strings; prefixes of length 0-5, repeats included
+    symbols = data.draw(st.sampled_from([(0, 1), (0, 1, 2), ("a", "b"), ("0", "1", "2")]))
+    prefix = st.lists(st.sampled_from(symbols), max_size=5).map(tuple)
+    prefixes = data.draw(st.lists(prefix, max_size=12))
+    cylinders = [Cylinder(p) for p in prefixes]
+    assert _minimal(cylinders, attrgetter("prefix")) == pairwise_minimal(
+        cylinders, attrgetter("prefix"))
+    # compose_word's (domain prefix, image prefix) pieces: one image per domain prefix
+    images = {p: data.draw(prefix) for p in prefixes}
+    pieces = [(p, images[p]) for p in prefixes]
+    assert _minimal(pieces, itemgetter(0)) == pairwise_minimal(pieces, itemgetter(0))
