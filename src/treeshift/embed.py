@@ -244,8 +244,9 @@ def _run_embedding(source_rank: int, depth: int, root: tuple[Any, Any],
         digits[g, s], digits[-g, s] = letter_digit(t), letter_digit(-t)
     placed = [(0, 0)]
     frontier = [(0, root_symbol, root_state, 0)]
-    for _ in range(depth):
+    for level in range(1, depth + 1):
         nxt = []
+        last = level == depth  # its words are never extended: keep no states
         for source_key, parent_symbol, parent_state, parent_key in frontier:
             back_source = inverse_digit(source_key % source_base)
             back_digit = inverse_digit(parent_key % base)
@@ -268,7 +269,8 @@ def _run_embedding(source_rank: int, depth: int, root: tuple[Any, Any],
                         "encoding is not injective")
                 key = parent_key * base + digit
                 placed.append((child, key))
-                nxt.append((child, child_symbol, child_state, key))
+                if not last:
+                    nxt.append((child, child_symbol, child_state, key))
         frontier = nxt
     keys = frozenset(k for _, k in placed)
     if len(keys) != len(placed):

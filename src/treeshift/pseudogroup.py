@@ -151,8 +151,18 @@ class CylinderUnion:
     def of(parts: Iterable[Cylinder]) -> "CylinderUnion":
         return CylinderUnion(tuple(_minimal(parts, attrgetter("prefix"))))
 
+    @cached_property
+    def _lookup(self) -> tuple[set[tuple], list[int]]:
+        """The parts' prefixes and their lengths, shortest first."""
+        prefixes = {c.prefix for c in self.parts}
+        return prefixes, sorted(set(map(len, prefixes)))
+
     def contains(self, stream: SymbolStream) -> bool:
-        return any(stream.starts_with(c.prefix) for c in self.parts)
+        prefixes, lengths = self._lookup
+        for n in lengths:
+            if stream.prefix(n) in prefixes:
+                return True
+        return False
 
 
 class PartialMap:

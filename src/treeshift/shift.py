@@ -4,6 +4,14 @@ action, agreement depth, and the two-sided sequence metric.
 A configuration is never materialized: it is a pure rule evaluated on
 canonical payloads, together with an accumulated translate implementing
 the right action (sigma . gamma)(x) = sigma(gamma x).
+
+``random_config`` reads the symbol at a payload from the 8-byte ``blake2b``
+of ``f"{seed}|{text}"``, ``text`` being ``str`` of a word and ``repr`` of any
+other payload.  On a free group its rule, and ``flipped_config``'s over it,
+also step that hash along :meth:`Config.walk`: a word's hasher is a copy of
+its parent's fed one more token, so no word's text is rebuilt, and the bytes
+hashed are the same.  Every other rule, and ``eval``/``eval_word`` on any
+rule, reads one payload at a time.
 """
 from __future__ import annotations
 
@@ -11,7 +19,8 @@ import random
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from .errors import GroupMismatchError, ValidationError, is_int, json_field, json_kind
-from .freegroup import Word, signed_letters
+from .freegroup import (Word, digit_letter, inverse_digit, key_base, letter_str, signed_letters,
+                        word_key)
 
 if TYPE_CHECKING:  # imported where it is used: it loads decimal too
     from fractions import Fraction
@@ -108,10 +117,17 @@ class Config:
         empty word, and ``step(state, x)`` that of w·x from the state of w.
         The symbol is the one :meth:`eval_word` reads, checked the same way;
         the state is the group's walk state of translate·w
-        (:meth:`GroupModel.walk`), one generator step from its parent's.
+        (:meth:`GroupModel.walk`), one generator step from its parent's.  A
+        rule that steps its hash on a free group (``_RandomRule.walk``) has
+        the key of translate·w and its hasher for a state, and is taken only
+        when every symbol it can read is in the alphabet.
         """
-        state, advance, payload = self.group.walk(self.translate)
         rule, symbols = self.rule, self.alphabet.symbols
+        if self.group.kind == "free" and isinstance(rule, _STEPPED):
+            stepped = rule.walk(self.translate.rep, symbols, {})
+            if stepped is not None:
+                return stepped
+        state, advance, payload = self.group.walk(self.translate)
         read = rule if payload is None else lambda s: rule(payload(s))
 
         def symbol(s) -> Any:
@@ -184,21 +200,108 @@ def _payload_token(payload) -> str:
     return str(payload) if isinstance(payload, Word) else repr(payload)
 
 
+class _RandomRule:
+    """``random_config``'s rule over the symbols of its alphabet."""
+
+    def __init__(self, seed: int, symbols: tuple) -> None:
+        try:  # built in; `import hashlib` would also load OpenSSL's _hashlib
+            from _blake2 import blake2b
+        except ImportError:
+            from hashlib import blake2b
+        self.blake2b = blake2b
+        self.seed = seed
+        self.symbols = symbols
+
+    def __call__(self, payload) -> Any:
+        digest = self.blake2b(f"{self.seed}|{_payload_token(payload)}".encode(),
+                              digest_size=8).digest()
+        return self.symbols[int.from_bytes(digest, "big") % len(self.symbols)]
+
+    def walk(self, start: Word, symbols: tuple, flips: dict):
+        """:meth:`Config.walk`'s ``(root, step)`` over the free words from
+        ``start``, or None if the rule could read a symbol outside ``symbols``.
+
+        A state is ``(key, hasher)``: the key of the word and a ``blake2b``
+        already fed ``f"{seed}|{text}"``, which no one feeds again.  A child
+        copies its parent's hasher and feeds it ``" " + token``; a child of
+        the empty word (text ``"e"``) hashes ``f"{seed}|{token}"``, and a
+        step that cancels hashes the whole text again.  ``flips`` maps keys
+        to the symbols that replace the hash's there.
+        """
+        table, m = self.symbols, len(self.symbols)
+        if not all(s in symbols for s in table):
+            return None
+        base = key_base(start.rank)
+        seeded = self.blake2b(f"{self.seed}|".encode(), digest_size=8)
+        tokens = {d: letter_str(digit_letter(d)) for d in range(1, base)}
+
+        def hashed(text: str):
+            h = seeded.copy()
+            h.update(text.encode())
+            return h
+
+        def rehashed(k: int):
+            texts = []
+            while k:
+                k, d = divmod(k, base)
+                texts.append(tokens[d])
+            return hashed(" ".join(reversed(texts)) or "e")
+
+        # letter -> (its digit, the digit of its inverse, " " + its token)
+        moves = {digit_letter(d): (d, inverse_digit(d), (" " + token).encode())
+                 for d, token in tokens.items()}
+
+        def step(state, x: int) -> tuple[Any, Any]:
+            k, h = state
+            d, back, token = moves[x]
+            if k % base == back:
+                k //= base
+                h = rehashed(k)
+            elif k:
+                k = k * base + d
+                h = h.copy()
+                h.update(token)
+            else:
+                k = d
+                h = seeded.copy()
+                h.update(token[1:])
+            if k in flips:
+                return flips[k], (k, h)
+            return table[int.from_bytes(h.digest(), "big") % m], (k, h)
+
+        k = word_key(start)
+        h = hashed(str(start))
+        value = flips[k] if k in flips else table[int.from_bytes(h.digest(), "big") % m]
+        return (value, (k, h)), step
+
+
+class _FlippedRule:
+    """``flipped_config``'s rule: ``new`` at ``target``, ``base`` elsewhere."""
+
+    def __init__(self, base: Callable[[Any], Any], target, new) -> None:
+        self.base = base
+        self.target = target
+        self.new = new
+
+    def __call__(self, payload) -> Any:
+        if payload == self.target:
+            return self.new
+        return self.base(payload)
+
+    def walk(self, start: Word, symbols: tuple, flips: dict):
+        """The base rule's stepped walk with this flip under ``flips`` (an
+        outer flip's symbol wins), or None if the base has none."""
+        if not isinstance(self.base, _STEPPED) or self.new not in symbols:
+            return None
+        return self.base.walk(start, symbols, {word_key(self.target): self.new, **flips})
+
+
+_STEPPED = (_RandomRule, _FlippedRule)
+
+
 def random_config(group, alph: Alphabet, seed: int) -> Config:
     """Deterministic pseudo-random configuration (stable across runs)."""
-    try:  # built in; `import hashlib` would also load OpenSSL's _hashlib
-        from _blake2 import blake2b
-    except ImportError:
-        from hashlib import blake2b
-
-    m = len(alph)
-    symbols = alph.symbols
-
-    def rule(payload):
-        digest = blake2b(f"{seed}|{_payload_token(payload)}".encode(), digest_size=8).digest()
-        return symbols[int.from_bytes(digest, "big") % m]
-
-    return Config(group, alph, rule, label=f"random({seed})")
+    return Config(group, alph, _RandomRule(seed, alph.symbols), label=f"random({seed})")
 
 
 def flipped_config(sigma: Config, at: Word, seed: int = 0) -> Config:
@@ -207,18 +310,12 @@ def flipped_config(sigma: Config, at: Word, seed: int = 0) -> Config:
     old = sigma.eval(target)
     others = [s for s in sigma.alphabet if s != old]
     new = others[random.Random(seed).randrange(len(others))]
-    base = sigma
-
-    def rule(payload):
-        if payload == target.payload:
-            return new
-        return base.rule(payload)
-
     # the flip is defined relative to the untranslated rule, so require a
     # fresh (untranslated) configuration to keep the semantics obvious
     if sigma.translate.payload != sigma.group.identity().payload:
         raise ValidationError("flipped_config expects an unshifted configuration")
-    return Config(sigma.group, sigma.alphabet, rule, label=f"{sigma.label}+flip({at})")
+    return Config(sigma.group, sigma.alphabet, _FlippedRule(sigma.rule, target.payload, new),
+                  label=f"{sigma.label}+flip({at})")
 
 
 class AgreementDepth:
@@ -252,10 +349,11 @@ class AgreementDepth:
 def agree_depth(s1: Config, s2: Config, cap: int) -> AgreementDepth:
     """Compare on all elements reachable from words of length <= j, j <= cap.
 
-    A breadth-first search over the group: three walks step together, one
-    from the identity whose payloads key the visited set, and one along each
-    configuration for its symbols.  An element is compared once, at the
-    level where its word length first reaches it.
+    A breadth-first search over the group: one walk along each configuration
+    reads its symbols, and on a quotient of a free group a third, from the
+    identity, keys the visited set with its payloads.  A free group needs no
+    such set: its reduced words are distinct elements.  An element is
+    compared once, at the level where its word length first reaches it.
     """
     if s1.group != s2.group:
         raise GroupMismatchError("configurations live on different groups")
@@ -264,12 +362,15 @@ def agree_depth(s1: Config, s2: Config, cap: int) -> AgreementDepth:
     if cap < 0:
         raise ValidationError(f"cap must be >= 0, got {cap}")
     group = s1.group
-    state, advance, payload = group.walk(group.identity())
+    quotient = group.kind != "free"
+    state = None
+    if quotient:
+        state, advance, payload = group.walk(group.identity())
+        seen = {state if payload is None else payload(state)}
     (a, state1), step1 = s1.walk()
     (b, state2), step2 = s2.walk()
     if a != b:
         return AgreementDepth(-1, exact=True)
-    seen = {state if payload is None else payload(state)}
     letters = signed_letters(group.generator_count)
     frontier = [(0, state, state1, state2)]
     for j in range(1, cap + 1):
@@ -278,15 +379,18 @@ def agree_depth(s1: Config, s2: Config, cap: int) -> AgreementDepth:
             for x in letters:
                 if x == back:
                     continue
-                h = advance(g, x)
-                key = h if payload is None else payload(h)
-                if key in seen:
-                    continue
-                seen.add(key)
+                h = None
+                if quotient:
+                    h = advance(g, x)
+                    key = h if payload is None else payload(h)
+                    if key in seen:
+                        continue
+                    seen.add(key)
                 (a, h1), (b, h2) = step1(g1, x), step2(g2, x)
                 if a != b:
                     return AgreementDepth(j - 1, exact=True)
-                nxt.append((-x, h, h1, h2))
+                if j < cap:  # the last level is never extended: keep no states
+                    nxt.append((-x, h, h1, h2))
         frontier = nxt
     return AgreementDepth(cap, exact=False)
 

@@ -261,3 +261,11 @@ def pairwise_minimal(items, prefix_of) -> list:
         if not any(p[: len(prefix_of(k))] == prefix_of(k) for k in kept):
             kept.append(item)
     return kept
+
+
+# Cylinder-union membership as it was before the prefix lookup.
+
+def union_contains_by_scan(union, stream) -> bool:
+    """Whether the stream starts with one of the union's prefixes, trying
+    every part."""
+    return any(stream.starts_with(c.prefix) for c in union.parts)

@@ -621,6 +621,28 @@ class TestMalformedInput:
         assert code == 0 and json.loads(out) == {"depth": 3,
                                                  "values": {**dead, **live, "e": "0"}}
 
+    def test_a_point_is_classified_among_thousands_of_prefixes(self, tmp_path, capsys,
+                                                               monkeypatch):
+        # the 8,192 binary prefixes of length 13 dealt to two pieces by their last
+        # symbol; a prepends a 1 everywhere, b drops a leading 1
+        prefixes = [list(p) for p in itertools.product("01", repeat=13)]
+        generators = [{"name": "a", "domain": [["0"], ["1"]],
+                       "rewrite": {"consume": [], "emit": ["1"]}},
+                      {"name": "b", "domain": [["1"]], "rewrite": {"consume": ["1"], "emit": []}}]
+        system, point = tmp_path / "cgs.json", tmp_path / "point.json"
+        system.write_text(json.dumps({"alphabet": ["0", "1"], "generators": generators,
+                                      "partition": {"0": prefixes[::2], "1": prefixes[1::2]}}))
+        point.write_text('{"pre": [], "cycle": ["0", "1"]}')
+        argv = ("itinerary", "--cgs", str(system), "--point", str(point), "--depth", "6")
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 0 and err == ""
+        # the pieces are the streams whose 13th symbol is 0 and those where it is 1
+        monkeypatch.setattr(treeshift.pseudogroup.CylinderPseudogroup, "classify",
+                            lambda self, stream: stream.prefix(13)[12])
+        assert run(capsys, *argv) == (0, out, "")
+
     def test_a_long_path_names_three_vertices(self, tmp_path, capsys):
         # 3,000 vertices beyond radius 0, whose texts add up to 13.5 MB
         tree = tmp_path / "tree.json"

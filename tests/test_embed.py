@@ -1,3 +1,5 @@
+from hashlib import blake2b
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -315,8 +317,10 @@ def _nested_table(rng, periods, symbols):
 
 @st.composite
 def walked_configs(draw):
-    """A configuration over a free group, a lattice Z^1-Z^3 with random
-    integer images, or a custom group, possibly shifted; and an encoding."""
+    """A configuration over a free group of rank 1-3, a lattice Z^1-Z^3 with
+    random integer images, or a custom group, possibly flipped at one or two
+    words of length 0-3 (``flipped_config``), possibly shifted; and an
+    encoding."""
     rng = draw(st.randoms(use_true_random=False))
     kind = draw(st.sampled_from(["free", "lattice", "custom"]))
     m = draw(st.integers(2, 3))
@@ -324,7 +328,7 @@ def walked_configs(draw):
     if kind == "custom":
         group = Z3_SQUARED
     elif kind == "free":
-        group = free_group(draw(st.integers(1, 2)))
+        group = free_group(draw(st.integers(1, 3)))
     else:
         d, M = draw(st.integers(1, 3)), draw(st.integers(1, 2))
         group = integer_lattice(images=[[rng.randint(-2, 2) for _ in range(d)] for _ in range(M)])
@@ -342,6 +346,10 @@ def walked_configs(draw):
         sigma = finite_support_config(group, alph, support, rng.choice(alph.symbols))
     else:
         sigma = Config(group, alph, lambda p: len(str(p)) % m)
+    for _ in range(draw(st.integers(0, 2))):
+        length = rng.randint(0, 3)
+        at = rng.choice(enumerate_spheres(M, length)[length])
+        sigma = flipped_config(sigma, at, seed=rng.randrange(1000))
     if draw(st.booleans()):
         sigma = sigma.shifted(rng.choice(enumerate_ball(M, 3)))
     enc = random_encoding(M, alph, M * m + rng.randint(0, 2), seed=rng.randrange(1000))
@@ -392,6 +400,57 @@ class TestGroupWalk:
         embed_pseudo(itinerary(shift, omega, 6), enc4, 6)
         freegroup.ball_json(3, 4, dict.fromkeys(range(10), 0))
         assert built == []
+
+    def test_free_random_walk_builds_no_word(self, monkeypatch):
+        # random_config and flipped_config step a hash along the walk; shifted
+        # by g0 g1' g0, the step by g0' cancels onto g0 g1', the flipped word
+        f2, enc = free_group(2), random_encoding(2, BITS, 4, seed=1)
+        sigma = random_config(f2, BITS, seed=2)
+        gamma = parse_word("g0 g1' g0", 2)
+        flipped = flipped_config(sigma, parse_word("g0 g1'", 2), seed=3)
+        s1, s2 = sigma.shifted(gamma), flipped.shifted(gamma)
+        expected = [embed_by_words(s, enc, 4)[0].keys for s in (s1, s2)]
+        depth = sphere_agree_depth(s1, s2, 5)
+        assert depth == AgreementDepth(0, exact=True)
+        calls, built = [], []
+        normalize = groups.GroupModel.normalize
+        monkeypatch.setattr(groups.GroupModel, "normalize",
+                            lambda self, w: calls.append(w) or normalize(self, w))
+        check, word = freegroup.Word.__post_init__, freegroup._word
+        monkeypatch.setattr(freegroup.Word, "__post_init__",
+                            lambda self: built.append(self) or check(self))
+        monkeypatch.setattr(freegroup, "_word", lambda *args: built.append(args) or word(*args))
+        assert [embed_config(s, enc, 4).tree.keys for s in (s1, s2)] == expected
+        assert agree_depth(s1, s2, 5) == depth
+        assert agree_depth(s1, s1, 5) == AgreementDepth(5, exact=False)
+        assert calls == [] and built == []
+
+    def test_the_outer_of_two_flips_at_one_word_wins_along_the_walk(self):
+        trits = alphabet(range(3))
+        at = parse_word("g1'", 2)
+        once = flipped_config(random_config(free_group(2), trits, seed=4), at, seed=0)
+        twice = flipped_config(once, at, seed=1)
+        assert twice.eval_word(at) != once.eval_word(at)
+        enc = random_encoding(2, trits, 6, seed=0)
+        for sigma in (twice, twice.shifted(parse_word("g1 g0", 2))):
+            assert embed_config(sigma, enc, 3).tree.keys == embed_by_words(sigma, enc, 3)[0].keys
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_random_symbols_hash_the_word_text(self, rank):
+        # the symbol at w is the blake2b of f"{seed}|{w}", read one word at a
+        # time, along the walk, and back from the tree
+        group = free_group(rank)
+        for m in (2, 3, 4):
+            alph = alphabet(f"s{i}" for i in range(m))
+            enc = random_encoding(rank, alph, rank * m, seed=m)
+            for seed in (0, 7, 123456789):
+                sigma = random_config(group, alph, seed=seed)
+                decoded = decode_tree(embed_config(sigma, enc, 5), enc, 5)
+                for w in enumerate_ball(rank, 4):
+                    digest = blake2b(f"{seed}|{w}".encode(), digest_size=8).digest()
+                    symbol = alph.symbols[int.from_bytes(digest, "big") % m]
+                    assert sigma.eval_word(w) == symbol
+                    assert decoded.eval_word(w) == symbol
 
     def test_custom_group_walk_renormalizes_the_representative(self):
         seen = []

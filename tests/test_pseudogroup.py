@@ -30,7 +30,7 @@ from treeshift.pseudogroup import (
     validate_cgs,
 )
 
-from oracles import pairwise_minimal, wordwise_partition_faults
+from oracles import pairwise_minimal, union_contains_by_scan, wordwise_partition_faults
 
 BITS = alphabet([0, 1])
 N0 = builtin_n0_shift(BITS)
@@ -394,6 +394,21 @@ def test_partition_trie_accepts_what_the_wordwise_check_accepts(case):
         assert len(under) == (covers != 1)
         assert all((met == 0) == (covers == 0) and met <= covers for met in under)
 
+
+
+@settings(max_examples=300, deadline=None)
+@given(partitions(), st.data())
+def test_contains_by_prefix_lookup_matches_the_scan(case, data):
+    # the pieces of a drawn partition, normalized or not, at a stream over the
+    # alphabet; a piece may hold a prefix twice, or a prefix and its extension
+    symbols, partition = case
+    symbol = st.sampled_from(symbols)
+    stream = SymbolStream(tuple(data.draw(st.lists(symbol, max_size=6))),
+                          tuple(data.draw(st.lists(symbol, min_size=1, max_size=3))))
+    for _, union in partition:
+        expected = union_contains_by_scan(union, stream)
+        assert union.contains(stream) == expected
+        assert CylinderUnion.of(union.parts).contains(stream) == expected
 
 
 @settings(max_examples=300, deadline=None)
