@@ -465,7 +465,8 @@ def separate_witness(t1: PointedTree, t2: PointedTree) -> Word | None:
     if first is None:
         return None
     g = key_word(first, t1.rank).parent
-    rebased = box_distance(act(t1, g), act(t2, g))
+    # |g| < both radii; distance exact(0) is decided by the radius-1 balls alone
+    rebased = box_distance(act(t1, g, 1), act(t2, g, 1))
     if rebased != BoxDistance(0, exact=True):
         raise ConsistencyError(f"witness {g} failed to separate: {rebased}")
     return g

@@ -10,17 +10,20 @@ of ``f"{seed}|{text}"``, ``text`` being ``str`` of a word and ``repr`` of any
 other payload.  On a free group its rule, and ``flipped_config``'s over it,
 also step that hash along :meth:`Config.walk`: a word's hasher is a copy of
 its parent's fed one more token, so no word's text is rebuilt, and the bytes
-hashed are the same.  Every other rule, and ``eval``/``eval_word`` on any
-rule, reads one payload at a time.
+hashed are the same.  An unshifted ``random_config`` carries the bare hasher
+as its walk state, since its walk never cancels and meets no flip; a shifted
+one, or one under a flip, pairs it with the word's key.  Every other rule,
+and ``eval``/``eval_word`` on any rule, reads one payload at a time.
 """
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from .errors import GroupMismatchError, ValidationError, is_int, json_field, json_kind
-from .freegroup import (Word, digit_letter, inverse_digit, key_base, letter_str, signed_letters,
-                        word_key)
+from .freegroup import (Word, digit_letter, inverse_digit, key_base, letter_digit, letter_str,
+                        signed_letters, word_key)
 
 if TYPE_CHECKING:  # imported where it is used: it loads decimal too
     from fractions import Fraction
@@ -114,13 +117,15 @@ class Config:
         """Read the configuration along a walk over the free words from e.
 
         Returns ``(root, step)``: ``root`` is the ``(symbol, state)`` of the
-        empty word, and ``step(state, x)`` that of w·x from the state of w.
+        empty word, and ``step(state, x)`` that of w·x from the state of w,
+        where the caller keeps w reduced: ``x`` never cancels w's last letter.
         The symbol is the one :meth:`eval_word` reads, checked the same way;
         the state is the group's walk state of translate·w
         (:meth:`GroupModel.walk`), one generator step from its parent's.  A
-        rule that steps its hash on a free group (``_RandomRule.walk``) has
-        the key of translate·w and its hasher for a state, and is taken only
-        when every symbol it can read is in the alphabet.
+        rule that steps its hash on a free group (``_RandomRule.walk``) has a
+        hasher for a state, with the key of translate·w unless the walk starts
+        at e and meets no flip, and is taken only when every symbol it can
+        read is in the alphabet.
         """
         rule, symbols = self.rule, self.alphabet.symbols
         if self.group.kind == "free" and isinstance(rule, _STEPPED):
@@ -200,6 +205,19 @@ def _payload_token(payload) -> str:
     return str(payload) if isinstance(payload, Word) else repr(payload)
 
 
+@lru_cache(maxsize=16)
+def _walk_tables(rank: int) -> tuple[dict, dict, dict, dict]:
+    """The stepped walks' tables for one rank: each digit's token, each
+    letter's token as bytes without and with a leading space, and each
+    letter's digit, the digit of its inverse and its spaced token."""
+    tokens = {d: letter_str(digit_letter(d)) for d in range(1, key_base(rank))}
+    bare = {digit_letter(d): token.encode() for d, token in tokens.items()}
+    spaced = {x: b" " + token for x, token in bare.items()}
+    moves = {x: (letter_digit(x), inverse_digit(letter_digit(x)), token)
+             for x, token in spaced.items()}
+    return tokens, bare, spaced, moves
+
+
 class _RandomRule:
     """``random_config``'s rule over the symbols of its alphabet."""
 
@@ -211,6 +229,7 @@ class _RandomRule:
         self.blake2b = blake2b
         self.seed = seed
         self.symbols = symbols
+        self.seeded = blake2b(f"{seed}|".encode(), digest_size=8)  # copied, never fed
 
     def __call__(self, payload) -> Any:
         digest = self.blake2b(f"{self.seed}|{_payload_token(payload)}".encode(),
@@ -221,24 +240,41 @@ class _RandomRule:
         """:meth:`Config.walk`'s ``(root, step)`` over the free words from
         ``start``, or None if the rule could read a symbol outside ``symbols``.
 
-        A state is ``(key, hasher)``: the key of the word and a ``blake2b``
-        already fed ``f"{seed}|{text}"``, which no one feeds again.  A child
-        copies its parent's hasher and feeds it ``" " + token``; a child of
-        the empty word (text ``"e"``) hashes ``f"{seed}|{token}"``, and a
-        step that cancels hashes the whole text again.  ``flips`` maps keys
-        to the symbols that replace the hash's there.
+        A word's hasher is a ``blake2b`` already fed ``f"{seed}|{text}"``,
+        which no one feeds again: a child copies its parent's hasher and
+        feeds it ``" " + token``, and a child of the empty word (text ``"e"``)
+        hashes ``f"{seed}|{token}"``.  From the empty word with no flips the
+        state is the bare hasher, and the empty word's is the seeded one,
+        fed ``f"{seed}|"`` only: such a walk never cancels, since no step
+        cancels the walked word's last letter.  Otherwise the state is
+        ``(key, hasher)``, the key of the word: a step that cancels hashes
+        the whole text again, and ``flips`` maps keys to the symbols that
+        replace the hash's there.
         """
         table, m = self.symbols, len(self.symbols)
         if not all(s in symbols for s in table):
             return None
-        base = key_base(start.rank)
-        seeded = self.blake2b(f"{self.seed}|".encode(), digest_size=8)
-        tokens = {d: letter_str(digit_letter(d)) for d in range(1, base)}
+        seeded = self.seeded
+        tokens, bare, spaced, moves = _walk_tables(start.rank)
 
         def hashed(text: str):
             h = seeded.copy()
             h.update(text.encode())
             return h
+
+        if not start.letters and not flips:
+            def bare_step(h, x: int) -> tuple[Any, Any]:
+                if h is seeded:
+                    h = seeded.copy()
+                    h.update(bare[x])
+                else:
+                    h = h.copy()
+                    h.update(spaced[x])
+                return table[int.from_bytes(h.digest(), "big") % m], h
+
+            return (table[int.from_bytes(hashed("e").digest(), "big") % m], seeded), bare_step
+
+        base = key_base(start.rank)
 
         def rehashed(k: int):
             texts = []
@@ -246,10 +282,6 @@ class _RandomRule:
                 k, d = divmod(k, base)
                 texts.append(tokens[d])
             return hashed(" ".join(reversed(texts)) or "e")
-
-        # letter -> (its digit, the digit of its inverse, " " + its token)
-        moves = {digit_letter(d): (d, inverse_digit(d), (" " + token).encode())
-                 for d, token in tokens.items()}
 
         def step(state, x: int) -> tuple[Any, Any]:
             k, h = state
@@ -264,7 +296,7 @@ class _RandomRule:
             else:
                 k = d
                 h = seeded.copy()
-                h.update(token[1:])
+                h.update(bare[x])
             if k in flips:
                 return flips[k], (k, h)
             return table[int.from_bytes(h.digest(), "big") % m], (k, h)

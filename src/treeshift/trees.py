@@ -233,14 +233,15 @@ def neighborhood(t: PointedTree, r: int, pool: Sequence[PointedTree]) -> list[Po
     return [p for p in pool if ball(p, r).keys == reference]
 
 
-def act(t: PointedTree, g: Word) -> PointedTree:
+def act(t: PointedTree, g: Word, radius: int | None = None) -> PointedTree:
     """Rebase the tree at the vertex g (the partial action of the free group).
 
     Defined exactly when g is a vertex: the path from the basepoint to g
     reads the reduced word g itself.  The result is the left translate by
-    g^-1, truncated to radius - |g|, since nothing further is known.  It is
-    found by a walk from g over the tree's edges, so it costs the vertices
-    within that radius of g: a step to the parent appends the inverse of the
+    g^-1, truncated to radius - |g|, since nothing further is known, or to
+    ``radius`` when given, which must not exceed that.  It is found by a
+    walk from g over the tree's edges, so it costs the vertices within the
+    result's radius of g: a step to the parent appends the inverse of the
     vertex's last letter to the new name, a step to a child its letter.
     """
     if g.rank != t.rank:
@@ -250,11 +251,19 @@ def act(t: PointedTree, g: Word) -> PointedTree:
     start = word_key(g)
     if start not in t.keys:
         raise ActionUndefinedError(f"{g} is not a vertex; action undefined")
+    known = t.radius - len(g)
+    if radius is None:
+        radius = known
+    elif radius < 0:
+        raise ValidationError(f"rebased radius {radius} is negative")
+    elif radius > known:
+        raise InsufficientDepthError(
+            f"rebased radius {radius} exceeds radius {t.radius} - |g| = {known}")
     _check_tree(t)
     base = key_base(t.rank)
     level = [(start, 0, -1)]  # (key in t, key in the result, the key it was reached from)
     moved = [0]
-    for _ in range(t.radius - len(g)):
+    for _ in range(radius):
         if not level:
             break
         nxt = []
@@ -266,7 +275,7 @@ def act(t: PointedTree, g: Word) -> PointedTree:
             nxt += [(c, head + c % base, u) for c in t.child_keys(u) if c != back]
         moved += [name for _, name, _ in nxt]
         level = nxt
-    return PointedTree(t.rank, t.radius - len(g), frozenset(moved))
+    return PointedTree(t.rank, radius, frozenset(moved))
 
 
 class OrbitGraph:

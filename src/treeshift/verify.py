@@ -26,13 +26,6 @@ from .embed import (
 from .errors import InsufficientDepthError, RankMismatchError, ValidationError
 from .freegroup import Word, enumerate_ball, identity, inverse_digit, key_base, signed_letters
 from .groups import free_group, induced_config, integer_lattice
-from .pseudogroup import (
-    S_EMPTY,
-    SymbolStream,
-    builtin_n0_shift,
-    embed_pseudo,
-    itinerary,
-)
 from .shift import agree_depth, alphabet, flipped_config, periodic_config, random_config
 from .trees import BoxDistance, PointedTree, act, ball, box_distance, orbit_graph, tree_to_json
 
@@ -290,7 +283,7 @@ def check_separation(seed: int = 0) -> CheckResult:
         if g is None or len(g) != d.r:
             failures += 1
             continue
-        if box_distance(act(t1, g), act(t2, g)) != BoxDistance(0, exact=True):
+        if box_distance(act(t1, g, 1), act(t2, g, 1)) != BoxDistance(0, exact=True):
             failures += 1
     ok = failures == 0 and produced == 100
     return CheckResult("separation", ok, f"{produced} pairs, {failures} failures")
@@ -298,6 +291,9 @@ def check_separation(seed: int = 0) -> CheckResult:
 
 def check_pseudogroup_examples(seed: int = 0) -> CheckResult:
     """The one-sided shift example: itinerary values, tree, and propagation."""
+    # imported here: no other suite runs the pseudogroup module
+    from .pseudogroup import S_EMPTY, SymbolStream, builtin_n0_shift, embed_pseudo, itinerary
+
     cgs = builtin_n0_shift(BITS)
     omega = SymbolStream.eventually_periodic((), (0, 1))
     itin = itinerary(cgs, omega, 4)

@@ -822,8 +822,19 @@ COMMANDS = [
     (["embed-pseudo", "--builtin-n0", "0,1", "--point", "{point}", "--alpha", "{alpha}",
       "--depth", "1"], PSEUDO),
     (["builtin", "n0"], ITINERARY | {"treeshift.trees"}),
-    (["verify", "--suite", "lattice-collapse"], EVERYTHING),  # builds random configurations
+    # builds random configurations; only the pseudogroup suite loads its module
+    (["verify", "--suite", "lattice-collapse"], EVERYTHING - {"treeshift.pseudogroup"}),
+    (["verify", "--suite", "pseudogroup"], EVERYTHING),
 ]
+
+
+def command_ids(commands) -> list[str]:
+    """Each command's name, and for a repeated name also its last argument."""
+    ids: list[str] = []
+    for argv, _ in commands:
+        name = argv[0].lstrip("-")
+        ids.append(f"{name}-{argv[-1]}" if name in ids else name)
+    return ids
 
 # modules no command needs: dataclasses brings inspect, ast, dis and tokenize, and
 # _hashlib (OpenSSL) comes with hashlib, although blake2b is the built-in _blake2
@@ -852,7 +863,7 @@ class TestImports:
         return paths
 
     @pytest.mark.parametrize("argv,expected", COMMANDS,
-                             ids=[argv[0].lstrip("-") for argv, _ in COMMANDS])
+                             ids=command_ids(COMMANDS))
     def test_command_loads_only_its_modules(self, inputs, argv, expected):
         argv = [arg.format(**inputs) for arg in argv]
         loaded = loaded_modules(

@@ -425,6 +425,27 @@ class TestGroupWalk:
         assert agree_depth(s1, s1, 5) == AgreementDepth(5, exact=False)
         assert calls == [] and built == []
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3), st.integers(2, 4), st.randoms(use_true_random=False))
+    def test_the_bare_walk_reads_the_keyed_walk_of_a_flip_off_the_flip(self, rank, m, rng):
+        # from e with no flip the walk state is the bare hasher; under a flip
+        # at w it is (key, hasher), and the two read the same symbols off w
+        sigma = random_config(free_group(rank), alphabet(range(m)), seed=rng.randrange(10**6))
+        length = rng.randint(0, 3)
+        w = rng.choice(enumerate_spheres(rank, length)[length])
+        flipped = flipped_config(sigma, w, seed=rng.randrange(1000))
+        read = {}
+        for config in (sigma, flipped):
+            (symbol, state), step = config.walk()
+            states, symbols = {identity(rank): state}, {identity(rank): symbol}
+            for v in enumerate_ball(rank, 4)[1:]:
+                symbols[v], states[v] = step(states[v.parent], v.last)
+            read[config] = symbols
+            assert isinstance(state, tuple) == (config is flipped)
+        assert {v for v in read[sigma] if read[sigma][v] != read[flipped][v]} == {w}
+        assert all(s == sigma.eval_word(v) for v, s in read[sigma].items())
+        assert read[flipped][w] == flipped.eval_word(w)
+
     def test_the_outer_of_two_flips_at_one_word_wins_along_the_walk(self):
         trits = alphabet(range(3))
         at = parse_word("g1'", 2)

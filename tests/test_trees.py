@@ -474,6 +474,19 @@ def test_act_matches_left_translation(t, rng):
 
 
 @settings(max_examples=80, deadline=None)
+@given(random_trees, st.randoms(use_true_random=False))
+def test_act_to_a_radius_is_the_ball_of_the_full_rebasing(t, rng):
+    for g in rng.sample(sorted(t.vertices, key=Word.sort_key), min(4, len(t.vertices))):
+        full = act(t, g)
+        for r in range(full.radius + 1):
+            assert act(t, g, r) == ball(full, r)
+        with pytest.raises(InsufficientDepthError, match="exceeds radius"):
+            act(t, g, full.radius + 1)
+        with pytest.raises(ValidationError, match="is negative"):
+            act(t, g, -1)
+
+
+@settings(max_examples=80, deadline=None)
 @given(tree_pairs)
 def test_box_distance_and_witness_match_the_levelwise_oracles(pair):
     t1, t2 = pair
