@@ -284,7 +284,8 @@ def embed_config(sigma: Config, enc: EdgeEncoding, depth: int) -> Embedding:
     The configuration may live on any group model on the encoding's source
     rank of generators; its tree is that of its pullback to the free group
     (``groups.induced_config``).  The symbols are read by walking the group,
-    one generator step per source word (:meth:`Config.walk`).
+    one generator step per source word (:meth:`Config.walk`), and a
+    pullback walks the group of the configuration it pulls back.
     """
     if depth < 0:
         raise ValidationError(f"depth {depth} is negative")

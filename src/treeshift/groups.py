@@ -178,12 +178,33 @@ def lattice_unit_element(model: GroupModel, k: int) -> GroupElement:
     raise ValidationError("no generator with image +1 or -1")
 
 
+class _PulledRule(shift._Stepped):
+    """:func:`induced_config`'s rule: ``sigma``'s rule at a free word's image
+    in ``sigma``'s group.  The pullback has ``sigma``'s alphabet, so it
+    checks each symbol as ``sigma`` does, and ``sigma``'s walk checks its own."""
+
+    def __init__(self, sigma: "shift.Config") -> None:
+        self.sigma = sigma
+
+    def __call__(self, w: Word) -> Any:
+        sigma = self.sigma
+        return sigma.rule(sigma.group.normalize(sigma.translate.rep * w).payload)
+
+    def walk(self, start: Word, symbols: tuple, flips: dict):
+        """``sigma``'s own walk from the image of ``start``, one step of its
+        group per word, or None under a flip."""
+        sigma = self.sigma
+        return None if flips else (sigma.shifted(start) if start.letters else sigma).walk()
+
+
 def induced_config(model: GroupModel, sigma: "shift.Config") -> "shift.Config":
     """Pull a configuration on G back to the free group on G's generators.
 
     The result evaluates a word by normalizing it into G and reading the
     original configuration there, so words in the same fiber always agree
-    and relators collapse.
+    and relators collapse.  Its walk (:meth:`shift.Config.walk`) is the
+    original configuration's from the image of its translate, one step of
+    G per word, unless the result is flipped (``shift.flipped_config``).
     """
     if sigma.group != model:
         raise GroupMismatchError("configuration does not live on the given model")
@@ -191,7 +212,7 @@ def induced_config(model: GroupModel, sigma: "shift.Config") -> "shift.Config":
     return shift.Config(
         group=fm,
         alphabet=sigma.alphabet,
-        rule=sigma.eval_word,
+        rule=_PulledRule(sigma),
         label=f"induced({sigma.label})",
     )
 

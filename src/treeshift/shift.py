@@ -12,8 +12,12 @@ also step that hash along :meth:`Config.walk`: a word's hasher is a copy of
 its parent's fed one more token, so no word's text is rebuilt, and the bytes
 hashed are the same.  An unshifted ``random_config`` carries the bare hasher
 as its walk state, since its walk never cancels and meets no flip; a shifted
-one, or one under a flip, pairs it with the word's key.  Every other rule,
-and ``eval``/``eval_word`` on any rule, reads one payload at a time.
+one, or one under a flip, pairs it with the word's key.  On a free group a
+``finite_support_config``, flipped or not, steps the word's key and reads a
+table of its support's keys, and a pullback (``groups.induced_config``)
+unflipped takes its configuration's own walk, one step of that group per
+word.  Every other rule, and ``eval``/``eval_word`` on any rule, reads one
+payload at a time.
 """
 from __future__ import annotations
 
@@ -121,14 +125,16 @@ class Config:
         where the caller keeps w reduced: ``x`` never cancels w's last letter.
         The symbol is the one :meth:`eval_word` reads, checked the same way;
         the state is the group's walk state of translate·w
-        (:meth:`GroupModel.walk`), one generator step from its parent's.  A
-        rule that steps its hash on a free group (``_RandomRule.walk``) has a
-        hasher for a state, with the key of translate·w unless the walk starts
-        at e and meets no flip, and is taken only when every symbol it can
-        read is in the alphabet.
+        (:meth:`GroupModel.walk`), one generator step from its parent's.  On
+        a free group a stepped rule walks on its own states instead, taken
+        only when every symbol it can read is in the alphabet: a random
+        rule's hasher (``_RandomRule.walk``), with the key of translate·w
+        unless the walk starts at e and meets no flip; a finite support's
+        key of translate·w; and a pullback's walk of its configuration from
+        the image of translate, unless it is flipped.
         """
         rule, symbols = self.rule, self.alphabet.symbols
-        if self.group.kind == "free" and isinstance(rule, _STEPPED):
+        if self.group.kind == "free" and isinstance(rule, _Stepped):
             stepped = rule.walk(self.translate.rep, symbols, {})
             if stepped is not None:
                 return stepped
@@ -197,12 +203,17 @@ def _check_table(cell, periods, path: str) -> None:
 
 def finite_support_config(group, alph: Alphabet, support: dict, default, label="finite") -> Config:
     """Default symbol everywhere except finitely many payloads."""
-    frozen = dict(support)
-    return Config(group, alph, lambda p: frozen.get(p, default), label=label)
+    return Config(group, alph, _FiniteRule(dict(support), default), label=label)
 
 
 def _payload_token(payload) -> str:
     return str(payload) if isinstance(payload, Word) else repr(payload)
+
+
+class _Stepped:
+    """A rule with a walk of its own on a free group, read by
+    :meth:`Config.walk`: ``walk(start, symbols, flips)`` gives the
+    ``(root, step)`` from ``start``, or None to read one payload at a time."""
 
 
 @lru_cache(maxsize=16)
@@ -218,7 +229,7 @@ def _walk_tables(rank: int) -> tuple[dict, dict, dict, dict]:
     return tokens, bare, spaced, moves
 
 
-class _RandomRule:
+class _RandomRule(_Stepped):
     """``random_config``'s rule over the symbols of its alphabet."""
 
     def __init__(self, seed: int, symbols: tuple) -> None:
@@ -307,7 +318,38 @@ class _RandomRule:
         return (value, (k, h)), step
 
 
-class _FlippedRule:
+class _FiniteRule(_Stepped):
+    """``finite_support_config``'s rule: ``support``'s symbol, else ``default``."""
+
+    def __init__(self, support: dict, default) -> None:
+        self.support = support
+        self.default = default
+
+    def __call__(self, payload) -> Any:
+        return self.support.get(payload, self.default)
+
+    def walk(self, start: Word, symbols: tuple, flips: dict):
+        """As ``_RandomRule.walk``, on the word's key alone: a table of the
+        support's keys, with ``flips`` over it, gives each key's symbol."""
+        support, default, rank = self.support, self.default, start.rank
+        if default not in symbols or not all(s in symbols for s in support.values()):
+            return None
+        # a key that is not a Word of the walk's rank equals no payload
+        table = {word_key(w): s for w, s in support.items()
+                 if w.__class__ is Word and w.rank == rank}
+        table.update(flips)
+        base, moves = key_base(rank), _walk_tables(rank)[3]
+
+        def step(k: int, x: int) -> tuple[Any, Any]:
+            d, back, _ = moves[x]
+            k = k // base if k % base == back else k * base + d
+            return table.get(k, default), k
+
+        k = word_key(start)
+        return (table.get(k, default), k), step
+
+
+class _FlippedRule(_Stepped):
     """``flipped_config``'s rule: ``new`` at ``target``, ``base`` elsewhere."""
 
     def __init__(self, base: Callable[[Any], Any], target, new) -> None:
@@ -323,12 +365,9 @@ class _FlippedRule:
     def walk(self, start: Word, symbols: tuple, flips: dict):
         """The base rule's stepped walk with this flip under ``flips`` (an
         outer flip's symbol wins), or None if the base has none."""
-        if not isinstance(self.base, _STEPPED) or self.new not in symbols:
+        if not isinstance(self.base, _Stepped) or self.new not in symbols:
             return None
         return self.base.walk(start, symbols, {word_key(self.target): self.new, **flips})
-
-
-_STEPPED = (_RandomRule, _FlippedRule)
 
 
 def random_config(group, alph: Alphabet, seed: int) -> Config:

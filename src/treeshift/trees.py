@@ -330,7 +330,9 @@ def orbit_graph(t: PointedTree, step_bound: int, working_radius: int) -> OrbitGr
         for c in tree.child_keys(0):
             step = key_word(c, tree.rank)
             x = step.last
-            image = act(tree, step)
+            # the image is read to working_radius around nodes up to
+            # step_bound - depth - 1 steps from it
+            image = act(tree, step, working_radius + step_bound - depth - 1)
             j = node_id(image)
             edges.add((i, x, j) if x > 0 else (j, -x, i))
             if j not in expanded:

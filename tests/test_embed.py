@@ -318,8 +318,9 @@ def _nested_table(rng, periods, symbols):
 @st.composite
 def walked_configs(draw):
     """A configuration over a free group of rank 1-3, a lattice Z^1-Z^3 with
-    random integer images, or a custom group, possibly flipped at one or two
-    words of length 0-3 (``flipped_config``), possibly shifted; and an
+    random integer images, or a custom group, possibly pulled back to the
+    free group (``induced_config``) before or after it is flipped at one or
+    two words of length 0-3 (``flipped_config``), possibly shifted; and an
     encoding."""
     rng = draw(st.randoms(use_true_random=False))
     kind = draw(st.sampled_from(["free", "lattice", "custom"]))
@@ -346,10 +347,15 @@ def walked_configs(draw):
         sigma = finite_support_config(group, alph, support, rng.choice(alph.symbols))
     else:
         sigma = Config(group, alph, lambda p: len(str(p)) % m)
+    pull = draw(st.sampled_from(["no", "before the flips", "after the flips"]))
+    if pull == "before the flips":
+        sigma = induced_config(group, sigma)
     for _ in range(draw(st.integers(0, 2))):
         length = rng.randint(0, 3)
         at = rng.choice(enumerate_spheres(M, length)[length])
         sigma = flipped_config(sigma, at, seed=rng.randrange(1000))
+    if pull == "after the flips":
+        sigma = induced_config(group, sigma)
     if draw(st.booleans()):
         sigma = sigma.shifted(rng.choice(enumerate_ball(M, 3)))
     enc = random_encoding(M, alph, M * m + rng.randint(0, 2), seed=rng.randrange(1000))
@@ -371,16 +377,20 @@ class TestGroupWalk:
     @settings(max_examples=40, deadline=None)
     @given(walked_configs())
     def test_embeds_as_its_pullback(self, case):
+        # the pullback walks sigma's group, so the oracle is a per-word read
         sigma, enc, depth = case
-        direct = embed_config(sigma, enc, depth)
         pulled = embed_config(induced_config(sigma.group, sigma), enc, depth)
-        assert direct.tree == pulled.tree
-        assert direct.vertex_keys == pulled.vertex_keys
+        tree, vertex_of = embed_by_words(sigma, enc, depth)
+        assert pulled.tree == tree
+        assert pulled.vertex_of == vertex_of
 
     def test_lattice_embed_normalizes_no_word(self, monkeypatch):
-        # nor does it build one; nor do the itinerary walks, the decoder or
-        # ball_json, which carry each source word as its key
-        sigma = random_config(integer_lattice(d=3), BITS, seed=2)
+        # nor does it build one, directly or through its pullback; nor do the
+        # itinerary walks, the decoder or ball_json, which carry each source
+        # word as its key
+        z3 = integer_lattice(d=3)
+        sigma = random_config(z3, BITS, seed=2)
+        pulled = induced_config(z3, sigma)
         enc = random_encoding(3, BITS, 6, seed=1)
         tree = embed_config(sigma, enc, 5).tree
         shift = builtin_n0_shift(BITS)
@@ -395,6 +405,7 @@ class TestGroupWalk:
                             lambda self: built.append(self) or check(self))
         monkeypatch.setattr(freegroup, "_word", lambda *args: built.append(args) or word(*args))
         embed_config(sigma, enc, 4)
+        assert embed_config(pulled, enc, 5).tree == tree
         assert calls == []
         decode_tree(tree, enc, 5)
         embed_pseudo(itinerary(shift, omega, 6), enc4, 6)
@@ -423,6 +434,33 @@ class TestGroupWalk:
         assert [embed_config(s, enc, 4).tree.keys for s in (s1, s2)] == expected
         assert agree_depth(s1, s2, 5) == depth
         assert agree_depth(s1, s1, 5) == AgreementDepth(5, exact=False)
+        assert calls == [] and built == []
+
+    def test_free_finite_support_walk_builds_no_word(self, monkeypatch):
+        # the walk steps the word's key; shifted by g0 g1' g0, the step by g0'
+        # cancels onto g0 g1', which is in the support and flipped
+        f2, trits = free_group(2), alphabet(range(3))
+        enc = random_encoding(2, trits, 6, seed=1)
+        support = {parse_word(t, 2): s for t, s in [("g0 g1'", 1), ("g1", 2), ("g0 g1' g0 g1", 2)]}
+        sigma = finite_support_config(f2, trits, support, 0)
+        flipped = flipped_config(sigma, parse_word("g0 g1'", 2), seed=3)
+        gamma = parse_word("g0 g1' g0", 2)
+        configs = (sigma, flipped, sigma.shifted(gamma), flipped.shifted(gamma))
+        expected = [embed_by_words(s, enc, 4)[0].keys for s in configs]
+        pairs = [(sigma, flipped), configs[2:], (sigma, configs[2])]
+        depths = [sphere_agree_depth(s1, s2, 5) for s1, s2 in pairs]
+        assert depths == [AgreementDepth(1, exact=True), AgreementDepth(0, exact=True),
+                          AgreementDepth(0, exact=True)]
+        calls, built = [], []
+        normalize = groups.GroupModel.normalize
+        monkeypatch.setattr(groups.GroupModel, "normalize",
+                            lambda self, w: calls.append(w) or normalize(self, w))
+        check, word = freegroup.Word.__post_init__, freegroup._word
+        monkeypatch.setattr(freegroup.Word, "__post_init__",
+                            lambda self: built.append(self) or check(self))
+        monkeypatch.setattr(freegroup, "_word", lambda *args: built.append(args) or word(*args))
+        assert [embed_config(s, enc, 4).tree.keys for s in configs] == expected
+        assert [agree_depth(s1, s2, 5) for s1, s2 in pairs] == depths
         assert calls == [] and built == []
 
     @settings(max_examples=60, deadline=None)

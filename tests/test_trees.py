@@ -2,6 +2,7 @@ import math
 import random
 import time
 from types import SimpleNamespace
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +14,7 @@ from treeshift.errors import (
     RankMismatchError,
     ValidationError,
 )
-from treeshift import freegroup
+from treeshift import freegroup, trees
 from treeshift.freegroup import Word, identity, letter_str, parse_word, signed_letters, word_key
 from treeshift.trees import (
     BoxDistance,
@@ -236,6 +237,19 @@ class TestOrbitGraph:
     def test_depth_requirement(self):
         with pytest.raises(InsufficientDepthError):
             orbit_graph(parity_tree(3), step_bound=3, working_radius=2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3), st.integers(0, 3), st.integers(0, 3), st.integers(0, 2),
+           st.integers(0, 10**6))
+    def test_rebasing_to_what_is_read_keeps_the_graph(self, rank, step_bound, working_radius,
+                                                       spare, seed):
+        # each image is rebased only as far as the steps left read it; the
+        # graph is the one of rebasing every image to its full radius
+        t = random_tree(rank, working_radius + step_bound + spare, seed, fill=0.7)
+        og = orbit_graph(t, step_bound, working_radius)
+        with patch.object(trees, "act", lambda tree, g, radius=None: act(tree, g)):
+            full = orbit_graph(t, step_bound, working_radius)
+        assert og.nodes == full.nodes and og.edges == full.edges
 
     def test_exports(self):
         og = orbit_graph(parity_tree(6), step_bound=4, working_radius=2)
