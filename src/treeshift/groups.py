@@ -190,11 +190,11 @@ class _PulledRule(shift._Stepped):
         sigma = self.sigma
         return sigma.rule(sigma.group.normalize(sigma.translate.rep * w).payload)
 
-    def walk(self, start: Word, symbols: tuple, flips: dict):
+    def walk(self, start: Word, symbols: tuple):
         """``sigma``'s own walk from the image of ``start``, one step of its
-        group per word, or None under a flip."""
+        group per word."""
         sigma = self.sigma
-        return None if flips else (sigma.shifted(start) if start.letters else sigma).walk()
+        return (sigma.shifted(start) if start.letters else sigma).walk()
 
 
 def induced_config(model: GroupModel, sigma: "shift.Config") -> "shift.Config":
@@ -204,7 +204,7 @@ def induced_config(model: GroupModel, sigma: "shift.Config") -> "shift.Config":
     original configuration there, so words in the same fiber always agree
     and relators collapse.  Its walk (:meth:`shift.Config.walk`) is the
     original configuration's from the image of its translate, one step of
-    G per word, unless the result is flipped (``shift.flipped_config``).
+    G per word.
     """
     if sigma.group != model:
         raise GroupMismatchError("configuration does not live on the given model")

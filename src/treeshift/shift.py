@@ -7,17 +7,15 @@ the right action (sigma . gamma)(x) = sigma(gamma x).
 
 ``random_config`` reads the symbol at a payload from the 8-byte ``blake2b``
 of ``f"{seed}|{text}"``, ``text`` being ``str`` of a word and ``repr`` of any
-other payload.  On a free group its rule, and ``flipped_config``'s over it,
-also step that hash along :meth:`Config.walk`: a word's hasher is a copy of
-its parent's fed one more token, so no word's text is rebuilt, and the bytes
-hashed are the same.  An unshifted ``random_config`` carries the bare hasher
-as its walk state, since its walk never cancels and meets no flip; a shifted
-one, or one under a flip, pairs it with the word's key.  On a free group a
-``finite_support_config``, flipped or not, steps the word's key and reads a
-table of its support's keys, and a pullback (``groups.induced_config``)
-unflipped takes its configuration's own walk, one step of that group per
-word.  Every other rule, and ``eval``/``eval_word`` on any rule, reads one
-payload at a time.
+other payload.  On a free group its rule also steps that hash along
+:meth:`Config.walk`: a word's hasher is a copy of its parent's fed one more
+token, so no word's text is rebuilt, and the bytes hashed are the same.
+``finite_support_config`` and ``flipped_config`` lay a table of payloads
+over a rule, a constant one for a finite support; on a free group the walk
+reads that table at each word's key, carried next to the rule's own state.
+A pullback (``groups.induced_config``) takes its configuration's own walk,
+one step of that group per word.  Every other rule, and
+``eval``/``eval_word`` on any rule, reads one payload at a time.
 """
 from __future__ import annotations
 
@@ -26,8 +24,8 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from .errors import GroupMismatchError, ValidationError, is_int, json_field, json_kind
-from .freegroup import (Word, digit_letter, inverse_digit, key_base, letter_digit, letter_str,
-                        signed_letters, word_key)
+from .freegroup import (Word, inverse_digit, key_base, letter_digit, letter_str, signed_letters,
+                        word_key)
 
 if TYPE_CHECKING:  # imported where it is used: it loads decimal too
     from fractions import Fraction
@@ -126,32 +124,61 @@ class Config:
         The symbol is the one :meth:`eval_word` reads, checked the same way;
         the state is the group's walk state of translate·w
         (:meth:`GroupModel.walk`), one generator step from its parent's.  On
-        a free group a stepped rule walks on its own states instead, taken
-        only when every symbol it can read is in the alphabet: a random
-        rule's hasher (``_RandomRule.walk``), with the key of translate·w
-        unless the walk starts at e and meets no flip; a finite support's
-        key of translate·w; and a pullback's walk of its configuration from
-        the image of translate, unless it is flipped.
+        a free group a stepped rule walks on its own states instead: a
+        random rule's hasher (``_RandomRule.walk``), taken only when every
+        symbol it can read is in the alphabet, and a pullback's walk of its
+        configuration from the image of translate.  There an overlay's state
+        pairs the key of translate·w with its base rule's, or is that key
+        alone over a constant, and its symbol is the table's at that key, if
+        the table has one; a table's symbols are checked when it is built
+        (``finite_support_config``, ``flipped_config``).
         """
-        rule, symbols = self.rule, self.alphabet.symbols
-        if self.group.kind == "free" and isinstance(rule, _Stepped):
-            stepped = rule.walk(self.translate.rep, symbols, {})
-            if stepped is not None:
-                return stepped
-        state, advance, payload = self.group.walk(self.translate)
-        read = rule if payload is None else lambda s: rule(payload(s))
+        rule, symbols, start = self.rule, self.alphabet.symbols, self.translate.rep
+        free = self.group.kind == "free"
+        table = {}
+        if free and rule.__class__ is _Overlay:
+            rule, table = rule.base, rule.table
+        stepped = free and isinstance(rule, _Stepped) and rule.walk(start, symbols)
+        if stepped:
+            (value, state), step = stepped
+        else:
+            state, advance, payload = self.group.walk(self.translate)
+            read = rule if payload is None else lambda s: rule(payload(s))
 
-        def symbol(s) -> Any:
-            value = read(s)
-            if value not in symbols:
-                raise ValidationError(f"rule produced {value!r} outside the alphabet")
-            return value
+            def symbol(s) -> Any:
+                value = read(s)
+                if value not in symbols:
+                    raise ValidationError(f"rule produced {value!r} outside the alphabet")
+                return value
 
-        def step(s, x: int) -> tuple[Any, Any]:
-            s = advance(s, x)
-            return symbol(s), s
+            def step(s, x: int) -> tuple[Any, Any]:
+                s = advance(s, x)
+                return symbol(s), s
 
-        return (symbol(state), state), step
+            value = symbol(state)
+        if not table and rule.__class__ is not _Constant:
+            return (value, state), step
+        # a payload that is not a Word of the walk's rank is no free word
+        keys = {word_key(w): s for w, s in table.items()
+                if w.__class__ is Word and w.rank == start.rank}
+        base, moves = key_base(start.rank), _walk_tables(start.rank)[2]
+        k = word_key(start)
+        if rule.__class__ is _Constant:  # no state but the key: no tuple per word
+            def key_step(k: int, x: int) -> tuple[Any, Any]:
+                d, back = moves[x]
+                k = k // base if k % base == back else k * base + d
+                return keys.get(k, value), k
+
+            return (keys.get(k, value), k), key_step
+
+        def overlay_step(ks, x: int) -> tuple[Any, Any]:
+            k, s = ks
+            d, back = moves[x]
+            k = k // base if k % base == back else k * base + d
+            value, s = step(s, x)
+            return keys.get(k, value), (k, s)
+
+        return (keys.get(k, value), (k, state)), overlay_step
 
     def shifted(self, gamma) -> "Config":
         if isinstance(gamma, Word):
@@ -203,7 +230,10 @@ def _check_table(cell, periods, path: str) -> None:
 
 def finite_support_config(group, alph: Alphabet, support: dict, default, label="finite") -> Config:
     """Default symbol everywhere except finitely many payloads."""
-    return Config(group, alph, _FiniteRule(dict(support), default), label=label)
+    for s in (default, *support.values()):
+        if s not in alph:
+            raise ValidationError(f"finite support symbol {s!r} not in alphabet {alph.symbols}")
+    return Config(group, alph, _Overlay(_Constant(default), dict(support)), label=label)
 
 
 def _payload_token(payload) -> str:
@@ -212,21 +242,19 @@ def _payload_token(payload) -> str:
 
 class _Stepped:
     """A rule with a walk of its own on a free group, read by
-    :meth:`Config.walk`: ``walk(start, symbols, flips)`` gives the
-    ``(root, step)`` from ``start``, or None to read one payload at a time."""
+    :meth:`Config.walk`: ``walk(start, symbols)`` gives the ``(root, step)``
+    from ``start``, or None to read one payload at a time."""
 
 
 @lru_cache(maxsize=16)
-def _walk_tables(rank: int) -> tuple[dict, dict, dict, dict]:
-    """The stepped walks' tables for one rank: each digit's token, each
-    letter's token as bytes without and with a leading space, and each
-    letter's digit, the digit of its inverse and its spaced token."""
-    tokens = {d: letter_str(digit_letter(d)) for d in range(1, key_base(rank))}
-    bare = {digit_letter(d): token.encode() for d, token in tokens.items()}
+def _walk_tables(rank: int) -> tuple[dict, dict, dict]:
+    """The stepped walks' tables for one rank: each letter's token as bytes
+    without and with a leading space, and each letter's digit and the digit
+    of its inverse."""
+    bare = {x: letter_str(x).encode() for x in signed_letters(rank)}
     spaced = {x: b" " + token for x, token in bare.items()}
-    moves = {x: (letter_digit(x), inverse_digit(letter_digit(x)), token)
-             for x, token in spaced.items()}
-    return tokens, bare, spaced, moves
+    moves = {x: (letter_digit(x), inverse_digit(letter_digit(x))) for x in bare}
+    return bare, spaced, moves
 
 
 class _RandomRule(_Stepped):
@@ -241,133 +269,73 @@ class _RandomRule(_Stepped):
         self.seed = seed
         self.symbols = symbols
         self.seeded = blake2b(f"{seed}|".encode(), digest_size=8)  # copied, never fed
+        digest = blake2b(f"{seed}|e".encode(), digest_size=8).digest()
+        self.at_e = symbols[int.from_bytes(digest, "big") % len(symbols)]
 
     def __call__(self, payload) -> Any:
         digest = self.blake2b(f"{self.seed}|{_payload_token(payload)}".encode(),
                               digest_size=8).digest()
         return self.symbols[int.from_bytes(digest, "big") % len(self.symbols)]
 
-    def walk(self, start: Word, symbols: tuple, flips: dict):
+    def walk(self, start: Word, symbols: tuple):
         """:meth:`Config.walk`'s ``(root, step)`` over the free words from
         ``start``, or None if the rule could read a symbol outside ``symbols``.
 
         A word's hasher is a ``blake2b`` already fed ``f"{seed}|{text}"``,
         which no one feeds again: a child copies its parent's hasher and
         feeds it ``" " + token``, and a child of the empty word (text ``"e"``)
-        hashes ``f"{seed}|{token}"``.  From the empty word with no flips the
-        state is the bare hasher, and the empty word's is the seeded one,
-        fed ``f"{seed}|"`` only: such a walk never cancels, since no step
-        cancels the walked word's last letter.  Otherwise the state is
-        ``(key, hasher)``, the key of the word: a step that cancels hashes
-        the whole text again, and ``flips`` maps keys to the symbols that
-        replace the hash's there.
+        hashes ``f"{seed}|{token}"``.  Since no step cancels the walked
+        word's last letter, a step cancels only onto a prefix of ``start``:
+        the state of the prefix of i letters is i, whose hasher is built
+        once per walk, and any other word's state is its hasher.  From the
+        empty word, that is every word but the root.
         """
         table, m = self.symbols, len(self.symbols)
-        if not all(s in symbols for s in table):
+        if table is not symbols and not all(s in symbols for s in table):
             return None
-        seeded = self.seeded
-        tokens, bare, spaced, moves = _walk_tables(start.rank)
+        bare, spaced, _ = _walk_tables(start.rank)
+        letters, path, reads = start.letters, [self.seeded], [self.at_e]
+        for i, x in enumerate(letters):
+            h = path[i].copy()
+            h.update(spaced[x] if i else bare[x])
+            path.append(h)
+            reads.append(table[int.from_bytes(h.digest(), "big") % m])
 
-        def hashed(text: str):
-            h = seeded.copy()
-            h.update(text.encode())
-            return h
-
-        if not start.letters and not flips:
-            def bare_step(h, x: int) -> tuple[Any, Any]:
-                if h is seeded:
-                    h = seeded.copy()
-                    h.update(bare[x])
-                else:
-                    h = h.copy()
-                    h.update(spaced[x])
-                return table[int.from_bytes(h.digest(), "big") % m], h
-
-            return (table[int.from_bytes(hashed("e").digest(), "big") % m], seeded), bare_step
-
-        base = key_base(start.rank)
-
-        def rehashed(k: int):
-            texts = []
-            while k:
-                k, d = divmod(k, base)
-                texts.append(tokens[d])
-            return hashed(" ".join(reversed(texts)) or "e")
-
-        def step(state, x: int) -> tuple[Any, Any]:
-            k, h = state
-            d, back, token = moves[x]
-            if k % base == back:
-                k //= base
-                h = rehashed(k)
-            elif k:
-                k = k * base + d
-                h = h.copy()
-                h.update(token)
+        def step(s, x: int) -> tuple[Any, Any]:
+            if s.__class__ is int:
+                if s and x == -letters[s - 1]:
+                    return reads[s - 1], s - 1
+                h = path[s].copy()
+                h.update(spaced[x] if s else bare[x])
             else:
-                k = d
-                h = seeded.copy()
-                h.update(bare[x])
-            if k in flips:
-                return flips[k], (k, h)
-            return table[int.from_bytes(h.digest(), "big") % m], (k, h)
+                h = s.copy()
+                h.update(spaced[x])
+            return table[int.from_bytes(h.digest(), "big") % m], h
 
-        k = word_key(start)
-        h = hashed(str(start))
-        value = flips[k] if k in flips else table[int.from_bytes(h.digest(), "big") % m]
-        return (value, (k, h)), step
+        return (reads[-1], len(letters)), step
 
 
-class _FiniteRule(_Stepped):
-    """``finite_support_config``'s rule: ``support``'s symbol, else ``default``."""
+class _Constant:
+    """``finite_support_config``'s rule under its support: ``value`` everywhere."""
 
-    def __init__(self, support: dict, default) -> None:
-        self.support = support
-        self.default = default
+    def __init__(self, value) -> None:
+        self.value = value
 
     def __call__(self, payload) -> Any:
-        return self.support.get(payload, self.default)
-
-    def walk(self, start: Word, symbols: tuple, flips: dict):
-        """As ``_RandomRule.walk``, on the word's key alone: a table of the
-        support's keys, with ``flips`` over it, gives each key's symbol."""
-        support, default, rank = self.support, self.default, start.rank
-        if default not in symbols or not all(s in symbols for s in support.values()):
-            return None
-        # a key that is not a Word of the walk's rank equals no payload
-        table = {word_key(w): s for w, s in support.items()
-                 if w.__class__ is Word and w.rank == rank}
-        table.update(flips)
-        base, moves = key_base(rank), _walk_tables(rank)[3]
-
-        def step(k: int, x: int) -> tuple[Any, Any]:
-            d, back, _ = moves[x]
-            k = k // base if k % base == back else k * base + d
-            return table.get(k, default), k
-
-        k = word_key(start)
-        return (table.get(k, default), k), step
+        return self.value
 
 
-class _FlippedRule(_Stepped):
-    """``flipped_config``'s rule: ``new`` at ``target``, ``base`` elsewhere."""
+class _Overlay:
+    """``base`` under a table of payloads and the symbols that replace its
+    own there: a finite support, or the flips of ``flipped_config``."""
 
-    def __init__(self, base: Callable[[Any], Any], target, new) -> None:
+    def __init__(self, base: Callable[[Any], Any], table: dict) -> None:
         self.base = base
-        self.target = target
-        self.new = new
+        self.table = table
 
     def __call__(self, payload) -> Any:
-        if payload == self.target:
-            return self.new
-        return self.base(payload)
-
-    def walk(self, start: Word, symbols: tuple, flips: dict):
-        """The base rule's stepped walk with this flip under ``flips`` (an
-        outer flip's symbol wins), or None if the base has none."""
-        if not isinstance(self.base, _Stepped) or self.new not in symbols:
-            return None
-        return self.base.walk(start, symbols, {word_key(self.target): self.new, **flips})
+        table = self.table
+        return table[payload] if payload in table else self.base(payload)
 
 
 def random_config(group, alph: Alphabet, seed: int) -> Config:
@@ -376,16 +344,24 @@ def random_config(group, alph: Alphabet, seed: int) -> Config:
 
 
 def flipped_config(sigma: Config, at: Word, seed: int = 0) -> Config:
-    """Copy of sigma whose value at one element is changed to a different symbol."""
+    """Copy of sigma whose value at one element is changed to a different symbol.
+
+    A flip of a flipped configuration or of a finite support adds one entry
+    to its table, so the outer of two flips at one element wins.
+    """
     target = sigma.group.normalize(at)
     old = sigma.eval(target)
     others = [s for s in sigma.alphabet if s != old]
+    if not others:
+        raise ValidationError(f"cannot flip a configuration over the one symbol {old!r}")
     new = others[random.Random(seed).randrange(len(others))]
     # the flip is defined relative to the untranslated rule, so require a
     # fresh (untranslated) configuration to keep the semantics obvious
     if sigma.translate.payload != sigma.group.identity().payload:
         raise ValidationError("flipped_config expects an unshifted configuration")
-    return Config(sigma.group, sigma.alphabet, _FlippedRule(sigma.rule, target.payload, new),
+    rule = sigma.rule
+    base, table = (rule.base, rule.table) if rule.__class__ is _Overlay else (rule, {})
+    return Config(sigma.group, sigma.alphabet, _Overlay(base, {**table, target.payload: new}),
                   label=f"{sigma.label}+flip({at})")
 
 

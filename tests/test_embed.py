@@ -385,14 +385,16 @@ class TestGroupWalk:
         assert pulled.vertex_of == vertex_of
 
     def test_lattice_embed_normalizes_no_word(self, monkeypatch):
-        # nor does it build one, directly or through its pullback; nor do the
-        # itinerary walks, the decoder or ball_json, which carry each source
-        # word as its key
+        # nor does it build one, directly or through its pullback, flipped or
+        # not; nor do the itinerary walks, the decoder or ball_json, which
+        # carry each source word as its key
         z3 = integer_lattice(d=3)
         sigma = random_config(z3, BITS, seed=2)
         pulled = induced_config(z3, sigma)
+        flipped = flipped_config(pulled, parse_word("g0 g2'", 3), seed=1)
         enc = random_encoding(3, BITS, 6, seed=1)
         tree = embed_config(sigma, enc, 5).tree
+        flipped_tree = embed_by_words(flipped, enc, 5)[0]
         shift = builtin_n0_shift(BITS)
         omega = SymbolStream.eventually_periodic((), (0, 1))
         enc4 = edge_encoding(2, BITS, 4, {(1, 0): 1, (1, 1): 2, (2, 0): 3, (2, 1): 4})
@@ -406,6 +408,7 @@ class TestGroupWalk:
         monkeypatch.setattr(freegroup, "_word", lambda *args: built.append(args) or word(*args))
         embed_config(sigma, enc, 4)
         assert embed_config(pulled, enc, 5).tree == tree
+        assert embed_config(flipped, enc, 5).tree == flipped_tree != tree
         assert calls == []
         decode_tree(tree, enc, 5)
         embed_pseudo(itinerary(shift, omega, 6), enc4, 6)

@@ -1,9 +1,11 @@
 """The package root resolves its public names lazily, on first use; every
 definition in the package is run by the package, the benchmark or a demo,
-or is a public name that one of them runs or README names."""
+or is a public name that one of them runs or README names; and no module
+outgrows the parser's token buffer."""
 import ast
 import importlib
 import re
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -111,3 +113,16 @@ def test_every_public_name_is_read_outside_the_tests_or_documented():
     bare, attributes = names_read(READERS)
     known = bare | attributes | names_documented()
     assert [name for name in treeshift.__all__ if name not in known] == []
+
+
+def test_every_module_fits_the_parsers_first_4096_tokens():
+    # CPython's parser keeps every token of a module in one array that it
+    # doubles when full, so a module past 4,096 tokens compiles with twice
+    # the buffer in every process that imports it.  The parser's tokens are
+    # tokenize's less ENCODING, COMMENT and NL.
+    skipped = {tokenize.ENCODING, tokenize.COMMENT, tokenize.NL}
+    counts = {}
+    for path in sorted(SRC.glob("*.py")):
+        with path.open("rb") as f:
+            counts[path.name] = sum(t.type not in skipped for t in tokenize.tokenize(f.readline))
+    assert {name: n for name, n in counts.items() if n > 4096} == {}

@@ -42,6 +42,12 @@ class TestEval:
         assert sigma.eval(z_point(5)) == 0
         assert sigma.eval(z_point(0)) == 1
 
+    @pytest.mark.parametrize("support, default", [({(0,): 2}, 0), ({(0,): 1}, "0")])
+    def test_finite_support_symbols_must_be_in_the_alphabet(self, support, default):
+        # refused when the support is built, not when its word is first read
+        with pytest.raises(ValidationError, match="not in alphabet"):
+            finite_support_config(Z, BITS, support, default)
+
     def test_constant(self):
         sigma = Config(Z, BITS, lambda p: 1)
         for k in (-4, 0, 7):
@@ -98,6 +104,11 @@ class TestAgreeDepth:
     def test_single_flip_at_two(self):
         flipped = flipped_config(parity(), parse_word("g0 g0", 1))
         assert agree_depth(parity(), flipped, cap=4) == AgreementDepth(1, exact=True)
+
+    def test_a_one_symbol_configuration_has_no_flip(self):
+        sigma = random_config(free_group(1), alphabet([0]), 1)
+        with pytest.raises(ValidationError, match="one symbol"):
+            flipped_config(sigma, parse_word("g0", 1))
 
     def test_alphabet_mismatch(self):
         other = periodic_config(Z, alphabet([0, 1, 2]), [0, 1, 2])
