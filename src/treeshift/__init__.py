@@ -17,21 +17,21 @@ from importlib import import_module as _import_module
 # public name -> the module that defines it, grouped by module
 _EXPORTS = {
     "errors": (
-        "ActionUndefinedError", "ConsistencyError", "GroupMismatchError",
+        "ActionUndefinedError", "Alphabet", "ConsistencyError", "GroupMismatchError",
         "InsufficientDepthError", "InvalidGeneratorError", "NotInImageError",
-        "RankMismatchError", "TreeshiftError", "ValidationError",
+        "RankMismatchError", "TreeshiftError", "ValidationError", "alphabet",
     ),
     "freegroup": (
         "Word", "enumerate_ball", "identity", "multiply", "parse_word", "reduce",
     ),
     "groups": (
-        "GroupElement", "GroupModel", "custom_group", "free_group", "induced_config",
+        "GroupElement", "GroupModel", "MetricInterval", "config_metric_interval",
+        "custom_group", "expansivity_witness", "free_group", "induced_config",
         "integer_lattice",
     ),
     "shift": (
-        "AgreementDepth", "Alphabet", "Config", "MetricInterval", "agree_depth",
-        "alphabet", "config_metric_interval", "expansivity_witness",
-        "finite_support_config", "periodic_config", "random_config",
+        "AgreementDepth", "Config", "agree_depth", "finite_support_config",
+        "periodic_config", "random_config",
     ),
     "trees": (
         "BoxDistance", "OrbitGraph", "PointedTree", "act", "ball", "box_distance",

@@ -16,11 +16,12 @@ import json
 import sys
 from typing import TYPE_CHECKING
 
-from .errors import InsufficientDepthError, TreeshiftError, json_field, json_kind
+from .errors import InsufficientDepthError, TreeshiftError, alphabet, json_field, json_kind
 
 if TYPE_CHECKING:
     from .embed import EdgeEncoding
-    from .shift import Alphabet, Config
+    from .errors import Alphabet
+    from .shift import Config
     from .trees import BoxDistance
 
 
@@ -65,12 +66,11 @@ def load_json(path: str):
 def load_scenario(path: str) -> Scenario:
     from .embed import encoding_from_json
     from .groups import group_from_json
-    from .shift import Alphabet, config_from_json
+    from .shift import config_from_json
 
     obj = load_json(path)
     group = group_from_json(json_field(obj, "group", "scenario"))
-    alph = Alphabet(tuple(json_kind(json_field(obj, "alphabet", "scenario"), list,
-                                    "scenario.alphabet")))
+    alph = alphabet(json_kind(json_field(obj, "alphabet", "scenario"), list, "scenario.alphabet"))
     config = config_from_json(group, alph, json_field(obj, "config", "scenario"))
     encoding = encoding_from_json(json_field(obj, "alpha", "scenario"), alphabet=alph)
     if encoding.source_rank != group.generator_count:
@@ -100,10 +100,8 @@ def cmd_decode(args) -> int:
     from .freegroup import ball_json, letter_str
     from .trees import tree_from_json
 
-    if not (args.alpha or args.scenario):
-        raise TreeshiftError("decode needs --alpha or --scenario")
     tree = tree_from_json(load_json(args.tree))
-    if args.alpha:
+    if args.alpha is not None:
         encoding = encoding_from_json(load_json(args.alpha))
     else:
         encoding = load_scenario(args.scenario).encoding
@@ -145,11 +143,9 @@ def cmd_act(args) -> int:
 def cmd_orbit(args) -> int:
     from .trees import dumps_json, orbit_graph, orbit_to_dot, orbit_to_json, tree_from_json
 
-    if args.tree:
+    if args.tree is not None:
         tree = tree_from_json(load_json(args.tree))
     else:
-        if not args.scenario:
-            raise TreeshiftError("orbit needs --tree or --scenario")
         from .embed import embed_config
 
         scenario = load_scenario(args.scenario)
@@ -164,13 +160,10 @@ def cmd_orbit(args) -> int:
 
 def _load_cgs(args):
     from .pseudogroup import builtin_n0_shift, cgs_from_json
-    from .shift import Alphabet
 
-    if args.builtin_n0:
-        return builtin_n0_shift(Alphabet(tuple(args.builtin_n0.split(","))))
-    if args.cgs:
-        return cgs_from_json(load_json(args.cgs))
-    raise TreeshiftError("need --cgs or --builtin-n0")
+    if args.builtin_n0 is not None:
+        return builtin_n0_shift(alphabet(args.builtin_n0.split(",")))
+    return cgs_from_json(load_json(args.cgs))
 
 
 def cmd_itinerary(args) -> int:
@@ -264,10 +257,9 @@ def cmd_separate(args) -> int:
 
 def cmd_builtin(args) -> int:
     from .pseudogroup import builtin_n0_shift, cgs_to_json
-    from .shift import Alphabet
     from .trees import dumps_json
 
-    cgs = builtin_n0_shift(Alphabet(tuple(args.alphabet.split(","))))
+    cgs = builtin_n0_shift(alphabet(args.alphabet.split(",")))
     sys.stdout.write(dumps_json(cgs_to_json(cgs)))
     return 0
 
@@ -295,8 +287,9 @@ def build_parser() -> _Parser:
 
     decode = sub.add_parser("decode", help="recover symbols from an image tree")
     decode.add_argument("--tree", required=True)
-    decode.add_argument("--alpha")
-    decode.add_argument("--scenario")
+    source = decode.add_mutually_exclusive_group(required=True)
+    source.add_argument("--alpha")
+    source.add_argument("--scenario")
     decode.add_argument("--depth", type=int, required=True)
     decode.set_defaults(fn=cmd_decode)
 
@@ -312,8 +305,9 @@ def build_parser() -> _Parser:
     act_cmd.set_defaults(fn=cmd_act)
 
     orbit = sub.add_parser("orbit", help="bounded orbit graph of a tree")
-    orbit.add_argument("--tree")
-    orbit.add_argument("--scenario")
+    source = orbit.add_mutually_exclusive_group(required=True)
+    source.add_argument("--tree")
+    source.add_argument("--scenario")
     orbit.add_argument("--depth", type=int, default=6)
     orbit.add_argument("--working-radius", type=int, required=True)
     orbit.add_argument("--step-bound", type=int, required=True)
@@ -321,15 +315,17 @@ def build_parser() -> _Parser:
     orbit.set_defaults(fn=cmd_orbit)
 
     itin = sub.add_parser("itinerary", help="symbolic itinerary of a stream")
-    itin.add_argument("--cgs")
-    itin.add_argument("--builtin-n0", metavar="SYMBOLS")
+    system = itin.add_mutually_exclusive_group(required=True)
+    system.add_argument("--cgs")
+    system.add_argument("--builtin-n0", metavar="SYMBOLS")
     itin.add_argument("--point", required=True)
     itin.add_argument("--depth", type=int, required=True)
     itin.set_defaults(fn=cmd_itinerary)
 
     pseudo = sub.add_parser("embed-pseudo", help="embed an itinerary as a tree")
-    pseudo.add_argument("--cgs")
-    pseudo.add_argument("--builtin-n0", metavar="SYMBOLS")
+    system = pseudo.add_mutually_exclusive_group(required=True)
+    system.add_argument("--cgs")
+    system.add_argument("--builtin-n0", metavar="SYMBOLS")
     pseudo.add_argument("--point", required=True)
     pseudo.add_argument("--alpha", required=True)
     pseudo.add_argument("--depth", type=int, required=True)

@@ -26,10 +26,11 @@ from __future__ import annotations
 import random
 from functools import cached_property
 from itertools import chain, islice
-from typing import Any, Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
 
 from .errors import (
     ActionUndefinedError,
+    Alphabet,
     ConsistencyError,
     InsufficientDepthError,
     NotInImageError,
@@ -53,8 +54,10 @@ from .freegroup import (
     signed_letters,
     word_key,
 )
-from .shift import Alphabet, Config
 from .trees import BoxDistance, PointedTree, act, box_distance, first_difference
+
+if TYPE_CHECKING:
+    from .shift import Config
 
 
 class EdgeEncoding:

@@ -1,4 +1,5 @@
-"""Exception taxonomy shared across the package, and the JSON field checks."""
+"""Exception taxonomy shared across the package, and the checks on JSON input."""
+from typing import Any, Iterable
 
 
 class TreeshiftError(Exception):
@@ -69,3 +70,58 @@ def json_kind(value, kind: type | tuple[type, ...], name: str):
         raise ValidationError(
             f"{name} must be {' or '.join(map(_KINDS.__getitem__, kinds))}, got {value!r}")
     return value
+
+
+class Alphabet:
+    """Ordered finite symbol set, checked as a JSON symbol list; :meth:`match` reads tokens."""
+
+    def __init__(self, symbols: tuple) -> None:
+        if len(symbols) < 1:
+            raise ValidationError("alphabet must hold at least one symbol")
+        try:
+            distinct = len(set(symbols))
+        except TypeError:  # a list or an object
+            distinct = None
+        # JSON's null, true and false are not symbols: an itinerary prints null for dead words
+        if distinct is None or any(s is None or s.__class__ is bool for s in symbols):
+            raise ValidationError(
+                f"alphabet symbols must be strings or numbers, got {symbols!r}")
+        if distinct != len(symbols):
+            raise ValidationError("alphabet symbols must be distinct")
+        self.symbols = symbols
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Alphabet:
+            return NotImplemented
+        return self.symbols == other.symbols
+
+    def __hash__(self) -> int:
+        return hash(self.symbols)
+
+    def __len__(self) -> int:
+        return len(self.symbols)
+
+    def __iter__(self):
+        return iter(self.symbols)
+
+    def __contains__(self, s) -> bool:
+        return s in self.symbols
+
+    def index(self, s) -> int:
+        try:
+            return self.symbols.index(s)
+        except ValueError:
+            raise ValidationError(f"symbol {s!r} not in alphabet {self.symbols}") from None
+
+    def match(self, token) -> Any:
+        """Find the symbol equal to ``token`` or to its string rendering."""
+        if token in self.symbols:
+            return self.symbols[self.symbols.index(token)]
+        for s in self.symbols:
+            if str(s) == str(token):
+                return s
+        raise ValidationError(f"token {token!r} matches no symbol of {self.symbols}")
+
+
+def alphabet(symbols: Iterable) -> Alphabet:
+    return Alphabet(tuple(symbols))

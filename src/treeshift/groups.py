@@ -14,11 +14,13 @@ A walk right-multiplies by one generator at a time (:meth:`GroupModel.walk`).
 Free and lattice models step from payload to payload: append the letter, or
 add the generator's signed image.  A custom model has only its normalizer, so
 its walk carries the representative word and renormalizes it at every step.
+
+On Z, :func:`config_metric_interval` bounds the two-sided sequence metric.
 """
 from __future__ import annotations
 
 from operator import add
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from . import shift
 from .errors import (
@@ -30,6 +32,9 @@ from .errors import (
     json_int,
 )
 from .freegroup import Word, extend, identity as word_identity
+
+if TYPE_CHECKING:  # imported where it is used: it loads decimal too
+    from fractions import Fraction
 
 
 class GroupElement:
@@ -178,12 +183,67 @@ def lattice_unit_element(model: GroupModel, k: int) -> GroupElement:
     raise ValidationError("no generator with image +1 or -1")
 
 
+class MetricInterval:
+    """Partial sum plus a rigorous tail bound: the true value lies inside."""
+
+    def __init__(self, lower: Fraction, upper: Fraction) -> None:
+        self.lower = lower
+        self.upper = upper
+
+    def contains(self, x) -> bool:
+        return self.lower <= x <= self.upper
+
+    @property
+    def width(self) -> Fraction:
+        return self.upper - self.lower
+
+
+def config_metric_interval(s1: shift.Config, s2: shift.Config,
+                           tail_cutoff: int) -> MetricInterval:
+    """Two-sided sequence metric sum_i 2^(-|i|) |s1(i) - s2(i)| over Z.
+
+    Symbols are compared through their alphabet indices.  The partial sum
+    runs over |i| <= tail_cutoff; the tail is bounded by the largest
+    possible symbol gap times the remaining geometric mass.
+    """
+    from fractions import Fraction
+
+    if s1.group != s2.group:
+        raise GroupMismatchError("configurations live on different groups")
+    if s1.alphabet != s2.alphabet:
+        raise ValidationError("configurations use different alphabets")
+    alph = s1.alphabet
+    total = Fraction(0)
+    for i in range(-tail_cutoff, tail_cutoff + 1):
+        g = lattice_unit_element(s1.group, i)
+        gap = abs(alph.index(s1.eval(g)) - alph.index(s2.eval(g)))
+        total += Fraction(gap, 2 ** abs(i))
+    tail = Fraction(2 * (len(alph) - 1), 2 ** tail_cutoff)
+    return MetricInterval(total, total + tail)
+
+
+def expansivity_witness(s1: shift.Config, s2: shift.Config, cap: int) -> int | None:
+    """A shift n with metric lower bound >= 1 after translating both by n.
+
+    Works for configurations over Z: scans |n| <= cap for a disagreement and
+    certifies it through the metric's position-0 term.
+    """
+    for n in sorted(range(-cap, cap + 1), key=abs):
+        g = lattice_unit_element(s1.group, n)
+        if s1.eval(g) != s2.eval(g):
+            shifted = config_metric_interval(s1.shifted(g), s2.shifted(g), 0)
+            if shifted.lower >= 1:
+                return n
+    return None
+
+
+
 class _PulledRule(shift._Stepped):
     """:func:`induced_config`'s rule: ``sigma``'s rule at a free word's image
     in ``sigma``'s group.  The pullback has ``sigma``'s alphabet, so it
     checks each symbol as ``sigma`` does, and ``sigma``'s walk checks its own."""
 
-    def __init__(self, sigma: "shift.Config") -> None:
+    def __init__(self, sigma: shift.Config) -> None:
         self.sigma = sigma
 
     def __call__(self, w: Word) -> Any:
@@ -197,7 +257,7 @@ class _PulledRule(shift._Stepped):
         return (sigma.shifted(start) if start.letters else sigma).walk()
 
 
-def induced_config(model: GroupModel, sigma: "shift.Config") -> "shift.Config":
+def induced_config(model: GroupModel, sigma: shift.Config) -> shift.Config:
     """Pull a configuration on G back to the free group on G's generators.
 
     The result evaluates a word by normalizing it into G and reading the

@@ -27,6 +27,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping
 
 from .errors import (
     ActionUndefinedError,
+    Alphabet,
     InsufficientDepthError,
     RankMismatchError,
     ValidationError,
@@ -35,7 +36,6 @@ from .errors import (
 )
 from .freegroup import (Word, check_letters, inverse_digit, key_base, key_word, letter_digit,
                         signed_letters, word_key)
-from .shift import Alphabet
 
 if TYPE_CHECKING:
     from .embed import EdgeEncoding, Embedding

@@ -1,5 +1,5 @@
 """Shift configurations over a group model: lazy oracles, the right shift
-action, agreement depth, and the two-sided sequence metric.
+action, and agreement depth.
 
 A configuration is never materialized: it is a pure rule evaluated on
 canonical payloads, together with an accumulated translate implementing
@@ -21,69 +21,12 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
-from typing import TYPE_CHECKING, Any, Callable, Iterable
+from typing import Any, Callable
 
-from .errors import GroupMismatchError, ValidationError, is_int, json_field, json_kind
-from .freegroup import (Word, inverse_digit, key_base, letter_digit, letter_str, signed_letters,
-                        word_key)
-
-if TYPE_CHECKING:  # imported where it is used: it loads decimal too
-    from fractions import Fraction
-
-
-class Alphabet:
-    """Ordered finite symbol set."""
-
-    def __init__(self, symbols: tuple) -> None:
-        if len(symbols) < 1:
-            raise ValidationError("alphabet must hold at least one symbol")
-        try:
-            distinct = len(set(symbols))
-        except TypeError:  # a list or an object
-            distinct = None
-        # JSON's null, true and false are not symbols: an itinerary prints null for dead words
-        if distinct is None or any(s is None or s.__class__ is bool for s in symbols):
-            raise ValidationError(
-                f"alphabet symbols must be strings or numbers, got {symbols!r}")
-        if distinct != len(symbols):
-            raise ValidationError("alphabet symbols must be distinct")
-        self.symbols = symbols
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not Alphabet:
-            return NotImplemented
-        return self.symbols == other.symbols
-
-    def __hash__(self) -> int:
-        return hash(self.symbols)
-
-    def __len__(self) -> int:
-        return len(self.symbols)
-
-    def __iter__(self):
-        return iter(self.symbols)
-
-    def __contains__(self, s) -> bool:
-        return s in self.symbols
-
-    def index(self, s) -> int:
-        try:
-            return self.symbols.index(s)
-        except ValueError:
-            raise ValidationError(f"symbol {s!r} not in alphabet {self.symbols}") from None
-
-    def match(self, token) -> Any:
-        """Find the symbol equal to ``token`` or to its string rendering."""
-        if token in self.symbols:
-            return self.symbols[self.symbols.index(token)]
-        for s in self.symbols:
-            if str(s) == str(token):
-                return s
-        raise ValidationError(f"token {token!r} matches no symbol of {self.symbols}")
-
-
-def alphabet(symbols: Iterable) -> Alphabet:
-    return Alphabet(tuple(symbols))
+from .errors import Alphabet, GroupMismatchError, ValidationError, is_int, json_field, json_kind
+from .errors import alphabet  # noqa: F401  kept here: bench/ imports treeshift.shift.alphabet
+from .freegroup import (Word, inverse_digit, key_base, letter_digit, letter_str, parse_word,
+                        signed_letters, word_key)
 
 
 class Config:
@@ -188,7 +131,7 @@ class Config:
                       label=self.label)
 
 
-def periodic_config(group, alph: Alphabet, table, periods=None, label="periodic") -> Config:
+def periodic_config(group, alph: Alphabet, table, periods=None) -> Config:
     """Periodic configuration on a lattice model.
 
     For d = 1 pass a flat table (period = its length).  For d > 1 pass
@@ -215,7 +158,7 @@ def periodic_config(group, alph: Alphabet, table, periods=None, label="periodic"
             cell = cell[vec[j] % periods[j]]
         return cell
 
-    return Config(group, alph, rule, label=label)
+    return Config(group, alph, rule, label="periodic")
 
 
 def _check_table(cell, periods, path: str) -> None:
@@ -228,12 +171,12 @@ def _check_table(cell, periods, path: str) -> None:
         _check_table(sub, periods[1:], f"{path}[{i}]")
 
 
-def finite_support_config(group, alph: Alphabet, support: dict, default, label="finite") -> Config:
+def finite_support_config(group, alph: Alphabet, support: dict, default) -> Config:
     """Default symbol everywhere except finitely many payloads."""
     for s in (default, *support.values()):
         if s not in alph:
             raise ValidationError(f"finite support symbol {s!r} not in alphabet {alph.symbols}")
-    return Config(group, alph, _Overlay(_Constant(default), dict(support)), label=label)
+    return Config(group, alph, _Overlay(_Constant(default), dict(support)), label="finite")
 
 
 def _payload_token(payload) -> str:
@@ -442,63 +385,6 @@ def agree_depth(s1: Config, s2: Config, cap: int) -> AgreementDepth:
     return AgreementDepth(cap, exact=False)
 
 
-class MetricInterval:
-    """Partial sum plus a rigorous tail bound: the true value lies inside."""
-
-    def __init__(self, lower: Fraction, upper: Fraction) -> None:
-        self.lower = lower
-        self.upper = upper
-
-    def contains(self, x) -> bool:
-        return self.lower <= x <= self.upper
-
-    @property
-    def width(self) -> Fraction:
-        return self.upper - self.lower
-
-
-def config_metric_interval(s1: Config, s2: Config, tail_cutoff: int) -> MetricInterval:
-    """Two-sided sequence metric sum_i 2^(-|i|) |s1(i) - s2(i)| over Z.
-
-    Symbols are compared through their alphabet indices.  The partial sum
-    runs over |i| <= tail_cutoff; the tail is bounded by the largest
-    possible symbol gap times the remaining geometric mass.
-    """
-    from fractions import Fraction
-
-    from .groups import lattice_unit_element
-
-    if s1.group != s2.group:
-        raise GroupMismatchError("configurations live on different groups")
-    if s1.alphabet != s2.alphabet:
-        raise ValidationError("configurations use different alphabets")
-    alph = s1.alphabet
-    total = Fraction(0)
-    for i in range(-tail_cutoff, tail_cutoff + 1):
-        g = lattice_unit_element(s1.group, i)
-        gap = abs(alph.index(s1.eval(g)) - alph.index(s2.eval(g)))
-        total += Fraction(gap, 2 ** abs(i))
-    tail = Fraction(2 * (len(alph) - 1), 2 ** tail_cutoff)
-    return MetricInterval(total, total + tail)
-
-
-def expansivity_witness(s1: Config, s2: Config, cap: int) -> int | None:
-    """A shift n with metric lower bound >= 1 after translating both by n.
-
-    Works for configurations over Z: scans |n| <= cap for a disagreement and
-    certifies it through the metric's position-0 term.
-    """
-    from .groups import lattice_unit_element
-
-    for n in sorted(range(-cap, cap + 1), key=abs):
-        g = lattice_unit_element(s1.group, n)
-        if s1.eval(g) != s2.eval(g):
-            shifted = config_metric_interval(s1.shifted(g), s2.shifted(g), 0)
-            if shifted.lower >= 1:
-                return n
-    return None
-
-
 def config_from_json(group, alph: Alphabet, obj: dict) -> Config:
     """Build a configuration from its JSON spec.
 
@@ -530,8 +416,6 @@ def config_from_json(group, alph: Alphabet, obj: dict) -> Config:
 
 
 def _parse_payload_key(group, key: str):
-    from .freegroup import parse_word
-
     if group.kind == "lattice":
         d = group.key[1]
         try:

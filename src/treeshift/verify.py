@@ -23,10 +23,10 @@ from .embed import (
     random_encoding,
     separate_witness,
 )
-from .errors import InsufficientDepthError, RankMismatchError, ValidationError
+from .errors import InsufficientDepthError, RankMismatchError, ValidationError, alphabet
 from .freegroup import Word, enumerate_ball, identity, inverse_digit, key_base, signed_letters
 from .groups import free_group, induced_config, integer_lattice
-from .shift import agree_depth, alphabet, flipped_config, periodic_config, random_config
+from .shift import agree_depth, flipped_config, periodic_config, random_config
 from .trees import BoxDistance, PointedTree, act, ball, box_distance, orbit_graph, tree_to_json
 
 BITS = alphabet([0, 1])

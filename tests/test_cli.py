@@ -193,6 +193,23 @@ class TestPseudogroupCommands:
         assert code == 0
         assert sorted(json.loads(out)["vertices"]) == ["e", "g0", "g0'", "g3'"]
 
+    def test_builtin_over_one_empty_symbol(self, tmp_path, capsys):
+        # --builtin-n0 "" is the one-symbol system that builtin n0 --alphabet "" prints
+        code, out, _ = run(capsys, "builtin", "n0", "--alphabet", "")
+        assert code == 0
+        cgs = tmp_path / "cgs.json"
+        cgs.write_text(out)
+        point = tmp_path / "point.json"
+        point.write_text('{"pre": [], "cycle": [""]}')
+        outputs = []
+        for system in (["--builtin-n0", ""], ["--cgs", str(cgs)]):
+            code, out, err = run(capsys, "itinerary", *system, "--point", str(point),
+                                 "--depth", "2")
+            assert (code, err) == (0, "")
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["values"]["e"] == ""
+
 
 class TestEquivarianceAndSeparate:
     def test_equivariance_all_generators(self, scenario_file, capsys):
@@ -352,7 +369,28 @@ class TestMalformedInput:
         tree_path.write_text(out)
         code, _, err = run(capsys, "decode", "--tree", str(tree_path), "--depth", "1")
         self.assert_clean_failure(code, err)
-        assert "--alpha or --scenario" in err
+        assert "--alpha" in err and "--scenario" in err
+
+    # each command reads exactly one of two input sources; the files named
+    # here do not exist, since argument parsing fails before any is read
+    SOURCES = {
+        "decode": (["decode", "--tree", "t.json", "--depth", "1"], "--alpha", "--scenario"),
+        "orbit": (["orbit", "--working-radius", "1", "--step-bound", "1"], "--tree", "--scenario"),
+        "itinerary": (["itinerary", "--point", "p.json", "--depth", "1"], "--cgs", "--builtin-n0"),
+        "embed-pseudo": (["embed-pseudo", "--point", "p.json", "--alpha", "a.json",
+                          "--depth", "1"], "--cgs", "--builtin-n0"),
+    }
+
+    @pytest.mark.parametrize("given", ["neither", "both"])
+    @pytest.mark.parametrize("command", list(SOURCES))
+    def test_one_input_source(self, capsys, command, given):
+        argv, first, second = self.SOURCES[command]
+        if given == "both":
+            argv = [*argv, first, "x.json", second, "0,1"]
+        code, _, err = run(capsys, *argv)
+        self.assert_clean_failure(code, err)
+        assert first in err and second in err
+        assert "cannot read" not in err
 
     @pytest.mark.parametrize("change", [
         {"alpha": dict(E1_SCENARIO["alpha"], M="x")},
@@ -801,10 +839,10 @@ def treeshift_modules(modules: set[str]) -> set[str]:
 
 BASE = {"treeshift", "treeshift.cli", "treeshift.errors"}
 TREES = BASE | {"treeshift.freegroup", "treeshift.trees"}
-EMBED = TREES | {"treeshift.embed", "treeshift.shift"}
-SCENARIO = EMBED | {"treeshift.groups"}
+EMBED = TREES | {"treeshift.embed"}
+SCENARIO = EMBED | {"treeshift.groups", "treeshift.shift"}
 PSEUDO = EMBED | {"treeshift.pseudogroup"}
-ITINERARY = BASE | {"treeshift.freegroup", "treeshift.shift", "treeshift.pseudogroup"}
+ITINERARY = BASE | {"treeshift.freegroup", "treeshift.pseudogroup"}
 EVERYTHING = SCENARIO | PSEUDO | {"treeshift.verify"}
 
 # one run of every subcommand, with "{name}" standing for an input file of TestImports
@@ -878,3 +916,15 @@ class TestImports:
         assert treeshift_modules(loaded_modules("import treeshift")) == {"treeshift"}
         assert treeshift_modules(loaded_modules("from treeshift import act")) == {
             "treeshift", "treeshift.errors", "treeshift.freegroup", "treeshift.trees"}
+
+    @pytest.mark.parametrize("name", ["alphabet", "Alphabet"])
+    def test_alphabet_loads_only_errors(self, name):
+        assert treeshift_modules(loaded_modules(f"from treeshift import {name}")) == {
+            "treeshift", "treeshift.errors"}
+
+    def test_imports_point_one_way(self):
+        # groups builds on shift, never the reverse; itineraries and their
+        # trees need no configurations
+        assert "treeshift.groups" not in loaded_modules("import treeshift.shift")
+        assert "treeshift.shift" not in loaded_modules(
+            "import treeshift.pseudogroup, treeshift.embed")

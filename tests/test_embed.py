@@ -10,6 +10,7 @@ from treeshift.errors import (
     InsufficientDepthError,
     NotInImageError,
     ValidationError,
+    alphabet,
 )
 from treeshift.freegroup import enumerate_ball, enumerate_spheres, identity, parse_word, word_key
 from treeshift.groups import custom_group, free_group, induced_config, integer_lattice
@@ -17,7 +18,6 @@ from treeshift.shift import (
     AgreementDepth,
     Config,
     agree_depth,
-    alphabet,
     finite_support_config,
     flipped_config,
     periodic_config,

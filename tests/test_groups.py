@@ -1,6 +1,6 @@
 import pytest
 
-from treeshift.errors import GroupMismatchError, RankMismatchError, ValidationError
+from treeshift.errors import GroupMismatchError, RankMismatchError, ValidationError, alphabet
 from treeshift.freegroup import identity, parse_word
 from treeshift.groups import (
     custom_group,
@@ -10,7 +10,7 @@ from treeshift.groups import (
     integer_lattice,
     lattice_unit_element,
 )
-from treeshift.shift import alphabet, periodic_config, random_config
+from treeshift.shift import periodic_config, random_config
 
 BITS = alphabet([0, 1])
 

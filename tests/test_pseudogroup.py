@@ -7,11 +7,13 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treeshift.errors import ActionUndefinedError, InsufficientDepthError, ValidationError
+from treeshift.errors import (ActionUndefinedError, InsufficientDepthError, ValidationError,
+                             alphabet)
 from treeshift.freegroup import Word, enumerate_ball, identity, multiply
-from treeshift.shift import Config, alphabet
+from treeshift.shift import Config
 from treeshift.groups import free_group
 from treeshift.embed import edge_encoding, embed_config
+from treeshift.trees import act
 from treeshift.pseudogroup import (
     Cylinder,
     CylinderPseudogroup,
@@ -310,6 +312,41 @@ class TestEmbedPseudo:
             assert itin.validate_propagation() == []
             tree = embed_pseudo(itin, ENC4, 4).tree
             assert max(tree.degrees(3)) <= 2 * N0.generator_count
+
+
+class TestTreeEquivariance:
+    """The universality theorem checked on trees: rebasing the tree of x at
+    the vertex of a word g live at x gives the tree of g.x, to the depth left."""
+
+    DEPTH = 6
+
+    def rebased_cases(self, cgs, enc, points) -> int:
+        count = 0
+        for x in points:
+            emb = embed_pseudo(itinerary(cgs, x, self.DEPTH), enc, self.DEPTH)
+            for g in enumerate_ball(2, 2):
+                composed = compose_word(cgs, g)
+                if not g.letters or not composed.defined_at(x):
+                    continue
+                depth = self.DEPTH - len(g)
+                moved = embed_pseudo(itinerary(cgs, composed.apply(x), depth), enc, depth)
+                assert act(emb.tree, emb.vertex_of[g], depth) == moved.tree, (x, g)
+                count += 1
+        return count
+
+    def test_n0(self):
+        points = [SymbolStream.eventually_periodic(pre, cycle)
+                  for pre in [(), (0,), (1,), (0, 1)]
+                  for cycle in [(0,), (1,), (0, 1), (1, 1, 0)]]
+        assert self.rebased_cases(N0, ENC4, points) == 144
+
+    def test_multi_symbol_rewrites(self):
+        letters = alphabet(["0", "1"])
+        enc = edge_encoding(2, letters, 4, {(1, "0"): 1, (1, "1"): 2, (2, "0"): 3, (2, "1"): 4})
+        pairs = [("", "01"), ("10", "011"), ("0", "1"), ("110", "0100"), ("", "1"), ("01", "10")]
+        points = [SymbolStream.eventually_periodic(tuple(pre), tuple(cycle))
+                  for pre, cycle in pairs]
+        assert self.rebased_cases(TestLiveItinerary.STRINGS, enc, points) == 12
 
 
 class TestJson:

@@ -3,17 +3,20 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treeshift.errors import GroupMismatchError, ValidationError
+from treeshift.errors import GroupMismatchError, ValidationError, alphabet
 from treeshift.freegroup import enumerate_ball, parse_word
-from treeshift.groups import free_group, integer_lattice, lattice_unit_element
+from treeshift.groups import (
+    config_metric_interval,
+    expansivity_witness,
+    free_group,
+    integer_lattice,
+    lattice_unit_element,
+)
 from treeshift.shift import (
     AgreementDepth,
     Config,
     agree_depth,
-    alphabet,
     config_from_json,
-    config_metric_interval,
-    expansivity_witness,
     finite_support_config,
     flipped_config,
     periodic_config,

@@ -6,10 +6,11 @@ another class is never equal to it (``__eq__`` returns NotImplemented).
 """
 import pytest
 
+from treeshift.errors import Alphabet, alphabet
 from treeshift.freegroup import Word, parse_word
 from treeshift.groups import free_group, integer_lattice
 from treeshift.pseudogroup import Cylinder, CylinderUnion
-from treeshift.shift import AgreementDepth, Alphabet, alphabet
+from treeshift.shift import AgreementDepth
 from treeshift.trees import BoxDistance, PointedTree, make_tree
 
 Z = integer_lattice(d=1)
