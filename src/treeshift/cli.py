@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import InsufficientDepthError, TreeshiftError, alphabet, json_field, json_kind
 
@@ -80,10 +80,17 @@ def load_scenario(path: str) -> Scenario:
     return Scenario(group, alph, config, encoding)
 
 
-def _emit_tree(tree, fmt: str) -> str:
-    from .trees import dumps_json, tree_to_dot, tree_to_json
+def _write(pieces: Iterable[str]) -> None:
+    """Write the pieces one by one with ``sys.stdout.write``, so a streamed
+    text is never held whole."""
+    for piece in pieces:
+        sys.stdout.write(piece)
 
-    return tree_to_dot(tree) if fmt == "dot" else dumps_json(tree_to_json(tree))
+
+def _write_tree(tree, fmt: str) -> None:
+    from .trees import tree_json, tree_to_dot
+
+    _write([tree_to_dot(tree)] if fmt == "dot" else tree_json(tree))
 
 
 def cmd_embed(args) -> int:
@@ -91,7 +98,7 @@ def cmd_embed(args) -> int:
 
     scenario = load_scenario(args.scenario)
     result = embed_config(scenario.config, scenario.encoding, args.depth)
-    sys.stdout.write(_emit_tree(result.tree, args.format))
+    _write_tree(result.tree, args.format)
     return 0
 
 
@@ -106,8 +113,8 @@ def cmd_decode(args) -> int:
     else:
         encoding = load_scenario(args.scenario).encoding
     decoded = decode_tree(tree, encoding, args.depth)
-    sys.stdout.write(ball_json(decoded.source_rank, decoded.depth, decoded.values,
-                               lambda x: letter_str(x, prefix="t")))
+    _write(ball_json(decoded.source_rank, decoded.depth, decoded.values,
+                     lambda x: letter_str(x, prefix="t")))
     return 0
 
 
@@ -136,7 +143,7 @@ def cmd_act(args) -> int:
 
     tree = tree_from_json(load_json(args.tree))
     moved = act(tree, parse_word(args.word, tree.rank))
-    sys.stdout.write(_emit_tree(moved, args.format))
+    _write_tree(moved, args.format)
     return 0
 
 
@@ -144,12 +151,15 @@ def cmd_orbit(args) -> int:
     from .trees import dumps_json, orbit_graph, orbit_to_dot, orbit_to_json, tree_from_json
 
     if args.tree is not None:
+        if args.depth is not None:
+            raise TreeshiftError("orbit takes --depth only with --scenario: a tree has its radius")
         tree = tree_from_json(load_json(args.tree))
     else:
         from .embed import embed_config
 
         scenario = load_scenario(args.scenario)
-        tree = embed_config(scenario.config, scenario.encoding, args.depth).tree
+        depth = 6 if args.depth is None else args.depth
+        tree = embed_config(scenario.config, scenario.encoding, depth).tree
     og = orbit_graph(tree, step_bound=args.step_bound, working_radius=args.working_radius)
     if args.format == "dot":
         sys.stdout.write(orbit_to_dot(og))
@@ -179,7 +189,7 @@ def cmd_itinerary(args) -> int:
         return names[abs(x) - 1] + ("" if x > 0 else "'")
 
     # a dead word's key is missing from itin.values, and it prints as null
-    sys.stdout.write(ball_json(itin.source_rank, itin.depth, itin.values, token))
+    _write(ball_json(itin.source_rank, itin.depth, itin.values, token))
     return 0
 
 
@@ -192,7 +202,7 @@ def cmd_embed_pseudo(args) -> int:
     encoding = encoding_from_json(load_json(args.alpha))
     itin = itinerary(cgs, point, args.depth)
     result = embed_pseudo(itin, encoding, args.depth)
-    sys.stdout.write(_emit_tree(result.tree, args.format))
+    _write_tree(result.tree, args.format)
     return 0
 
 
@@ -308,7 +318,7 @@ def build_parser() -> _Parser:
     source = orbit.add_mutually_exclusive_group(required=True)
     source.add_argument("--tree")
     source.add_argument("--scenario")
-    orbit.add_argument("--depth", type=int, default=6)
+    orbit.add_argument("--depth", type=int, help="embedding depth of --scenario (default: 6)")
     orbit.add_argument("--working-radius", type=int, required=True)
     orbit.add_argument("--step-bound", type=int, required=True)
     orbit.add_argument("--format", choices=("json", "dot"), default="json")

@@ -30,7 +30,9 @@ way round, :func:`text_keys` reads a text listed after its parent's text as
 that key times B plus the digit of its last token, and parses every other
 text whole with :func:`parse_key`, so the keys and errors are the same.
 :func:`ball_json` prints the texts of a ball with their values in the
-order of the texts, by one walk over keys.
+order of the texts, by one walk over keys, and yields the text in pieces of
+whole lines through :func:`chunks`, so its memory stays bounded whatever the
+ball's size.
 """
 from __future__ import annotations
 
@@ -173,26 +175,47 @@ def extend(w: Word, letter: int) -> Word:
     return _word(w.rank, letters + (letter,))
 
 
+_CHUNK = 1 << 16  # characters: the printers yield their text in pieces of about this size
+
+
+def chunks(head: str, lines: Iterable[str], sep: str, tail: str) -> Iterator[str]:
+    """``head + sep.join(lines) + tail``, yielded in pieces that end where a
+    line ends.  A piece passes ``_CHUNK`` characters only if it holds one line
+    alone, or by the ``tail`` of the last piece, so a printer's memory follows
+    its longest line, not its output.  At least one line is expected."""
+    buf: list[str] = []
+    size, lead, step = len(head), head, len(sep)
+    for line in lines:
+        size += len(line) + step
+        if size > _CHUNK and buf:
+            yield lead + sep.join(buf)
+            buf, size, lead = [], len(line) + step, sep
+        buf.append(line)
+    yield lead + sep.join(buf) + tail
+
+
 def ball_json(rank: int, radius: int, values: Mapping[int, object],
-              token: Callable[[int], str] = letter_str) -> str:
-    """What ``dumps_json({"depth": radius, "values": texts})`` prints, where
-    ``texts`` maps the text of each reduced word of length <= radius to the
-    value of its key in ``values``, or to ``None`` where the key is missing.
+              token: Callable[[int], str] = letter_str) -> Iterator[str]:
+    """What ``dumps_json({"depth": radius, "values": texts})`` prints, in the
+    pieces of :func:`chunks`, where ``texts`` maps the text of each reduced
+    word of length <= radius to the value of its key in ``values``, or to
+    ``None`` where the key is missing.
 
     A text joins the word's tokens with spaces (``"e"`` for the empty word).
     The missing keys must be closed under extension, as an itinerary's dead
     words are, and values that compare equal must print alike, as the
-    distinct symbols of an ``Alphabet`` do: each prints once.  The lines come out of one depth-first walk with each
-    word's children in the string order of their tokens, which is the order
-    ``sort_keys`` gives, because no token holds a character at or below
-    ``" "`` and no two letters share a token; ``"e"`` goes where it sorts
-    among the first tokens.  A word missing from ``values`` prints its
-    subtree from one list of suffixes, shared by the missing words of the
-    same last digit and depth left.  The walk keeps its own stack, so any
-    radius prints without recursion.
+    distinct symbols of an ``Alphabet`` do: each prints once.  The lines come
+    out of one depth-first walk with each word's children in the string order
+    of their tokens, which is the order ``sort_keys`` gives, because no token
+    holds a character at or below ``" "`` and no two letters share a token;
+    ``"e"`` goes where it sorts among the first tokens.  A word missing from
+    ``values`` whose subtree prints in at most ``_CHUNK // 8`` characters
+    prints it from one list of suffixes, shared by the missing words of the
+    same last digit and depth left; a larger one is walked like a live word.
+    The walk keeps its own stack, so any radius prints without recursion.
     """
     check_letters((), rank)
-    base = key_base(rank)
+    base, small = key_base(rank), _CHUNK // 8
     tokens = {d: token(digit_letter(d)) for d in range(1, base)}
     escaped = {d: encode_basestring_ascii(t)[1:-1] for d, t in tokens.items()}
     order = sorted(tokens, key=tokens.__getitem__)
@@ -200,6 +223,13 @@ def ball_json(rank: int, radius: int, values: Mapping[int, object],
     pushes = [[(c, " " + escaped[c]) for c in reversed(order) if c != inverse_digit(d)]
               for d in range(base)]
     rendered = {v: dumps(v) for v in set(values.values())}
+    # room[left]: the longest text whose missing subtree, left levels deep,
+    # prints in `small` characters: `count` lines of at most that text, a
+    # suffix of left tokens of `width` and '": null,\n'
+    width, room, count = 1 + max(map(len, escaped.values())), [], 1
+    while len(room) <= radius and count <= small:
+        room.append(small // count - len(room) * width - 9)
+        count = count * (base - 2) + 1
     tails: dict[tuple[int, int], list[str]] = {}
 
     def dead_tails(d: int, left: int) -> list[str]:
@@ -213,23 +243,27 @@ def ball_json(rank: int, radius: int, values: Mapping[int, object],
                 stack += [(text + t, c, left - 1) for c, t in pushes[d]]
         return out
 
-    # the first words' texts do not start with "e ", so they start the stack themselves
-    stack = [(c, '    "' + escaped[c], radius - 1) for c in reversed(order)] if radius else []
-    stack.insert(sum(tokens[c] > "e" for c in order), (0, '    "e', 0))
-    lines = []
-    while stack:
-        k, text, left = stack.pop()
-        if k in values:
-            lines.append(text + '": ' + rendered[values[k]])
+    def lines() -> Iterator[str]:
+        # the first words' texts do not start with "e ", so they start the stack themselves
+        stack = [(c, '    "' + escaped[c], radius - 1) for c in reversed(order)] if radius else []
+        stack.insert(sum(tokens[c] > "e" for c in order), (0, '    "e', 0))
+        while stack:
+            k, text, left = stack.pop()
+            if k in values:
+                yield text + '": ' + rendered[values[k]]
+            elif left < len(room) and len(text) <= room[left]:
+                ends = tails.get((k % base, left))
+                if ends is None:
+                    ends = tails[k % base, left] = dead_tails(k % base, left)
+                yield text + (",\n" + text).join(ends)
+                continue  # the suffixes printed the subtree
+            else:
+                yield text + '": null'
             if left:
                 stack += [(k * base + c, text + t, left - 1) for c, t in pushes[k % base]]
-        else:
-            ends = tails.get((k % base, left))
-            if ends is None:
-                ends = tails[k % base, left] = dead_tails(k % base, left)
-            lines.append(text + (",\n" + text).join(ends))
-    return ('{\n  "depth": ' + str(radius) + ',\n  "values": {\n'
-            + ",\n".join(lines) + "\n  }\n}\n")
+
+    head = '{\n  "depth": ' + str(radius) + ',\n  "values": {\n'
+    return chunks(head, lines(), ",\n", "\n  }\n}\n")
 
 
 def _word(rank: int, letters: tuple[int, ...], _new=object.__new__) -> Word:

@@ -40,6 +40,7 @@ from .errors import (
 )
 from .freegroup import (
     Word,
+    chunks,
     digit_letter,
     inverse_digit,
     key_base,
@@ -347,6 +348,16 @@ def tree_to_json(t: PointedTree) -> dict:
         "radius": t.radius,
         "vertices": list(key_texts(t.sorted_keys, t.rank).values()),
     }
+
+
+def tree_json(t: PointedTree) -> Iterator[str]:
+    """What ``dumps_json(tree_to_json(t))`` prints, in the pieces of
+    :func:`chunks`: the texts of :func:`key_texts` come in canonical order
+    and need no escaping, so it builds no JSON object and runs no encoder."""
+    _check_tree(t)
+    head = f'{{\n  "radius": {t.radius},\n  "rank": {t.rank},\n  "vertices": [\n    "'
+    texts = key_texts(t.sorted_keys, t.rank).values()
+    return chunks(head, texts, '",\n    "', '"\n  ]\n}\n')
 
 
 def tree_from_json(obj: dict) -> PointedTree:

@@ -140,6 +140,22 @@ class TestActAndOrbit:
         assert len(og["nodes"]) == 2
         assert sorted(e["label"] for e in og["edges"]) == ["g0", "g1"]
 
+    def test_orbit_scenario_depth_defaults_to_6(self, scenario_file, capsys):
+        args = ["--scenario", scenario_file, "--working-radius", "2", "--step-bound", "4"]
+        assert run(capsys, "orbit", *args) == run(capsys, "orbit", *args, "--depth", "6")
+        assert run(capsys, "orbit", *args) != run(capsys, "orbit", *args, "--depth", "3")
+
+    def test_orbit_refuses_depth_with_a_tree(self, scenario_file, tmp_path, capsys):
+        # a tree has its own radius: --depth would be ignored, so it is refused
+        _, out, _ = run(capsys, "embed", "--scenario", scenario_file, "--depth", "6")
+        path = tmp_path / "t.json"
+        path.write_text(out)
+        args = ["--tree", str(path), "--working-radius", "2", "--step-bound", "4"]
+        code, out, err = run(capsys, "orbit", *args, "--depth", "6")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: orbit takes --depth only with --scenario")
+        assert run(capsys, "orbit", *args)[0] == 0
+
 
 class TestPseudogroupCommands:
     def test_builtin_emits_cgs(self, capsys):
@@ -167,7 +183,7 @@ class TestPseudogroupCommands:
 
             def write(self, text):
                 self.chars += len(text)
-                self.tail = text[-40:]
+                self.tail = (self.tail + text)[-40:]
 
         point = tmp_path / "point.json"
         point.write_text('{"pre": [], "cycle": ["0"]}')

@@ -412,7 +412,7 @@ class TestGroupWalk:
         assert calls == []
         decode_tree(tree, enc, 5)
         embed_pseudo(itinerary(shift, omega, 6), enc4, 6)
-        freegroup.ball_json(3, 4, dict.fromkeys(range(10), 0))
+        "".join(freegroup.ball_json(3, 4, dict.fromkeys(range(10), 0)))
         assert built == []
 
     def test_free_random_walk_builds_no_word(self, monkeypatch):

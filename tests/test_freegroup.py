@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -222,11 +223,11 @@ class TestBallJson:
     @pytest.mark.parametrize("rank,radius", [(1, 4), (2, 3), (3, 2)])
     def test_prints_the_whole_ball_as_dumps_json(self, rank, radius):
         values = {word_key(w): i % 3 for i, w in enumerate(enumerate_ball(rank, radius))}
-        assert ball_json(rank, radius, values) == ball_oracle(rank, radius, values)
+        assert "".join(ball_json(rank, radius, values)) == ball_oracle(rank, radius, values)
 
     def test_custom_tokens(self):
         values = dict.fromkeys(range(25), "s")
-        out = ball_json(2, 2, values, lambda x: letter_str(x, prefix="t"))
+        out = "".join(ball_json(2, 2, values, lambda x: letter_str(x, prefix="t")))
         assert out == ball_oracle(2, 2, values, lambda x: letter_str(x, prefix="t"))
         texts = [line.split('"')[1] for line in out.splitlines()[3:-2]]
         assert texts[:7] == ["e", "t0", "t0 t0", "t0 t1", "t0 t1'", "t0'", "t0' t0'"]
@@ -235,20 +236,89 @@ class TestBallJson:
     @given(named_balls())
     def test_matches_dumps_json(self, case):
         rank, radius, values, token = case
-        assert ball_json(rank, radius, values, token) == ball_oracle(rank, radius, values, token)
+        out = "".join(ball_json(rank, radius, values, token))
+        assert out == ball_oracle(rank, radius, values, token)
 
     def test_a_word_is_dead_where_its_key_is_missing(self):
         # the keys of e, g0 and g0 g0 are present, whatever their values
-        out = ball_json(1, 2, {0: "", 1: None, 4: 0})
+        out = "".join(ball_json(1, 2, {0: "", 1: None, 4: 0}))
         assert json.loads(out)["values"] == {
             "e": "", "g0": None, "g0 g0": 0, "g0'": None, "g0' g0'": None}
-        assert ball_json(2, 3, {}) == ball_oracle(2, 3, {})
+        assert "".join(ball_json(2, 3, {})) == ball_oracle(2, 3, {})
+
+    @pytest.mark.parametrize("rank,radius,values,name", [
+        (2, 7, {0: 1, 1: 0, 5: 1}, "g"),  # dead subtrees six levels deep print by the walk
+        (2, 4, {0: 1, 2: 0}, "g" * 300),  # long tokens: only one-level ones print from a list
+    ])
+    def test_large_dead_subtrees_are_walked(self, rank, radius, values, name):
+        def token(x):
+            return name + letter_str(x)[1:]
+        out = "".join(ball_json(rank, radius, values, token))
+        assert out == ball_oracle(rank, radius, values, token)
 
     def test_deep_rank_one_ball_needs_no_recursion(self):
         # deeper than the recursion limit: g0^n lives to the end, g0'^n to n = 700
         live = [(3 ** n - 1) // 2 for n in range(1201)] + [3 ** n - 1 for n in range(1, 701)]
         values = dict.fromkeys(live, 1)
-        assert ball_json(1, 1200, values) == ball_oracle(1, 1200, values)
+        assert "".join(ball_json(1, 1200, values)) == ball_oracle(1, 1200, values)
+
+
+def n0_itinerary(symbols, pre, cycle, depth):
+    """``ball_json``'s arguments for what ``itinerary --builtin-n0`` prints."""
+    from treeshift.errors import alphabet
+    from treeshift.pseudogroup import builtin_n0_shift, itinerary, stream_from_json
+
+    cgs = builtin_n0_shift(alphabet(symbols))
+    itin = itinerary(cgs, stream_from_json({"pre": pre, "cycle": cycle}, cgs.base_alphabet),
+                     depth)
+    names = [pm.name for pm in cgs.positive]
+
+    def token(x):
+        return names[abs(x) - 1] + ("" if x > 0 else "'")
+    return itin.source_rank, itin.depth, itin.values, token
+
+
+def consumed(pieces):
+    """Take the pieces of ``pieces()`` one at a time under ``tracemalloc``:
+    their total length, their longest line, whether no piece passes
+    ``_CHUNK`` by more than one line, and the traced peak in bytes."""
+    tracemalloc.start()
+    try:
+        chars = longest = 0
+        bounded = True
+        for piece in pieces():
+            line = max(map(len, piece.split("\n")))
+            chars, longest = chars + len(piece), max(longest, line)
+            bounded &= len(piece) <= freegroup._CHUNK + line
+        return chars, longest, bounded, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBallJsonMemory:
+    """``ball_json`` yields pieces of whole lines and caches only small dead
+    subtrees, so printing a ball holds about one piece, not the output."""
+
+    MB = 1 << 20
+
+    def test_n0_itinerary_at_depth_11(self):
+        args = n0_itinerary(["0", "1"], ["1"], ["0", "1", "1"], 11)
+        chars, longest, bounded, peak = consumed(lambda: ball_json(*args))
+        assert chars > 20 * self.MB and bounded
+        assert peak < self.MB
+
+    def test_rank_one_at_depth_3000(self):
+        # lines of about 15 KB: the bound is one piece plus the longest line
+        args = n0_itinerary(["0"], [], ["0"], 3000)
+        chars, longest, bounded, peak = consumed(lambda: ball_json(*args))
+        assert chars == 40_585_552 and bounded
+        assert longest > 15_000
+        assert peak < self.MB + longest
+
+    def test_one_line_longer_than_a_piece_is_a_piece_of_its_own(self):
+        long = "x" * (freegroup._CHUNK + 1)
+        pieces = list(freegroup.chunks("[", ["a", long, "b"], ",", "]"))
+        assert pieces == ["[a", "," + long, ",b]"]
 
 
 class TestKeys:

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from treeshift.errors import (
     ActionUndefinedError,
@@ -27,7 +27,9 @@ from treeshift.trees import (
     orbit_to_dot,
     orbit_to_json,
     PointedTree,
+    dumps_json,
     tree_from_json,
+    tree_json,
     tree_to_dot,
     tree_to_json,
     validate_tree,
@@ -306,7 +308,7 @@ class TestSerialization:
 
     def test_writers_reject_a_tree_the_walk_cannot_cover(self):
         gap = tree_from_words(2, 2, [identity(2), parse_word("g0 g1", 2)])
-        for write in (tree_to_json, tree_to_dot):
+        for write in (tree_to_json, tree_to_dot, tree_json):
             with pytest.raises(ValidationError, match="missing prefix g0 of vertex g0 g1"):
                 write(gap)
 
@@ -368,6 +370,16 @@ def outcome(build, *args):
         return build(*args)
     except (ValidationError, InvalidGeneratorError) as exc:
         return type(exc), str(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_trees)
+@example(random_tree(2, 0, 1))
+@example(random_tree(3, 6, 1, fill=0.9))  # past one piece of output
+def test_tree_json_prints_what_dumps_json_prints(t):
+    pieces = list(tree_json(t))
+    assert "".join(pieces) == dumps_json(tree_to_json(t))
+    assert all(len(p) <= freegroup._CHUNK + max(map(len, p.split("\n"))) for p in pieces)
 
 
 @settings(max_examples=60, deadline=None)
