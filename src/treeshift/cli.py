@@ -122,14 +122,18 @@ def _distance_json(d: BoxDistance) -> dict:
     return {"kind": "exact" if d.exact else "at-least", "r": d.r, "value": d.value}
 
 
-def cmd_metric(args) -> int:
-    from .trees import box_distance, dumps_json, tree_from_json
+def _two_trees(args):
+    from .trees import tree_from_json
 
     if len(args.tree) != 2:
-        raise TreeshiftError("metric needs exactly two --tree arguments")
-    t1 = tree_from_json(load_json(args.tree[0]))
-    t2 = tree_from_json(load_json(args.tree[1]))
-    d = box_distance(t1, t2)
+        raise TreeshiftError(f"{args.command} needs exactly two --tree arguments")
+    return tree_from_json(load_json(args.tree[0])), tree_from_json(load_json(args.tree[1]))
+
+
+def cmd_metric(args) -> int:
+    from .trees import box_distance, dumps_json
+
+    d = box_distance(*_two_trees(args))
     if args.format == "json":
         sys.stdout.write(dumps_json(_distance_json(d)))
     else:
@@ -245,13 +249,9 @@ def cmd_equivariance(args) -> int:
 
 def cmd_separate(args) -> int:
     from .embed import separate_witness
-    from .trees import BoxDistance, dumps_json, tree_from_json
+    from .trees import BoxDistance, dumps_json
 
-    if len(args.tree) != 2:
-        raise TreeshiftError("separate needs exactly two --tree arguments")
-    t1 = tree_from_json(load_json(args.tree[0]))
-    t2 = tree_from_json(load_json(args.tree[1]))
-    witness = separate_witness(t1, t2)
+    witness = separate_witness(*_two_trees(args))
     if witness is None:
         sys.stdout.write(dumps_json({"witness": None,
                                      "note": "trees ball-equal to their common depth"}))

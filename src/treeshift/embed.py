@@ -54,7 +54,7 @@ from .freegroup import (
     signed_letters,
     word_key,
 )
-from .trees import BoxDistance, PointedTree, act, box_distance, first_difference
+from .trees import BoxDistance, PointedTree, _tree, act, box_distance, first_difference
 
 if TYPE_CHECKING:
     from .shift import Config
@@ -278,7 +278,7 @@ def _run_embedding(source_rank: int, depth: int, root: tuple[Any, Any],
     keys = frozenset(k for _, k in placed)
     if len(keys) != len(placed):
         raise ConsistencyError("embedding produced colliding vertices")
-    return Embedding(PointedTree(enc.target_rank, depth, keys), tuple(placed), depth, source_rank)
+    return Embedding(_tree(enc.target_rank, depth, keys), tuple(placed), depth, source_rank)
 
 
 def embed_config(sigma: Config, enc: EdgeEncoding, depth: int) -> Embedding:

@@ -12,6 +12,11 @@ positive generator of the appended letter.  Every operation states
 exactly what it knows: answers that would need vertices beyond the stored
 radius raise InsufficientDepthError rather than guessing.
 
+A tree is checked where it is built, as a word is: the :class:`PointedTree`
+constructor (so :func:`make_tree` and :func:`tree_from_json`) refuses keys
+that are not a tree, and :func:`ball`, :func:`act`, the embeddings and the
+samplers build from keys they trust through the unchecked :func:`_tree`.
+
 Ball comparison is key-set equality.  This is sound because a
 basepoint-preserving isometry that matches signed edge labels is forced,
 edge by edge, to be the identity on vertex names; an independent
@@ -32,7 +37,6 @@ from typing import Iterable, Iterator, Sequence
 from .errors import (
     ActionUndefinedError,
     InsufficientDepthError,
-    InvalidGeneratorError,
     RankMismatchError,
     ValidationError,
     json_field,
@@ -40,6 +44,7 @@ from .errors import (
 )
 from .freegroup import (
     Word,
+    check_letters,
     chunks,
     digit_letter,
     inverse_digit,
@@ -54,7 +59,18 @@ from .freegroup import (
 
 
 class PointedTree:
+    """Refuses a rank below 1, and keys that are not a tree of the radius with
+    three violations and a count of the rest, so a long path prints a short line."""
+
     def __init__(self, rank: int, radius: int, keys: frozenset[int]) -> None:
+        check_letters((), rank)
+        faults = _faults(rank, radius, keys)
+        problems = [_named(fault, rank) for fault in itertools.islice(faults, 3)]
+        if problems:
+            rest = sum(1 for _ in faults)
+            if rest:
+                problems.append(f"and {rest} more violations")
+            raise ValidationError("; ".join(problems))
         self.rank = rank
         self.radius = radius
         self.keys = keys
@@ -76,19 +92,10 @@ class PointedTree:
         """The vertices as ``Word``s, built once by walking the keys from the root."""
         return frozenset(key_words(self.sorted_keys, self.rank).values())
 
-    @cached_property
-    def _problems(self) -> list[str]:
-        """The first three violations of :func:`validate_tree`, then a count of the rest."""
-        faults = _faults(self)
-        problems = [_named(fault, self.rank) for fault in itertools.islice(faults, 3)]
-        rest = sum(1 for _ in faults)
-        return problems + [f"and {rest} more violations"] if rest else problems
-
     def _bound(self, r: int) -> int:
         """``B**r``: the keys of words of length <= r are those below it.  The
         exponent stops past the largest key, so a huge radius costs nothing."""
-        largest = self.sorted_keys[-1] if self.keys else 0
-        return key_base(self.rank) ** min(r, largest.bit_length() + 1)
+        return key_base(self.rank) ** min(r, self.sorted_keys[-1].bit_length() + 1)
 
     def child_keys(self, k: int) -> list[int]:
         """The keys one letter below the key k, ascending; found by bisecting
@@ -107,28 +114,34 @@ class PointedTree:
         return f"PointedTree(rank={self.rank}, radius={self.radius}, {len(self.keys)} vertices)"
 
 
-def validate_tree(t: PointedTree) -> list[str]:
-    """All invariant violations, each with a witness vertex; empty means ok."""
-    return [_named(fault, t.rank) for fault in _faults(t)]
+def _tree(rank: int, radius: int, keys: frozenset[int], _new=object.__new__) -> PointedTree:
+    """Unchecked tree from keys known to form one (``_new`` is bound once)."""
+    t = _new(PointedTree)
+    t.rank, t.radius, t.keys = rank, radius, keys
+    return t
 
 
-def _faults(t: PointedTree) -> Iterator[tuple[str, int]]:
+def validate_tree(rank: int, radius: int, keys: frozenset[int]) -> list[str]:
+    """Every violation of a key set, each with a witness vertex; empty means a tree."""
+    return [_named(fault, rank) for fault in _faults(rank, radius, keys)]
+
+
+def _faults(rank: int, radius: int, keys: frozenset[int]) -> Iterator[tuple[str, int]]:
     """:func:`validate_tree`'s violations, each as a text and the key of its
     witness vertex (0 if none), which the text names as ``{v}`` and its parent
     as ``{p}``: a vertex is named only if its violation is printed."""
-    keys = t.keys
-    if t.radius < 0:
-        yield f"radius {t.radius} is negative", 0
+    if radius < 0:
+        yield f"radius {radius} is negative", 0
     if 0 not in keys:
         yield "missing basepoint e", 0
-    base = key_base(t.rank)
-    limit = t._bound(t.radius) if t.radius >= 0 else 0
+    base, largest = key_base(rank), max(keys, default=0)
+    limit = base ** min(radius, largest.bit_length() + 1) if radius >= 0 else 0  # as _bound
     orphans = set(map(floordiv, keys, itertools.repeat(base))) - keys  # parents that are missing
-    if not orphans and max(keys, default=0) < limit:
+    if not orphans and largest < limit:
         return
     for k in sorted(k for k in keys if k >= limit or k // base in orphans):
         if k >= limit:
-            yield f"vertex {{v}} exceeds radius {t.radius}", k
+            yield f"vertex {{v}} exceeds radius {radius}", k
         if k // base in orphans:
             yield "missing prefix {p} of vertex {v}", k
 
@@ -138,22 +151,9 @@ def _named(fault: tuple[str, int], rank: int) -> str:
     return text.format(v=key_word(k, rank), p=key_word(k // key_base(rank), rank))
 
 
-def _check_tree(t: PointedTree) -> None:
-    """Raise unless t is a tree, which the walks over its keys assume."""
-    if t._problems:
-        raise ValidationError(f"{t!r} is not a tree: " + "; ".join(t._problems))
-
-
 def make_tree(rank: int, radius: int, vertices: Iterable[str]) -> PointedTree:
-    """Validating constructor from vertex texts; raises ValidationError
-    listing three violations and counting the rest.  A rank below 1 is
-    refused once the texts are read, so a bad text's own error comes first."""
-    t = PointedTree(rank, radius, frozenset(text_keys(vertices, rank)))
-    if rank < 1:
-        raise InvalidGeneratorError(f"rank must be >= 1, got {rank}")
-    if t._problems:
-        raise ValidationError("; ".join(t._problems))
-    return t
+    """Checked tree from vertex texts, read first, so a bad text's error comes first."""
+    return PointedTree(rank, radius, frozenset(text_keys(vertices, rank)))
 
 
 def ball(t: PointedTree, r: int) -> PointedTree:
@@ -165,7 +165,7 @@ def ball(t: PointedTree, r: int) -> PointedTree:
     if r == t.radius:
         return t
     keys = t.sorted_keys
-    return PointedTree(t.rank, r, frozenset(keys[:bisect_left(keys, t._bound(r))]))
+    return _tree(t.rank, r, frozenset(keys[:bisect_left(keys, t._bound(r))]))
 
 
 class BoxDistance:
@@ -220,9 +220,12 @@ def box_distance(t1: PointedTree, t2: PointedTree) -> BoxDistance:
 def neighborhood(t: PointedTree, r: int, pool: Sequence[PointedTree]) -> list[PointedTree]:
     """Members of the pool whose radius-r ball equals t's.
 
-    A pool member shallower than r cannot be classified and is reported by
-    raising, never silently excluded.
+    A pool member of another rank, or shallower than r, cannot be classified
+    and is reported by raising, never silently excluded.
     """
+    for p in pool:
+        if p.rank != t.rank:
+            raise RankMismatchError(f"pool member {p!r} has rank {p.rank}, tree has rank {t.rank}")
     if r > t.radius:
         raise InsufficientDepthError(f"neighborhood radius {r} exceeds tree radius {t.radius}")
     too_shallow = [p for p in pool if p.radius < r]
@@ -260,7 +263,6 @@ def act(t: PointedTree, g: Word, radius: int | None = None) -> PointedTree:
     elif radius > known:
         raise InsufficientDepthError(
             f"rebased radius {radius} exceeds radius {t.radius} - |g| = {known}")
-    _check_tree(t)
     base = key_base(t.rank)
     level = [(start, 0, -1)]  # (key in t, key in the result, the key it was reached from)
     moved = [0]
@@ -276,7 +278,7 @@ def act(t: PointedTree, g: Word, radius: int | None = None) -> PointedTree:
             nxt += [(c, head + c % base, u) for c in t.child_keys(u) if c != back]
         moved += [name for _, name, _ in nxt]
         level = nxt
-    return PointedTree(t.rank, radius, frozenset(moved))
+    return _tree(t.rank, radius, frozenset(moved))
 
 
 class OrbitGraph:
@@ -342,7 +344,6 @@ def orbit_graph(t: PointedTree, step_bound: int, working_radius: int) -> OrbitGr
 
 
 def tree_to_json(t: PointedTree) -> dict:
-    _check_tree(t)
     return {
         "rank": t.rank,
         "radius": t.radius,
@@ -354,7 +355,6 @@ def tree_json(t: PointedTree) -> Iterator[str]:
     """What ``dumps_json(tree_to_json(t))`` prints, in the pieces of
     :func:`chunks`: the texts of :func:`key_texts` come in canonical order
     and need no escaping, so it builds no JSON object and runs no encoder."""
-    _check_tree(t)
     head = f'{{\n  "radius": {t.radius},\n  "rank": {t.rank},\n  "vertices": [\n    "'
     texts = key_texts(t.sorted_keys, t.rank).values()
     return chunks(head, texts, '",\n    "', '"\n  ]\n}\n')
@@ -377,7 +377,6 @@ def tree_to_dot(t: PointedTree) -> str:
     Vertices and edges both come in canonical order: an edge is listed with
     its child, and named by its parent's text and its own.
     """
-    _check_tree(t)
     base = key_base(t.rank)
     texts = key_texts(t.sorted_keys, t.rank)
     lines = ["graph tree {", '  node [shape=circle];']

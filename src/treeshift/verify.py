@@ -27,7 +27,8 @@ from .errors import InsufficientDepthError, RankMismatchError, ValidationError, 
 from .freegroup import Word, enumerate_ball, identity, inverse_digit, key_base, signed_letters
 from .groups import free_group, induced_config, integer_lattice
 from .shift import agree_depth, flipped_config, periodic_config, random_config
-from .trees import BoxDistance, PointedTree, act, ball, box_distance, orbit_graph, tree_to_json
+from .trees import (BoxDistance, PointedTree, _tree, act, ball, box_distance, orbit_graph,
+                    tree_to_json)
 
 BITS = alphabet([0, 1])
 
@@ -83,9 +84,9 @@ def _grow(keys: set[int], frontier: list[int], levels: int, base: int,
 
 
 def random_tree(rank: int, radius: int, seed: int, fill: float = 0.6) -> PointedTree:
-    """Seeded random prefix-closed tree grown level by level."""
-    return PointedTree(rank, radius, _grow({0}, [0], radius, key_base(rank),
-                                           random.Random(seed), fill))
+    """Seeded random prefix-closed tree grown level by level from the root,
+    whose constructor refuses a rank below 1 and a negative radius."""
+    return regrown_tree(PointedTree(rank, radius, frozenset({0})), 0, seed, fill)
 
 
 def regrown_tree(t: PointedTree, keep_below: int, seed: int, fill: float = 0.6) -> PointedTree:
@@ -98,8 +99,8 @@ def regrown_tree(t: PointedTree, keep_below: int, seed: int, fill: float = 0.6) 
     base = key_base(t.rank)
     kept = t.sorted_keys[:bisect_left(t.sorted_keys, base ** start)]
     frontier = kept[bisect_left(kept, base ** start // base):]
-    return PointedTree(t.rank, t.radius, _grow(set(kept), frontier, t.radius - start, base,
-                                               random.Random(seed), fill))
+    return _tree(t.rank, t.radius, _grow(set(kept), frontier, t.radius - start, base,
+                                         random.Random(seed), fill))
 
 
 def balls_isomorphic(t1: PointedTree, t2: PointedTree, r: int) -> bool:

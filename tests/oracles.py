@@ -67,8 +67,8 @@ def brute_ball_words(rank: int, radius: int) -> set[tuple[int, ...]]:
 
 
 def tree_from_words(rank: int, radius: int, words) -> PointedTree:
-    """The tree on ``Word``s, unchecked; a word of another rank has no key
-    in the tree and raises ValidationError."""
+    """The tree on ``Word``s, through the checked constructor; a word of
+    another rank has no key in the tree and raises ValidationError."""
     words = list(words)
     for v in words:
         if v.rank != rank:
@@ -86,30 +86,32 @@ def parse_word_checked(text: str, rank: int) -> Word:
     return reduce([parse_letter(tok, rank) for tok in text.split()], rank)
 
 
-def sorted_violations(t) -> list[str]:
+def sorted_violations(rank: int, radius: int, words) -> list[str]:
+    """What keeps a set of ``Word``s from being a tree of this rank and radius."""
+    words = set(words)
     violations = []
-    if t.radius < 0:
-        violations.append(f"radius {t.radius} is negative")
-    if identity(t.rank) not in t.vertices:
+    if radius < 0:
+        violations.append(f"radius {radius} is negative")
+    if identity(rank) not in words:
         violations.append("missing basepoint e")
-    for v in sorted(t.vertices, key=Word.sort_key):
-        if v.rank != t.rank:
-            violations.append(f"vertex {v} has rank {v.rank}, tree has rank {t.rank}")
+    for v in sorted(words, key=Word.sort_key):
+        if v.rank != rank:
+            violations.append(f"vertex {v} has rank {v.rank}, tree has rank {rank}")
             continue
-        if len(v) > t.radius:
-            violations.append(f"vertex {v} exceeds radius {t.radius}")
-        if len(v) > 0 and v.parent not in t.vertices:
+        if len(v) > radius:
+            violations.append(f"vertex {v} exceeds radius {radius}")
+        if len(v) > 0 and v.parent not in words:
             violations.append(f"missing prefix {v.parent} of vertex {v}")
     return violations
 
 
 def parse_word_tree(rank: int, radius: int, texts):
-    t = tree_from_words(rank, radius, [parse_word_checked(v, rank) for v in texts])
-    problems = sorted_violations(t)
+    words = [parse_word_checked(v, rank) for v in texts]
+    problems = sorted_violations(rank, radius, words)
     if problems:  # three violations, then a count of the rest
         rest = [f"and {len(problems) - 3} more violations"] if len(problems) > 3 else []
         raise ValidationError("; ".join(problems[:3] + rest))
-    return t
+    return tree_from_words(rank, radius, words)
 
 
 def sorted_tree_json(t) -> dict:

@@ -408,6 +408,15 @@ class TestMalformedInput:
         assert first in err and second in err
         assert "cannot read" not in err
 
+    @pytest.mark.parametrize("count", [1, 3])
+    @pytest.mark.parametrize("command", ["metric", "separate"])
+    def test_two_trees(self, tmp_path, capsys, command, count):
+        tree = tmp_path / "t.json"
+        tree.write_text(json.dumps({"rank": 1, "radius": 0, "vertices": ["e"]}))
+        code, _, err = run(capsys, command, *["--tree", str(tree)] * count)
+        self.assert_clean_failure(code, err)
+        assert err.splitlines()[-1] == f"error: {command} needs exactly two --tree arguments"
+
     @pytest.mark.parametrize("change", [
         {"alpha": dict(E1_SCENARIO["alpha"], M="x")},
         {"alpha": dict(E1_SCENARIO["alpha"], n=[2])},

@@ -1,10 +1,11 @@
 from hashlib import blake2b
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import embed_by_words, sphere_agree_depth
-from treeshift import embed as embed_module, freegroup, groups
+from treeshift import embed as embed_module, freegroup, groups, trees
 from treeshift.errors import (
     ConsistencyError,
     InsufficientDepthError,
@@ -12,7 +13,8 @@ from treeshift.errors import (
     ValidationError,
     alphabet,
 )
-from treeshift.freegroup import enumerate_ball, enumerate_spheres, identity, parse_word, word_key
+from treeshift.freegroup import (enumerate_ball, enumerate_spheres, identity, key_word, parse_word,
+                                 word_key)
 from treeshift.groups import custom_group, free_group, induced_config, integer_lattice
 from treeshift.shift import (
     AgreementDepth,
@@ -36,7 +38,9 @@ from treeshift.embed import (
     validate_alpha,
 )
 from treeshift.pseudogroup import SymbolStream, builtin_n0_shift, embed_pseudo, itinerary
-from treeshift.trees import BoxDistance, box_distance, make_tree, validate_tree
+from treeshift.trees import (BoxDistance, act, ball, box_distance, make_tree, orbit_graph,
+                             validate_tree)
+from treeshift.verify import random_tree, regrown_tree
 
 BITS = alphabet([0, 1])
 Z = integer_lattice(d=1)
@@ -102,7 +106,8 @@ class TestEmbed:
         result = embed_config(parity_on_f1(), E1, 2)
         assert {str(v) for v in result.tree.vertices} == {
             "e", "g0", "g0 g1", "g1'", "g1' g0'"}
-        assert validate_tree(result.tree) == []
+        t = result.tree
+        assert validate_tree(t.rank, t.radius, t.keys) == []
 
     def test_depth_zero(self):
         result = embed_config(parity_on_f1(), E1, 0)
@@ -383,6 +388,36 @@ class TestGroupWalk:
         tree, vertex_of = embed_by_words(sigma, enc, depth)
         assert pulled.tree == tree
         assert pulled.vertex_of == vertex_of
+
+    @settings(max_examples=60, deadline=None)
+    @given(walked_configs(), st.randoms(use_true_random=False))
+    def test_trees_built_from_trusted_keys_are_trees(self, case, rng):
+        # the embeddings, ball, act, orbit_graph and the samplers build their
+        # trees unchecked (trees._tree): the one scan is random_tree's of its root
+        sigma, enc, depth = case
+        scanned, faults = [], trees._faults
+        stream = SymbolStream.eventually_periodic(
+            tuple(rng.choice(BITS.symbols) for _ in range(rng.randint(0, 3))),
+            tuple(rng.choice(BITS.symbols) for _ in range(rng.randint(1, 3))))
+        with patch.object(trees, "_faults",
+                          lambda *args: scanned.append(len(args[2])) or faults(*args)):
+            t = embed_config(sigma, enc, depth).tree
+            sampled = random_tree(rng.randint(1, 3), depth, rng.randrange(1000),
+                                  rng.choice([0.3, 0.9]))
+            built = [t, embed_config(induced_config(sigma.group, sigma), enc, depth).tree,
+                     embed_pseudo(itinerary(builtin_n0_shift(BITS), stream, depth),
+                                  random_encoding(2, BITS, 4, seed=rng.randrange(1000)),
+                                  depth).tree,
+                     ball(t, rng.randint(0, depth)), sampled,
+                     regrown_tree(sampled, rng.randint(0, depth + 1), rng.randrange(1000))]
+            for tree in (t, sampled):
+                g = key_word(rng.choice(tree.sorted_keys), tree.rank)
+                built += [act(tree, g), act(tree, g, rng.randint(0, tree.radius - len(g)))]
+            steps = rng.randint(0, depth)
+            built += orbit_graph(t, steps, depth - steps).nodes
+        assert scanned == [1]
+        for tree in built:
+            assert validate_tree(tree.rank, tree.radius, tree.keys) == []
 
     def test_lattice_embed_normalizes_no_word(self, monkeypatch):
         # nor does it build one, directly or through its pullback, flipped or

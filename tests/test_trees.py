@@ -1,7 +1,6 @@
 import math
 import random
 import time
-from types import SimpleNamespace
 from unittest.mock import patch
 
 import pytest
@@ -89,23 +88,25 @@ def flipped_at_two_tree(radius):
 E1_DEPTH2 = {"e", "g0", "g0 g1", "g1'", "g1' g0'"}
 
 
+def keys_of(rank, texts):
+    return frozenset(freegroup.text_keys(texts, rank))
+
+
 class TestValidate:
     def test_ok(self):
         t = make_tree(2, 2, ["e", "g0", "g0 g1"])
-        assert validate_tree(t) == []
+        assert validate_tree(t.rank, t.radius, t.keys) == []
 
     def test_missing_prefix(self):
-        t = tree_from_words(2, 2, [identity(2), parse_word("g0 g1", 2)])
-        problems = validate_tree(t)
+        problems = validate_tree(2, 2, keys_of(2, ["e", "g0 g1"]))
         assert problems == ["missing prefix g0 of vertex g0 g1"]
 
     def test_missing_basepoint(self):
-        t = tree_from_words(2, 1, [parse_word("g0", 2)])
-        assert "missing basepoint e" in validate_tree(t)
+        assert "missing basepoint e" in validate_tree(2, 1, keys_of(2, ["g0"]))
 
     def test_radius_violation(self):
-        t = tree_from_words(2, 1, [identity(2), parse_word("g0", 2), parse_word("g0 g1", 2)])
-        assert any("exceeds radius" in p for p in validate_tree(t))
+        problems = validate_tree(2, 1, keys_of(2, ["e", "g0", "g0 g1"]))
+        assert any("exceeds radius" in p for p in problems)
 
     def test_make_tree_raises(self):
         with pytest.raises(ValidationError):
@@ -148,6 +149,11 @@ class TestBoxDistance:
         with pytest.raises(RankMismatchError):
             box_distance(parity_tree(1), PointedTree(1, 0, frozenset({0})))
 
+    def test_no_distance_to_a_key_set_without_basepoint(self):
+        # the keys {g0} would read exact(-1), a distance of e, above the maximum 1
+        with pytest.raises(ValidationError, match="missing basepoint e"):
+            box_distance(make_tree(2, 2, ["e", "g0"]), PointedTree(2, 1, frozenset({1})))
+
     def test_symmetry_and_ultrametric_random(self):
         for seed in range(60):
             t1 = random_tree(2, 4, seed)
@@ -176,6 +182,11 @@ class TestNeighborhood:
         t = parity_tree(3)
         with pytest.raises(InsufficientDepthError):
             neighborhood(t, 2, [parity_tree(1)])
+
+    def test_member_of_another_rank_flagged(self):
+        # key 1 is g0 in both ranks, so the balls' keys alone would match
+        with pytest.raises(RankMismatchError, match="has rank 3, tree has rank 2"):
+            neighborhood(make_tree(2, 1, ["e", "g0"]), 1, [make_tree(3, 1, ["e", "g0"])])
 
 
 class TestAct:
@@ -206,7 +217,7 @@ class TestAct:
                 if len(v) > 2:
                     continue
                 image = act(t, v)
-                assert validate_tree(image) == []
+                assert validate_tree(image.rank, image.radius, image.keys) == []
 
     def test_composition_where_defined(self):
         t = parity_tree(6)
@@ -307,10 +318,13 @@ class TestSerialization:
             tree_from_json({"rank": 2, "radius": 2, "vertices": ["g0"]})
 
     def test_writers_reject_a_tree_the_walk_cannot_cover(self):
-        gap = tree_from_words(2, 2, [identity(2), parse_word("g0 g1", 2)])
-        for write in (tree_to_json, tree_to_dot, tree_json):
-            with pytest.raises(ValidationError, match="missing prefix g0 of vertex g0 g1"):
-                write(gap)
+        # the writers walk from the root, so the constructor refuses the gap
+        # before any writer meets it
+        gap = [identity(2), parse_word("g0 g1", 2)]
+        for build in (lambda: tree_from_words(2, 2, gap),
+                      lambda: PointedTree(2, 2, frozenset(map(word_key, gap)))):
+            with pytest.raises(ValidationError, match="^missing prefix g0 of vertex g0 g1$"):
+                build()
 
     def test_dot_contains_edges(self):
         t = make_tree(2, 2, sorted(E1_DEPTH2))
@@ -323,7 +337,7 @@ class TestSerialization:
 @given(st.integers(0, 10_000), st.integers(0, 4))
 def test_random_trees_are_valid(seed, radius):
     t = random_tree(2, radius, seed)
-    assert validate_tree(t) == []
+    assert validate_tree(t.rank, t.radius, t.keys) == []
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -355,9 +369,10 @@ def test_a_huge_radius_costs_nothing():
 
 
 def test_act_refuses_a_tree_that_is_not_prefix_closed():
-    gap = tree_from_words(2, 3, [identity(2), parse_word("g0", 2), parse_word("g1 g1", 2)])
-    with pytest.raises(ValidationError, match="missing prefix g1 of vertex g1 g1"):
-        act(gap, parse_word("g0", 2))
+    # act walks the tree's edges, so the constructor refuses the gap before act meets it
+    keys = keys_of(2, ["e", "g0", "g1 g1"])
+    with pytest.raises(ValidationError, match="^missing prefix g1 of vertex g1 g1$"):
+        PointedTree(2, 3, keys)
 
 
 random_trees = st.builds(random_tree, st.integers(1, 3), st.integers(0, 5),
@@ -370,6 +385,29 @@ def outcome(build, *args):
         return build(*args)
     except (ValidationError, InvalidGeneratorError) as exc:
         return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("rank,radius,texts,error,message", [
+    (0, 1, ["e"], InvalidGeneratorError, "rank must be >= 1, got 0"),
+    (2, -1, ["e"], ValidationError, "radius -1 is negative; vertex e exceeds radius -1"),
+    (2, 1, ["g0"], ValidationError, "missing basepoint e; missing prefix e of vertex g0"),
+    (2, 2, ["e", "g0 g1"], ValidationError, "missing prefix g0 of vertex g0 g1"),
+    (2, 1, ["e", "g0", "g0 g1"], ValidationError, "vertex g0 g1 exceeds radius 1"),
+    (2, 0, ["e", "g0", "g0'", "g1", "g1'", "g0 g1"], ValidationError,
+     "vertex g0 exceeds radius 0; vertex g0' exceeds radius 0; vertex g1 exceeds radius 0; "
+     "and 2 more violations"),
+], ids=["rank-0", "radius-negative", "no-basepoint", "missing-prefix", "past-the-radius",
+        "more-than-three"])
+def test_the_constructor_refuses_what_make_tree_refuses(rank, radius, texts, error, message):
+    keys = keys_of(2, texts)  # "e" has key 0 in every rank, even one below 1
+    for build, vertices in ((PointedTree, keys), (make_tree, texts)):
+        assert outcome(build, rank, radius, vertices) == (error, message)
+
+
+def test_random_tree_refuses_a_rank_below_one_and_a_negative_radius():
+    assert outcome(random_tree, 0, 2, 1) == (InvalidGeneratorError, "rank must be >= 1, got 0")
+    assert outcome(random_tree, 2, -1, 1) == (
+        ValidationError, "radius -1 is negative; vertex e exceeds radius -1")
 
 
 @settings(max_examples=100, deadline=None)
@@ -472,16 +510,17 @@ def test_validate_tree_lists_violations_like_the_sorted_path(t, rng, shallower, 
     if foreign:  # a word of another rank has no key in the tree: tree_from_words refuses it
         stranger = Word(t.rank + 1, (t.rank + 1,) * rng.randrange(3))
         words = vertices | {stranger}
-        expected = sorted_violations(SimpleNamespace(rank=t.rank, radius=radius, vertices=words))
+        expected = sorted_violations(t.rank, radius, words)
         with pytest.raises(ValidationError) as caught:
             tree_from_words(t.rank, radius, words)
         assert str(caught.value) in expected
         assert str(stranger) in str(caught.value)
-    broken = tree_from_words(t.rank, radius, vertices)
-    assert validate_tree(broken) == sorted_violations(broken)
+    keys = frozenset(map(word_key, vertices))
+    assert validate_tree(t.rank, radius, keys) == sorted_violations(t.rank, radius, vertices)
     texts = [str(v) for v in vertices]
-    assert (outcome(make_tree, t.rank, broken.radius, texts)
-            == outcome(parse_word_tree, t.rank, broken.radius, texts))
+    assert (outcome(make_tree, t.rank, radius, texts)
+            == outcome(parse_word_tree, t.rank, radius, texts))
+    assert outcome(PointedTree, t.rank, radius, keys) == outcome(make_tree, t.rank, radius, texts)
 
 
 tree_pairs = random_trees.flatmap(lambda t: st.tuples(
