@@ -212,10 +212,9 @@ class Embedding:
     """
 
     def __init__(self, tree: PointedTree, vertex_keys: tuple[tuple[int, int], ...],
-                 depth: int, source_rank: int) -> None:
+                 source_rank: int) -> None:
         self.tree = tree
         self.vertex_keys = vertex_keys
-        self.depth = depth
         self.source_rank = source_rank
 
     @cached_property
@@ -278,7 +277,7 @@ def _run_embedding(source_rank: int, depth: int, root: tuple[Any, Any],
     keys = frozenset(k for _, k in placed)
     if len(keys) != len(placed):
         raise ConsistencyError("embedding produced colliding vertices")
-    return Embedding(_tree(enc.target_rank, depth, keys), tuple(placed), depth, source_rank)
+    return Embedding(_tree(enc.target_rank, depth, keys), tuple(placed), source_rank)
 
 
 def embed_config(sigma: Config, enc: EdgeEncoding, depth: int) -> Embedding:

@@ -269,12 +269,7 @@ def induced_config(model: GroupModel, sigma: shift.Config) -> shift.Config:
     if sigma.group != model:
         raise GroupMismatchError("configuration does not live on the given model")
     fm = free_group(model.generator_count)
-    return shift.Config(
-        group=fm,
-        alphabet=sigma.alphabet,
-        rule=_PulledRule(sigma),
-        label=f"induced({sigma.label})",
-    )
+    return shift.Config(fm, sigma.alphabet, _PulledRule(sigma))
 
 
 def group_from_json(obj: dict) -> GroupModel:

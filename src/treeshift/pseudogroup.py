@@ -87,14 +87,6 @@ class SymbolStream:
         return SymbolStream(tuple(pre), tuple(cycle))
 
 
-def _within(p: tuple, prefixes: set[tuple], lengths: set[int], stop: int) -> bool:
-    """Whether ``p[:n]`` is one of ``prefixes`` for some ``n < stop`` among
-    their ``lengths``.  At ``stop = len(p) + 1`` this says whether the cylinder
-    on p lies in the union of the cylinders on ``prefixes``; at ``len(p)``,
-    whether one of p's proper prefixes is among them."""
-    return any(p[:n] in prefixes for n in lengths if n < stop)
-
-
 def _minimal(items: Iterable, prefix_of: Callable[[Any], tuple]) -> list:
     """Drop each item whose prefix extends another item's; keep the rest,
     shortest first.  Each prefix comes with one item."""
@@ -105,8 +97,8 @@ def _minimal(items: Iterable, prefix_of: Callable[[Any], tuple]) -> list:
     items = set(items)
     prefixes = set(map(prefix_of, items))
     lengths = set(map(len, prefixes))
-    return sorted((i for i in items if not _within(p := prefix_of(i), prefixes, lengths, len(p))),
-                  key=order)
+    return sorted((i for i, p in zip(items, map(prefix_of, items))
+                   if not any(p[:n] in prefixes for n in lengths if n < len(p))), key=order)
 
 
 class Cylinder:
@@ -192,19 +184,21 @@ class PartialMap:
             raise ActionUndefinedError(f"{self.name} undefined at {stream!r}")
         return stream.rewrite(len(self.consume), self.emit)
 
-    def image_cylinder(self, part: Cylinder) -> Cylinder:
-        return Cylinder(self.emit + part.prefix[len(self.consume):])
+    @cached_property
+    def _inverse(self) -> "PartialMap":
+        cut = len(self.consume)
+        image = CylinderUnion.of(Cylinder(self.emit + part.prefix[cut:])
+                                 for part in self.domain.parts)
+        return PartialMap(self.inverse_name, image, self.emit, self.consume, self.name)
 
 
 def inverse_of(pm: PartialMap) -> PartialMap:
-    """The inverse rewrite, defined exactly on the image of pm's domain."""
-    return PartialMap(
-        name=pm.inverse_name,
-        domain=CylinderUnion.of(map(pm.image_cylinder, pm.domain.parts)),
-        consume=pm.emit,
-        emit=pm.consume,
-        inverse_name=pm.name,
-    )
+    """The inverse rewrite, defined exactly on the image of pm's domain.  Each
+    map builds it once, so checking a loader's negatives builds none again."""
+    return pm._inverse
+
+
+_fields = attrgetter("name", "domain", "consume", "emit", "inverse_name")
 
 
 def _check_names(positive: Iterable[PartialMap]) -> None:
@@ -232,9 +226,10 @@ def _check_names(positive: Iterable[PartialMap]) -> None:
 class CylinderPseudogroup:
     """Finite symmetric generating family plus a clopen partition.
 
-    ``positive[i]`` and ``negative[i]`` are mutually inverse; the partition
-    pieces must be pairwise disjoint and cover the whole stream space.  The
-    constructor refuses any family :func:`validate_cgs` finds fault with.
+    ``negative[i]`` is exactly ``inverse_of(positive[i])``: the same name,
+    domain cylinders, rewrite and inverse name.  The partition pieces must be
+    pairwise disjoint and cover the whole stream space.  The constructor
+    refuses any family :func:`validate_cgs` finds fault with.
     """
 
     def __init__(self, base_alphabet: Alphabet, positive: tuple[PartialMap, ...],
@@ -268,28 +263,16 @@ class CylinderPseudogroup:
 
 
 def validate_cgs(cgs: CylinderPseudogroup) -> list[str]:
-    """What the ``CylinderPseudogroup`` constructor refuses: broken inverse
-    pairs, and partition pieces that overlap or leave a stream uncovered,
+    """What the ``CylinderPseudogroup`` constructor refuses: a negative that
+    is not :func:`inverse_of` its positive, field for field, or is missing or
+    left over, and partition pieces that overlap or leave a stream uncovered,
     each at the shortest cylinder where it shows (:func:`partition_faults`)."""
-    violations = []
-    if len(cgs.positive) != len(cgs.negative):
-        violations.append("positive and negative generator lists differ in length")
-    for pm, inv in zip(cgs.positive, cgs.negative):
-        if pm.inverse_name != inv.name or inv.inverse_name != pm.name:
-            violations.append(f"{pm.name} and {inv.name} are not declared inverses")
-        into = {q.prefix for q in inv.domain.parts}
-        lengths = set(map(len, into))
-        for part in pm.domain.parts:
-            image = pm.image_cylinder(part)
-            if not _within(image.prefix, into, lengths, len(image.prefix) + 1):
-                violations.append(f"image of {part} under {pm.name} escapes dom {inv.name}")
-                continue
-            if len(image.prefix) < len(inv.consume):
-                violations.append(f"cannot verify round trip of {part} under {pm.name}")
-                continue
-            back = inv.emit + image.prefix[len(inv.consume):]
-            if back != part.prefix:
-                violations.append(f"{inv.name} does not invert {pm.name} on {part}")
+    positive, negative = cgs.positive, cgs.negative
+    violations = [f"negative generator {i} is not the inverse of {pm.name}"
+                  for i, pm in enumerate(positive)
+                  if i >= len(negative) or _fields(negative[i]) != _fields(inverse_of(pm))]
+    violations += [f"negative generator {i} has no positive"
+                   for i in range(len(positive), len(negative))]
     # list three faults, then count the rest
     faults = partition_faults(cgs.partition, cgs.base_alphabet.symbols)
     violations += [f"cylinder on {prefix} met {met} partition pieces; expected exactly 1"

@@ -37,15 +37,14 @@ class Config:
     """
 
     def __init__(self, group, alphabet: Alphabet, rule: Callable[[Any], Any],
-                 translate=None, label: str = "config"):
+                 translate=None):
         self.group = group
         self.alphabet = alphabet
         self.rule = rule
         self.translate = group.identity() if translate is None else translate
-        self.label = label
 
     def __repr__(self) -> str:
-        return f"Config({self.label}, translate={self.translate})"
+        return f"Config(translate={self.translate})"
 
     def eval(self, g) -> Any:
         if g.group_key != self.group.key:
@@ -127,8 +126,7 @@ class Config:
         if isinstance(gamma, Word):
             gamma = self.group.normalize(gamma)
         return Config(self.group, self.alphabet, self.rule,
-                      translate=self.group.multiply(self.translate, gamma),
-                      label=self.label)
+                      translate=self.group.multiply(self.translate, gamma))
 
 
 def periodic_config(group, alph: Alphabet, table, periods=None) -> Config:
@@ -158,7 +156,7 @@ def periodic_config(group, alph: Alphabet, table, periods=None) -> Config:
             cell = cell[vec[j] % periods[j]]
         return cell
 
-    return Config(group, alph, rule, label="periodic")
+    return Config(group, alph, rule)
 
 
 def _check_table(cell, periods, path: str) -> None:
@@ -176,7 +174,7 @@ def finite_support_config(group, alph: Alphabet, support: dict, default) -> Conf
     for s in (default, *support.values()):
         if s not in alph:
             raise ValidationError(f"finite support symbol {s!r} not in alphabet {alph.symbols}")
-    return Config(group, alph, _Overlay(_Constant(default), dict(support)), label="finite")
+    return Config(group, alph, _Overlay(_Constant(default), dict(support)))
 
 
 def _payload_token(payload) -> str:
@@ -283,7 +281,7 @@ class _Overlay:
 
 def random_config(group, alph: Alphabet, seed: int) -> Config:
     """Deterministic pseudo-random configuration (stable across runs)."""
-    return Config(group, alph, _RandomRule(seed, alph.symbols), label=f"random({seed})")
+    return Config(group, alph, _RandomRule(seed, alph.symbols))
 
 
 def flipped_config(sigma: Config, at: Word, seed: int = 0) -> Config:
@@ -304,8 +302,7 @@ def flipped_config(sigma: Config, at: Word, seed: int = 0) -> Config:
         raise ValidationError("flipped_config expects an unshifted configuration")
     rule = sigma.rule
     base, table = (rule.base, rule.table) if rule.__class__ is _Overlay else (rule, {})
-    return Config(sigma.group, sigma.alphabet, _Overlay(base, {**table, target.payload: new}),
-                  label=f"{sigma.label}+flip({at})")
+    return Config(sigma.group, sigma.alphabet, _Overlay(base, {**table, target.payload: new}))
 
 
 class AgreementDepth:

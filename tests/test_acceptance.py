@@ -92,7 +92,7 @@ def test_tree_shape_flags_a_vertex_of_another_length(monkeypatch):
     def misplaced(sigma, enc, depth):
         result = embed_config(sigma, enc, depth)
         (root, _), *rest = result.vertex_keys
-        return Embedding(result.tree, ((root, result.tree.sorted_keys[1]), *rest), result.depth,
+        return Embedding(result.tree, ((root, result.tree.sorted_keys[1]), *rest),
                          result.source_rank)
 
     monkeypatch.setattr(verify, "embed_config", misplaced)

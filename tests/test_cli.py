@@ -140,6 +140,18 @@ class TestActAndOrbit:
         assert len(og["nodes"]) == 2
         assert sorted(e["label"] for e in og["edges"]) == ["g0", "g1"]
 
+    def test_orbit_dot_output(self, scenario_file, tmp_path, capsys):
+        from treeshift.trees import orbit_graph, orbit_to_dot, tree_from_json
+
+        _, out, _ = run(capsys, "embed", "--scenario", scenario_file, "--depth", "6")
+        path = tmp_path / "t.json"
+        path.write_text(out)
+        og = orbit_graph(tree_from_json(json.loads(out)), step_bound=4, working_radius=2)
+        code, out, err = run(capsys, "orbit", "--tree", str(path), "--working-radius", "2",
+                             "--step-bound", "4", "--format", "dot")
+        assert (code, out, err) == (0, orbit_to_dot(og), "")
+        assert out.startswith("digraph orbit {") and out.count(" -> ") == 2
+
     def test_orbit_scenario_depth_defaults_to_6(self, scenario_file, capsys):
         args = ["--scenario", scenario_file, "--working-radius", "2", "--step-bound", "4"]
         assert run(capsys, "orbit", *args) == run(capsys, "orbit", *args, "--depth", "6")
@@ -429,6 +441,20 @@ class TestMalformedInput:
         path.write_text(json.dumps(dict(E1_SCENARIO, **change)))
         code, _, err = run(capsys, "embed", "--scenario", str(path), "--depth", "2")
         self.assert_clean_failure(code, err)
+
+    @pytest.mark.parametrize("argv", [
+        ["act", "--tree", "{tree}", "--word", "g0"],
+        ["metric", "--tree", "{tree}", "--tree", "{tree}"],
+        ["separate", "--tree", "{tree}", "--tree", "{tree}"],
+        ["decode", "--tree", "{tree}", "--scenario", "{scenario}", "--depth", "1"],
+        ["orbit", "--tree", "{tree}", "--working-radius", "1", "--step-bound", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_unreadable_tree(self, scenario_file, tmp_path, capsys, argv):
+        tree = str(tmp_path / "missing.json")
+        code, out, err = run(capsys, *(a.format(tree=tree, scenario=scenario_file) for a in argv))
+        self.assert_clean_failure(code, err)
+        assert out == ""
+        assert err.splitlines()[-1].startswith(f"error: cannot read {tree}: ")
 
     def test_missing_scenario_key(self, tmp_path, capsys):
         bad = {k: v for k, v in E1_SCENARIO.items() if k != "config"}
@@ -862,6 +888,13 @@ def treeshift_modules(modules: set[str]) -> set[str]:
     return {m for m in modules if m.partition(".")[0] == "treeshift"}
 
 
+def source_lines(modules: set[str]) -> int:
+    """The lines of source of the package modules among ``modules``."""
+    root = Path(treeshift.__file__).parent
+    return sum(len((root / f"{m.partition('.')[2] or '__init__'}.py").read_text().splitlines())
+               for m in treeshift_modules(modules))
+
+
 BASE = {"treeshift", "treeshift.cli", "treeshift.errors"}
 TREES = BASE | {"treeshift.freegroup", "treeshift.trees"}
 EMBED = TREES | {"treeshift.embed"}
@@ -870,31 +903,34 @@ PSEUDO = EMBED | {"treeshift.pseudogroup"}
 ITINERARY = BASE | {"treeshift.freegroup", "treeshift.pseudogroup"}
 EVERYTHING = SCENARIO | PSEUDO | {"treeshift.verify"}
 
-# one run of every subcommand, with "{name}" standing for an input file of TestImports
+# one run of every subcommand, with "{name}" standing for an input file of TestImports,
+# the package modules it loads, and a ceiling on their lines of source, so that
+# growth on a command's path shows in review
 COMMANDS = [
-    (["--help"], BASE),
-    (["act", "--tree", "{tree}", "--word", "g0"], TREES),
-    (["metric", "--tree", "{tree}", "--tree", "{tree}"], TREES),
-    (["separate", "--tree", "{tree}", "--tree", "{tree}"], EMBED),
-    (["embed", "--scenario", "{scenario}", "--depth", "2"], SCENARIO),
-    (["decode", "--tree", "{tree}", "--scenario", "{scenario}", "--depth", "3"], SCENARIO),
+    (["--help"], BASE, 582),
+    (["act", "--tree", "{tree}", "--word", "g0"], TREES, 1472),
+    (["metric", "--tree", "{tree}", "--tree", "{tree}"], TREES, 1472),
+    (["separate", "--tree", "{tree}", "--tree", "{tree}"], EMBED, 1947),
+    (["embed", "--scenario", "{scenario}", "--depth", "2"], SCENARIO, 2655),
+    (["decode", "--tree", "{tree}", "--scenario", "{scenario}", "--depth", "3"], SCENARIO, 2655),
     (["orbit", "--scenario", "{scenario}", "--depth", "4", "--working-radius", "1",
-      "--step-bound", "2"], SCENARIO),
-    (["equivariance", "--scenario", "{scenario}", "--depth", "2"], SCENARIO),
-    (["itinerary", "--builtin-n0", "0,1", "--point", "{point}", "--depth", "2"], ITINERARY),
+      "--step-bound", "2"], SCENARIO, 2655),
+    (["equivariance", "--scenario", "{scenario}", "--depth", "2"], SCENARIO, 2655),
+    (["itinerary", "--builtin-n0", "0,1", "--point", "{point}", "--depth", "2"], ITINERARY,
+     1592),
     (["embed-pseudo", "--builtin-n0", "0,1", "--point", "{point}", "--alpha", "{alpha}",
-      "--depth", "1"], PSEUDO),
-    (["builtin", "n0"], ITINERARY | {"treeshift.trees"}),
+      "--depth", "1"], PSEUDO, 2484),
+    (["builtin", "n0"], ITINERARY | {"treeshift.trees"}, 2009),
     # builds random configurations; only the pseudogroup suite loads its module
-    (["verify", "--suite", "lattice-collapse"], EVERYTHING - {"treeshift.pseudogroup"}),
-    (["verify", "--suite", "pseudogroup"], EVERYTHING),
+    (["verify", "--suite", "lattice-collapse"], EVERYTHING - {"treeshift.pseudogroup"}, 3050),
+    (["verify", "--suite", "pseudogroup"], EVERYTHING, 3587),
 ]
 
 
 def command_ids(commands) -> list[str]:
     """Each command's name, and for a repeated name also its last argument."""
     ids: list[str] = []
-    for argv, _ in commands:
+    for argv, *_ in commands:
         name = argv[0].lstrip("-")
         ids.append(f"{name}-{argv[-1]}" if name in ids else name)
     return ids
@@ -925,9 +961,9 @@ class TestImports:
         Path(paths["tree"]).write_text(tree.getvalue())
         return paths
 
-    @pytest.mark.parametrize("argv,expected", COMMANDS,
+    @pytest.mark.parametrize("argv,expected,lines", COMMANDS,
                              ids=command_ids(COMMANDS))
-    def test_command_loads_only_its_modules(self, inputs, argv, expected):
+    def test_command_loads_only_its_modules(self, inputs, argv, expected, lines):
         argv = [arg.format(**inputs) for arg in argv]
         loaded = loaded_modules(
             "import contextlib, io\n"
@@ -936,6 +972,7 @@ class TestImports:
             f"    assert cli.main({argv!r}) == 0\n")
         assert treeshift_modules(loaded) == expected
         assert not loaded & SLOW_IMPORTS
+        assert source_lines(expected) <= lines
 
     def test_package_root_loads_nothing(self):
         assert treeshift_modules(loaded_modules("import treeshift")) == {"treeshift"}

@@ -10,6 +10,7 @@ from treeshift.errors import (
     ConsistencyError,
     InsufficientDepthError,
     NotInImageError,
+    RankMismatchError,
     ValidationError,
     alphabet,
 )
@@ -56,7 +57,7 @@ def parity_on_f1():
 
 
 def constant_on_f1(symbol=0):
-    return Config(F1, BITS, lambda p: symbol, label=f"const{symbol}")
+    return Config(F1, BITS, lambda p: symbol)
 
 
 class TestValidateAlpha:
@@ -595,3 +596,26 @@ class TestGroupWalk:
                             lambda self, w: calls.append(w) or normalize(self, w))
         assert agree_depth(sigma, sigma, cap=6) == AgreementDepth(6, exact=False)
         assert calls == [identity(3)]
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: EdgeEncoding(1, BITS, 4, ((1, 0, 1), (1, 1, 2), (2, 0, 3))), ValidationError,
+     "invalid encoding: source generator t1 out of range"),
+    (lambda: EdgeEncoding(1, BITS, 4, ((1, 0, 1), (1, 1, 2), (1, 2, 3))), ValidationError,
+     "invalid encoding: symbol 2 not in the alphabet"),
+    (lambda: EdgeEncoding(1, BITS, 4, ((1, 0, 1), (1, 1, 2), (1, 0, 3))), ValidationError,
+     "invalid encoding: duplicate entry for (t0, 0)"),
+    (lambda: random_encoding(2, BITS, 3, seed=0), ValidationError, "target rank 3 below 4"),
+    (lambda: decode_tree(make_tree(3, 1, ["e"]), E1, 1), RankMismatchError,
+     "tree rank 3 vs encoding target 2"),
+    (lambda: decode_tree(make_tree(2, 1, ["e"]), E1, 0), ValidationError,
+     "decoding needs depth >= 1"),
+    (lambda: decode_tree(make_tree(2, 1, ["e"]), E1, 2), InsufficientDepthError,
+     "decode depth 2 exceeds tree radius 1"),
+    (lambda: check_equivariance(parity_on_f1(), E1, [1], 0), ValidationError,
+     "equivariance checks need depth >= 1"),
+])
+def test_refusals(build, error, message):
+    with pytest.raises(error) as caught:
+        build()
+    assert str(caught.value) == message

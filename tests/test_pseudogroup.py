@@ -1,23 +1,25 @@
+import functools
 import itertools
 import math
 import re
-from operator import attrgetter, itemgetter
+from operator import attrgetter, is_, itemgetter
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treeshift.errors import (ActionUndefinedError, InsufficientDepthError, ValidationError,
-                             alphabet)
+from treeshift.errors import (ActionUndefinedError, InsufficientDepthError, RankMismatchError,
+                             ValidationError, alphabet)
 from treeshift.freegroup import Word, enumerate_ball, identity, multiply
 from treeshift.shift import Config
 from treeshift.groups import free_group
-from treeshift.embed import edge_encoding, embed_config
+from treeshift.embed import edge_encoding, embed_config, random_encoding
 from treeshift.trees import act
 from treeshift.pseudogroup import (
     Cylinder,
     CylinderPseudogroup,
     CylinderUnion,
+    PartialMap,
     S_EMPTY,
     SymbolStream,
     builtin_n0_shift,
@@ -25,6 +27,7 @@ from treeshift.pseudogroup import (
     cgs_to_json,
     compose_word,
     embed_pseudo,
+    inverse_of,
     itinerary,
     partition_faults,
     stream_from_json,
@@ -104,6 +107,66 @@ class TestBuiltin:
     def test_classify(self):
         assert N0.classify(OMEGA) == 0
         assert N0.classify(OMEGA.rewrite(1, ())) == 1
+
+
+class TestInverses:
+    """Each negative generator is exactly ``inverse_of`` its positive."""
+
+    A = PartialMap("a", CylinderUnion.of([Cylinder(("0", "1"))]), ("0",), (), "a'")
+    PIECES = (("0", CylinderUnion.of([Cylinder(("0",))])),
+              ("1", CylinderUnion.of([Cylinder(("1",))])))
+
+    def build(self, negative):
+        return CylinderPseudogroup(alphabet(["0", "1"]), (self.A,), negative, self.PIECES)
+
+    def test_a_negative_defined_beyond_the_image_is_refused(self):
+        # inverse_of(a) lives on C(1) only; a negative on C() would give a' a live
+        # value at a point starting with 0, where no composition is defined
+        beyond = PartialMap("a'", CylinderUnion.of([Cylinder(())]), (), ("0",), "a")
+        with pytest.raises(ValidationError) as caught:
+            self.build((beyond,))
+        assert str(caught.value) == (
+            "invalid generating system: negative generator 0 is not the inverse of a")
+
+    def test_a_hand_built_inverse_is_accepted(self):
+        exact = PartialMap("a'", CylinderUnion.of([Cylinder(("1",))]), (), ("0",), "a")
+        itin = itinerary(self.build((exact,)), SymbolStream(("0", "0"), ("1",)), 2)
+        assert itin.value(Word(1, (-1,))) is S_EMPTY
+
+    def test_each_map_builds_its_inverse_once(self):
+        # so the constructor's check reuses the negatives the loaders built
+        assert inverse_of(self.A) is inverse_of(self.A)
+        assert all(map(is_, N0.negative, map(inverse_of, N0.positive)))
+
+    @pytest.mark.parametrize("negative, problem", [
+        ((), "negative generator 0 is not the inverse of a"),
+        ((inverse_of(A), inverse_of(A)), "negative generator 1 has no positive"),
+        ((PartialMap("b'", inverse_of(A).domain, (), ("0",), "a"),),
+         "negative generator 0 is not the inverse of a"),
+        ((PartialMap("a'", inverse_of(A).domain, (), ("0",), "b"),),
+         "negative generator 0 is not the inverse of a"),
+        ((PartialMap("a'", inverse_of(A).domain, (), ("1",), "a"),),
+         "negative generator 0 is not the inverse of a"),
+    ])
+    def test_a_count_a_name_or_a_rewrite_that_differs_is_refused(self, negative, problem):
+        with pytest.raises(ValidationError) as caught:
+            self.build(negative)
+        assert str(caught.value) == "invalid generating system: " + problem
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: N0.map_for_letter(0), ValidationError, "letter 0 outside the generating family"),
+    (lambda: itinerary(N0, OMEGA, 1).value(Word(3, (1,))), RankMismatchError,
+     "word rank 3 vs itinerary rank 2"),
+    (lambda: itinerary(N0, OMEGA, 1).value(wrd(1, 1)), InsufficientDepthError,
+     "itinerary stored to depth 1, asked at g0 g0"),
+    (lambda: embed_pseudo(itinerary(N0, OMEGA, 1), ENC4, -1), ValidationError,
+     "depth -1 is negative"),
+])
+def test_refusals(build, error, message):
+    with pytest.raises(error) as caught:
+        build()
+    assert str(caught.value) == message
 
 
 class TestSymbolStream:
@@ -297,7 +360,8 @@ class TestEmbedPseudo:
 
     def test_depth_exceeds_itinerary(self):
         itin = itinerary(N0, OMEGA, 1)
-        with pytest.raises(InsufficientDepthError):
+        with pytest.raises(InsufficientDepthError, match=re.escape(
+                "embedding to depth 2 needs an itinerary of depth >= 2")):
             embed_pseudo(itin, ENC4, 2)
 
     def test_degree_bound_over_sample(self):
@@ -318,27 +382,11 @@ class TestTreeEquivariance:
     """The universality theorem checked on trees: rebasing the tree of x at
     the vertex of a word g live at x gives the tree of g.x, to the depth left."""
 
-    DEPTH = 6
-
-    def rebased_cases(self, cgs, enc, points) -> int:
-        count = 0
-        for x in points:
-            emb = embed_pseudo(itinerary(cgs, x, self.DEPTH), enc, self.DEPTH)
-            for g in enumerate_ball(2, 2):
-                composed = compose_word(cgs, g)
-                if not g.letters or not composed.defined_at(x):
-                    continue
-                depth = self.DEPTH - len(g)
-                moved = embed_pseudo(itinerary(cgs, composed.apply(x), depth), enc, depth)
-                assert act(emb.tree, emb.vertex_of[g], depth) == moved.tree, (x, g)
-                count += 1
-        return count
-
     def test_n0(self):
         points = [SymbolStream.eventually_periodic(pre, cycle)
                   for pre in [(), (0,), (1,), (0, 1)]
                   for cycle in [(0,), (1,), (0, 1), (1, 1, 0)]]
-        assert self.rebased_cases(N0, ENC4, points) == 144
+        assert rebased_cases(N0, ENC4, points, 6) == 144
 
     def test_multi_symbol_rewrites(self):
         letters = alphabet(["0", "1"])
@@ -346,7 +394,85 @@ class TestTreeEquivariance:
         pairs = [("", "01"), ("10", "011"), ("0", "1"), ("110", "0100"), ("", "1"), ("01", "10")]
         points = [SymbolStream.eventually_periodic(tuple(pre), tuple(cycle))
                   for pre, cycle in pairs]
-        assert self.rebased_cases(TestLiveItinerary.STRINGS, enc, points) == 12
+        assert rebased_cases(TestLiveItinerary.STRINGS, enc, points, 6) == 12
+
+
+def rebased_cases(cgs, enc, points, top: int) -> int:
+    """Check, for each point x and each word g with 1 <= |g| <= 2 live at x, that
+    x's tree of radius ``top`` rebased at g's vertex is the tree of g.x; count them."""
+    count = 0
+    for x in points:
+        emb = embed_pseudo(itinerary(cgs, x, top), enc, top)
+        for g in enumerate_ball(cgs.generator_count, 2):
+            composed = compose_word(cgs, g)
+            if not g.letters or not composed.defined_at(x):
+                continue
+            depth = top - len(g)
+            moved = embed_pseudo(itinerary(cgs, composed.apply(x), depth), enc, depth)
+            assert act(emb.tree, emb.vertex_of[g], depth) == moved.tree, (x, g)
+            count += 1
+    return count
+
+
+@st.composite
+def generating_systems(draw):
+    """The JSON of a system and of 1-3 eventually periodic points; JSON, so a
+    falsifying example prints the system whole.
+
+    It has 2-3 symbols, a partition by the first one or two symbols, and 1-2
+    generators that consume and emit up to two symbols on domains of prefixes
+    up to three long.  Each such rewrite is injective and its negative is
+    ``inverse_of`` it, so the constructor accepts every drawn system.
+    """
+    symbols = ["0", "1", "2"][:draw(st.integers(2, 3))]
+
+    def word(longest, shortest=0):
+        return st.lists(st.sampled_from(symbols), min_size=shortest, max_size=longest).map("".join)
+
+    prefixes = [s + t for s in symbols for t in ([""] if draw(st.booleans()) else symbols)]
+    dealt = [draw(st.sampled_from(symbols)) for _ in prefixes]
+    generators = []
+    for name in ["a", "b"][:draw(st.integers(1, 2))]:
+        consume = draw(word(2))
+        domain = st.one_of(word(3), word(1).map(consume.__add__))
+        generators.append({"name": name, "domain": draw(st.lists(domain, min_size=1, max_size=2)),
+                           "rewrite": {"consume": consume, "emit": draw(word(2))}})
+    system = {
+        "alphabet": symbols,
+        "generators": generators,
+        "partition": {s: [p for p, d in zip(prefixes, dealt) if d == s] for s in symbols},
+    }
+    points = draw(st.lists(st.fixed_dictionaries({"pre": word(3).map(list),
+                                                  "cycle": word(3, 1).map(list)}),
+                           min_size=1, max_size=3))
+    return system, points
+
+
+def load_system(case):
+    system, points = case
+    cgs = cgs_from_json(system)
+    return cgs, [stream_from_json(p, cgs.base_alphabet) for p in points]
+
+
+@settings(max_examples=60, deadline=None)
+@given(generating_systems())
+def test_random_system_itinerary_matches_compose_word(case):
+    cgs, points = load_system(case)
+    words = enumerate_ball(cgs.generator_count, 4)
+    composed = list(map(functools.partial(compose_word, cgs), words))
+    for x in points:
+        itin = itinerary(cgs, x, 4)
+        for w, c in zip(words, composed):
+            assert itin.value(w) == (cgs.classify(c.apply(x)) if c.defined_at(x) else S_EMPTY)
+
+
+@settings(max_examples=60, deadline=None)
+@given(generating_systems(), st.integers(0, 2**16))
+def test_random_system_trees_are_partially_equivariant(case, seed):
+    cgs, points = load_system(case)
+    rank, symbols = cgs.generator_count, cgs.symbols
+    enc = random_encoding(rank, symbols, rank * len(symbols), seed)
+    rebased_cases(cgs, enc, points, 4)
 
 
 class TestJson:

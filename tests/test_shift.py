@@ -194,3 +194,19 @@ class TestJson:
         with pytest.raises(ValidationError, match=r"table\[1\]"):
             config_from_json(z2, BITS, {"rule": "periodic", "periods": [2, 2],
                                         "table": [[0, 1], [1]]})
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: flipped_config(parity().shifted(z_point(1)), parse_word("g0", 1)), ValidationError,
+     "flipped_config expects an unshifted configuration"),
+    (lambda: agree_depth(parity(), random_config(free_group(1), BITS, 0), 2), GroupMismatchError,
+     "configurations live on different groups"),
+    (lambda: agree_depth(parity(), parity(), -1), ValidationError, "cap must be >= 0, got -1"),
+    (lambda: config_from_json(Z, BITS, {"rule": "finite", "support": {"1,2": 1}, "default": 0}),
+     ValidationError, "support key '1,2' has wrong dimension"),
+    (lambda: alphabet([0, 1, 0]), ValidationError, "alphabet symbols must be distinct"),
+])
+def test_refusals(build, error, message):
+    with pytest.raises(error) as caught:
+        build()
+    assert str(caught.value) == message

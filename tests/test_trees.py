@@ -557,3 +557,17 @@ def test_box_distance_and_witness_match_the_levelwise_oracles(pair):
     t1, t2 = pair
     assert box_distance(t1, t2) == levelwise_box_distance(t1, t2)
     assert separate_witness(t1, t2) == sorted_separate_witness(t1, t2)
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: ball(parity_tree(2), -1), ValidationError, "ball radius -1 is negative"),
+    (lambda: neighborhood(parity_tree(2), 3, []), InsufficientDepthError,
+     "neighborhood radius 3 exceeds tree radius 2"),
+    (lambda: act(parity_tree(2), Word(3, (1,))), RankMismatchError, "word rank 3 vs tree rank 2"),
+    (lambda: orbit_graph(parity_tree(2), -1, 1), ValidationError,
+     "step_bound and working_radius must be >= 0"),
+])
+def test_refusals(build, error, message):
+    with pytest.raises(error) as caught:
+        build()
+    assert str(caught.value) == message
