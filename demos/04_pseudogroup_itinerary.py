@@ -38,7 +38,7 @@ def show(w):
 
 print("itinerary to depth 2:")
 for w in enumerate_ball(2, 2):
-    value = itin.value(w)
+    value = itin.eval_word(w)
     print(f"  {show(w):<12} -> {'undefined' if value is S_EMPTY else value}")
 print()
 

@@ -22,7 +22,8 @@ _EXPORTS = {
         "RankMismatchError", "TreeshiftError", "ValidationError", "alphabet",
     ),
     "freegroup": (
-        "Word", "enumerate_ball", "identity", "multiply", "parse_word", "reduce",
+        "BallTable", "S_EMPTY", "Word", "enumerate_ball", "identity", "multiply", "parse_word",
+        "reduce",
     ),
     "groups": (
         "GroupElement", "GroupModel", "MetricInterval", "config_metric_interval",
@@ -39,14 +40,13 @@ _EXPORTS = {
         "tree_to_json", "validate_tree",
     ),
     "embed": (
-        "DecodedConfig", "EdgeEncoding", "Embedding", "EquivarianceReport",
+        "EdgeEncoding", "Embedding", "EquivarianceReport",
         "check_equivariance", "decode_tree", "edge_encoding", "embed_config",
         "random_encoding", "separate_witness", "validate_alpha",
     ),
     "pseudogroup": (
-        "Cylinder", "CylinderPseudogroup", "CylinderUnion", "Itinerary", "PartialMap",
-        "S_EMPTY", "SymbolStream", "builtin_n0_shift", "compose_word", "embed_pseudo",
-        "itinerary", "validate_cgs",
+        "Cylinder", "CylinderPseudogroup", "CylinderUnion", "PartialMap", "SymbolStream",
+        "builtin_n0_shift", "compose_word", "embed_pseudo", "itinerary", "validate_cgs",
     ),
     "verify": ("balls_isomorphic", "random_tree"),
 }

@@ -41,6 +41,7 @@ from .errors import (
     json_kind,
 )
 from .freegroup import (
+    BallTable,
     Word,
     ball_size,
     digit_letter,
@@ -52,7 +53,6 @@ from .freegroup import (
     letter_digit,
     letter_str,
     signed_letters,
-    word_key,
 )
 from .trees import BoxDistance, PointedTree, _tree, act, box_distance, first_difference
 
@@ -299,32 +299,9 @@ def embed_config(sigma: Config, enc: EdgeEncoding, depth: int) -> Embedding:
     return _run_embedding(enc.source_rank, depth, root, step, enc)
 
 
-class DecodedConfig:
-    """Partial configuration recovered from an image tree.
-
-    Symbols are known exactly on words of length <= depth; anything longer
-    would need edges beyond the decoded ball, so asking for it raises.
-    ``values`` maps the key of every word of length <= depth to its symbol.
-    """
-
-    def __init__(self, source_rank: int, depth: int, alphabet: Alphabet,
-                 values: Mapping[int, Any]) -> None:
-        self.source_rank = source_rank
-        self.depth = depth
-        self.alphabet = alphabet
-        self.values = values
-
-    def eval_word(self, w: Word) -> Any:
-        if w.rank != self.source_rank:
-            raise RankMismatchError(f"word rank {w.rank} vs decoder rank {self.source_rank}")
-        if len(w) > self.depth:
-            raise InsufficientDepthError(
-                f"symbol at {w} needs a deeper tree (decoded depth {self.depth})")
-        return self.values[word_key(w)]
-
-
-def decode_tree(tree: PointedTree | Embedding, enc: EdgeEncoding, depth: int) -> DecodedConfig:
-    """Invert the embedding on a radius-depth ball of an image tree."""
+def decode_tree(tree: PointedTree | Embedding, enc: EdgeEncoding, depth: int) -> BallTable:
+    """Invert the embedding on a radius-depth ball of an image tree: the
+    symbols on every word of length <= depth - 1."""
     if isinstance(tree, Embedding):
         tree = tree.tree
     if tree.rank != enc.target_rank:
@@ -369,7 +346,7 @@ def decode_tree(tree: PointedTree | Embedding, enc: EdgeEncoding, depth: int) ->
         w = key_word(_first_missing(known, source_rank, limit), source_rank)
         raise ConsistencyError(f"cannot read the symbol at {w}: no vertex decodes to it, "
                                "or none that does has an outward positive continuation")
-    return DecodedConfig(source_rank, depth - 1, enc.alphabet, known)
+    return BallTable(source_rank, depth - 1, enc.alphabet, known)
 
 
 def _first_missing(keys: Mapping[int, Any], rank: int, limit: int) -> int:

@@ -41,7 +41,7 @@ from json import dumps
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .errors import InvalidGeneratorError, RankMismatchError
+from .errors import Alphabet, InsufficientDepthError, InvalidGeneratorError, RankMismatchError
 
 
 def letter_key(letter: int) -> tuple[int, int]:
@@ -264,6 +264,45 @@ def ball_json(rank: int, radius: int, values: Mapping[int, object],
 
     head = '{\n  "depth": ' + str(radius) + ',\n  "values": {\n'
     return chunks(head, lines(), ",\n", "\n  }\n}\n")
+
+
+class _EmptySymbol:
+    """The symbol of a word that has none; ``S_EMPTY`` is its one instance."""
+
+    def __repr__(self) -> str:
+        return "s_empty"
+
+
+S_EMPTY = _EmptySymbol()
+
+
+class BallTable:
+    """Symbols on the radius-``depth`` ball of the free group of rank
+    ``source_rank``: a configuration decoded from a tree, or an itinerary.
+
+    ``values`` maps word keys to symbols of ``alphabet``.  A decoded table
+    holds every key of its ball; an itinerary holds its live words only, and
+    a word of the ball whose key is missing reads as ``S_EMPTY``.
+    """
+
+    def __init__(self, source_rank: int, depth: int, alphabet: Alphabet,
+                 values: Mapping[int, object]) -> None:
+        self.source_rank = source_rank
+        self.depth = depth
+        self.alphabet = alphabet
+        self.values = values
+
+    def eval_word(self, w: Word) -> object:
+        if w.rank != self.source_rank:
+            raise RankMismatchError(f"word rank {w.rank} vs table rank {self.source_rank}")
+        if len(w) > self.depth:
+            raise InsufficientDepthError(f"word {w} lies past the table's depth {self.depth}")
+        return self.values.get(word_key(w), S_EMPTY)
+
+    def validate_propagation(self) -> list[str]:
+        rank, base = self.source_rank, key_base(self.source_rank)
+        return [f"{key_word(k, rank)} is live below the dead word {key_word(k // base, rank)}"
+                for k in self.values if k and k // base not in self.values]
 
 
 def _word(rank: int, letters: tuple[int, ...], _new=object.__new__) -> Word:

@@ -13,8 +13,8 @@ one finite normal form however often it has been moved.
 An itinerary records, for each reduced word over the generators, which
 partition piece the composed map sends a point to.  Words whose composition
 is undefined at the point are dead, and once a word is dead every extension
-of it is dead too; so the itinerary stores the live words only, as keys,
-and reports the reserved empty symbol for the rest.  Itineraries feed the
+of it is dead too; so the itinerary, a :class:`BallTable`, stores the live
+words only, as keys, and reads the rest as ``S_EMPTY``.  Itineraries feed the
 same tree-building recursion as total configurations, restricted to the live
 words, which is why vertex degrees may drop below the regular 2M.
 """
@@ -23,32 +23,22 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import islice
 from operator import attrgetter, itemgetter
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 from .errors import (
     ActionUndefinedError,
     Alphabet,
     InsufficientDepthError,
-    RankMismatchError,
     ValidationError,
     json_field,
     json_kind,
 )
-from .freegroup import (Word, check_letters, inverse_digit, key_base, key_word, letter_digit,
-                        signed_letters, word_key)
+from .freegroup import (BallTable, Word, check_letters, inverse_digit, key_base, letter_digit,
+                        signed_letters)
+from .freegroup import S_EMPTY  # noqa: F401  kept here: bench/launch.py imports it
 
 if TYPE_CHECKING:
     from .embed import EdgeEncoding, Embedding
-
-
-class _EmptySymbol:
-    """The marker for 'composition undefined here'; ``S_EMPTY`` is its one instance."""
-
-    def __repr__(self) -> str:
-        return "s_empty"
-
-
-S_EMPTY = _EmptySymbol()
 
 
 class SymbolStream:
@@ -366,36 +356,7 @@ def compose_word(cgs: CylinderPseudogroup, g: Word) -> ComposedMap:
     return ComposedMap(g, tuple(pieces))
 
 
-class Itinerary:
-    """Symbols of the partition pieces visited along every live reduced word.
-
-    ``values`` maps the key of each word of length <= depth whose
-    composition is defined at the point to its symbol.  That key set is
-    prefix-closed and stored whole, so a word within the depth whose key is
-    missing from it is dead, and ``value`` gives it the empty symbol.
-    """
-
-    def __init__(self, source_rank: int, depth: int, symbols: Alphabet,
-                 values: Mapping[int, Any]) -> None:
-        self.source_rank = source_rank
-        self.depth = depth
-        self.symbols = symbols
-        self.values = values
-
-    def value(self, w: Word) -> Any:
-        if w.rank != self.source_rank:
-            raise RankMismatchError(f"word rank {w.rank} vs itinerary rank {self.source_rank}")
-        if len(w) > self.depth:
-            raise InsufficientDepthError(f"itinerary stored to depth {self.depth}, asked at {w}")
-        return self.values.get(word_key(w), S_EMPTY)
-
-    def validate_propagation(self) -> list[str]:
-        rank, base = self.source_rank, key_base(self.source_rank)
-        return [f"{key_word(k, rank)} is live below the dead word {key_word(k // base, rank)}"
-                for k in self.values if k and k // base not in self.values]
-
-
-def itinerary(cgs: CylinderPseudogroup, stream: SymbolStream, depth: int) -> Itinerary:
+def itinerary(cgs: CylinderPseudogroup, stream: SymbolStream, depth: int) -> BallTable:
     """Track the point along every live reduced word of length <= depth.
 
     The walk expands only the live frontier, one level at a time, so its
@@ -422,10 +383,10 @@ def itinerary(cgs: CylinderPseudogroup, stream: SymbolStream, depth: int) -> Iti
                     values[child] = cgs.classify(moved)
                     nxt.append((child, moved))
         frontier = nxt
-    return Itinerary(rank, depth, cgs.symbols, values)
+    return BallTable(rank, depth, cgs.symbols, values)
 
 
-def embed_pseudo(itin: Itinerary, enc: EdgeEncoding, depth: int) -> Embedding:
+def embed_pseudo(itin: BallTable, enc: EdgeEncoding, depth: int) -> Embedding:
     """The tree of an itinerary: the usual recursion restricted to live words."""
     from .embed import _run_embedding  # here, so that itinerary alone never loads embed
 

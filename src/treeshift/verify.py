@@ -24,7 +24,8 @@ from .embed import (
     separate_witness,
 )
 from .errors import InsufficientDepthError, RankMismatchError, ValidationError, alphabet
-from .freegroup import Word, enumerate_ball, identity, inverse_digit, key_base, signed_letters
+from .freegroup import (S_EMPTY, Word, enumerate_ball, identity, inverse_digit, key_base,
+                        signed_letters)
 from .groups import free_group, induced_config, integer_lattice
 from .shift import agree_depth, flipped_config, periodic_config, random_config
 from .trees import (BoxDistance, PointedTree, _tree, act, ball, box_distance, orbit_graph,
@@ -293,7 +294,7 @@ def check_separation(seed: int = 0) -> CheckResult:
 def check_pseudogroup_examples(seed: int = 0) -> CheckResult:
     """The one-sided shift example: itinerary values, tree, and propagation."""
     # imported here: no other suite runs the pseudogroup module
-    from .pseudogroup import S_EMPTY, SymbolStream, builtin_n0_shift, embed_pseudo, itinerary
+    from .pseudogroup import SymbolStream, builtin_n0_shift, embed_pseudo, itinerary
 
     cgs = builtin_n0_shift(BITS)
     omega = SymbolStream.eventually_periodic((), (0, 1))
@@ -305,8 +306,7 @@ def check_pseudogroup_examples(seed: int = 0) -> CheckResult:
         Word(2, (2,)): S_EMPTY,
         Word(2, (-1,)): 0,
     }
-    values_ok = all(itin.value(w) == s if s is not S_EMPTY else itin.value(w) is S_EMPTY
-                    for w, s in expected.items())
+    values_ok = all(itin.eval_word(w) == s for w, s in expected.items())  # S_EMPTY equals only itself
     enc = edge_encoding(2, BITS, 4, {(1, 0): 1, (1, 1): 2, (2, 0): 3, (2, 1): 4})
     tree = embed_pseudo(itin, enc, 1).tree
     tree_ok = tree_to_json(tree)["vertices"] == ["e", "g0", "g0'", "g3'"]
@@ -334,10 +334,11 @@ def check_lattice_collapse(seed: int = 0) -> CheckResult:
     """The commutator of the two lattice generators acts trivially upstream."""
     z2 = integer_lattice(d=2)
     commutator = Word(2, (1, 2, -1, -2))
+    words = enumerate_ball(2, 3)
     failures = 0
     for i in range(50):
         sigma = induced_config(z2, random_config(z2, BITS, seed=_case_seed(seed, 8, i)))
-        for w in enumerate_ball(2, 3):
+        for w in words:
             if sigma.eval_word(commutator * w) != sigma.eval_word(w):
                 failures += 1
                 break

@@ -5,9 +5,10 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treeshift.errors import InvalidGeneratorError, RankMismatchError
+from treeshift.errors import InsufficientDepthError, InvalidGeneratorError, RankMismatchError
 from treeshift.freegroup import (
     _token_table,
+    BallTable,
     Word,
     ball_json,
     ball_size,
@@ -319,6 +320,38 @@ class TestBallJsonMemory:
         long = "x" * (freegroup._CHUNK + 1)
         pieces = list(freegroup.chunks("[", ["a", long, "b"], ",", "]"))
         assert pieces == ["[a", "," + long, ",b]"]
+
+
+class TestBallTable:
+    """``decode_tree`` and ``itinerary`` return one table class, which
+    refuses a word of another rank and a word past its depth with one text
+    each, whichever produced it."""
+
+    @pytest.fixture(params=["decode_tree", "itinerary"])
+    def table(self, request):
+        """A rank-2, depth-1 table from each producer."""
+        from treeshift.embed import decode_tree, embed_config, random_encoding
+        from treeshift.errors import alphabet
+        from treeshift.groups import free_group
+        from treeshift.pseudogroup import SymbolStream, builtin_n0_shift, itinerary
+        from treeshift.shift import random_config
+
+        bits = alphabet([0, 1])
+        if request.param == "itinerary":
+            point = SymbolStream.eventually_periodic((), (0, 1))
+            return itinerary(builtin_n0_shift(bits), point, 1)
+        enc = random_encoding(2, bits, 4, seed=3)
+        sigma = random_config(free_group(2), bits, seed=5)
+        return decode_tree(embed_config(sigma, enc, 2), enc, 2)
+
+    def test_refusals(self, table):
+        assert (type(table), table.source_rank, table.depth) == (BallTable, 2, 1)
+        with pytest.raises(RankMismatchError) as caught:
+            table.eval_word(Word(3, (1,)))
+        assert str(caught.value) == "word rank 3 vs table rank 2"
+        with pytest.raises(InsufficientDepthError) as caught:
+            table.eval_word(Word(2, (1, 1)))
+        assert str(caught.value) == "word g0 g0 lies past the table's depth 1"
 
 
 class TestKeys:

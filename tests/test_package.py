@@ -1,10 +1,14 @@
 """The package root resolves its public names lazily, on first use; every
 definition in the package is run by the package, the benchmark or a demo,
-or is a public name that one of them runs or README names; and no module
-outgrows the parser's token buffer."""
+or is a public name that one of them runs or README names; no module
+outgrows the parser's token buffer; and every package name the benchmark
+reaches by name resolves, and its traced launcher wraps each span."""
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 import tokenize
 from pathlib import Path
 
@@ -126,3 +130,53 @@ def test_every_module_fits_the_parsers_first_4096_tokens():
         with path.open("rb") as f:
             counts[path.name] = sum(t.type not in skipped for t in tokenize.tokenize(f.readline))
     assert {name: n for name, n in counts.items() if n > 4096} == {}
+
+
+def bench_reads() -> list[tuple[str, str]]:
+    """``(module, name)`` of each package name the benchmark reaches by name:
+    its ``from treeshift[.<module>] import <name>`` statements and the
+    ``(module, attribute)`` of each of ``bench/launch.py``'s ``SPANS``."""
+    reads = []
+    for path in sorted((ROOT / "bench").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("treeshift"):
+                reads += [(node.module, alias.name) for alias in node.names]
+            elif (path.name == "launch.py" and isinstance(node, ast.Assign)
+                  and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["SPANS"]):
+                reads += [(f"treeshift.{m}", a) for m, a, _ in ast.literal_eval(node.value)]
+    return reads
+
+
+def test_every_name_the_benchmark_reads_resolves():
+    # the benchmark runs only in CI's bench steps, so a moved name fails here first
+    reads = bench_reads()
+    assert ("treeshift.pseudogroup", "S_EMPTY") in reads
+    assert ("treeshift.embed", "separate_witness") in reads
+    missing = []
+    for module, name in reads:
+        value = importlib.import_module(module)
+        for part in name.split("."):
+            value = getattr(value, part, None)
+        if value is None:
+            missing.append(f"{module}.{name}")
+    assert missing == []
+
+
+def test_the_traced_launcher_wraps_every_span():
+    # bench/launch.py replaces a function only in the modules already loaded
+    # when it installs its spans, so a module that loads later reads 0
+    probe = (
+        "import sys, treeshift, treeshift.cli, launch\n"
+        "launch._install_spans(launch.Tracer())\n"
+        "for module, attribute, _ in launch.SPANS:\n"
+        "    value = getattr(treeshift, module)\n"
+        "    for part in attribute.split('.'):\n"
+        "        value = getattr(value, part)\n"
+        "    if not hasattr(value, '__wrapped__'):\n"
+        "        print(module + '.' + attribute)\n")
+    path = os.pathsep.join([str(SRC.parent), str(ROOT / "bench")])
+    done = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []

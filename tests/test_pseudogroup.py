@@ -8,13 +8,13 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treeshift.errors import (ActionUndefinedError, InsufficientDepthError, RankMismatchError,
-                             ValidationError, alphabet)
+from treeshift.errors import (ActionUndefinedError, InsufficientDepthError, ValidationError,
+                             alphabet)
 from treeshift.freegroup import Word, enumerate_ball, identity, multiply
 from treeshift.shift import Config
 from treeshift.groups import free_group
 from treeshift.embed import edge_encoding, embed_config, random_encoding
-from treeshift.trees import act
+from treeshift.trees import BoxDistance, act, box_distance
 from treeshift.pseudogroup import (
     Cylinder,
     CylinderPseudogroup,
@@ -131,7 +131,7 @@ class TestInverses:
     def test_a_hand_built_inverse_is_accepted(self):
         exact = PartialMap("a'", CylinderUnion.of([Cylinder(("1",))]), (), ("0",), "a")
         itin = itinerary(self.build((exact,)), SymbolStream(("0", "0"), ("1",)), 2)
-        assert itin.value(Word(1, (-1,))) is S_EMPTY
+        assert itin.eval_word(Word(1, (-1,))) is S_EMPTY
 
     def test_each_map_builds_its_inverse_once(self):
         # so the constructor's check reuses the negatives the loaders built
@@ -156,10 +156,6 @@ class TestInverses:
 
 @pytest.mark.parametrize("build, error, message", [
     (lambda: N0.map_for_letter(0), ValidationError, "letter 0 outside the generating family"),
-    (lambda: itinerary(N0, OMEGA, 1).value(Word(3, (1,))), RankMismatchError,
-     "word rank 3 vs itinerary rank 2"),
-    (lambda: itinerary(N0, OMEGA, 1).value(wrd(1, 1)), InsufficientDepthError,
-     "itinerary stored to depth 1, asked at g0 g0"),
     (lambda: embed_pseudo(itinerary(N0, OMEGA, 1), ENC4, -1), ValidationError,
      "depth -1 is negative"),
 ])
@@ -247,11 +243,11 @@ class TestComposeWord:
 class TestItinerary:
     def test_worked_example_depth_one(self):
         itin = itinerary(N0, OMEGA, 1)
-        assert itin.value(identity(2)) == 0
-        assert itin.value(wrd(1)) == 1          # drop the 0: starts 1
-        assert itin.value(wrd(2)) is S_EMPTY    # not in the 1-cylinder
-        assert itin.value(wrd(-1)) == 0         # prepend 0: starts 0
-        assert itin.value(wrd(-2)) == 1         # prepend 1: starts 1
+        assert itin.eval_word(identity(2)) == 0
+        assert itin.eval_word(wrd(1)) == 1          # drop the 0: starts 1
+        assert itin.eval_word(wrd(2)) is S_EMPTY    # not in the 1-cylinder
+        assert itin.eval_word(wrd(-1)) == 0         # prepend 0: starts 0
+        assert itin.eval_word(wrd(-2)) == 1         # prepend 1: starts 1
 
     def test_depth_zero(self):
         itin = itinerary(N0, OMEGA, 0)
@@ -263,18 +259,18 @@ class TestItinerary:
         dead = wrd(2)
         for w in enumerate_ball(2, 4):
             if len(w) > len(dead) and w.letters[: len(dead.letters)] == dead.letters:
-                assert itin.value(w) is S_EMPTY
+                assert itin.eval_word(w) is S_EMPTY
 
     def test_partial_equivariance(self):
         depth = 4
         itin = itinerary(N0, OMEGA, depth)
         for g in enumerate_ball(2, 2):
-            if itin.value(g) is S_EMPTY or len(g) == 0:
+            if itin.eval_word(g) is S_EMPTY or len(g) == 0:
                 continue
             moved = compose_word(N0, g).apply(OMEGA)
             moved_itin = itinerary(N0, moved, depth - len(g))
             for h in enumerate_ball(2, depth - len(g)):
-                assert moved_itin.value(h) == itin.value(multiply(g, h))
+                assert moved_itin.eval_word(h) == itin.eval_word(multiply(g, h))
 
     def test_distinct_points_separate(self):
         pairs = [
@@ -290,7 +286,7 @@ class TestItinerary:
             first_diff = next(i for i in range(bound) if p1.prefix(i + 1)[i] != p2.prefix(i + 1)[i])
             i1 = itinerary(N0, p1, first_diff)
             i2 = itinerary(N0, p2, first_diff)
-            assert any(i1.value(w) != i2.value(w) for w in enumerate_ball(2, first_diff))
+            assert any(i1.eval_word(w) != i2.eval_word(w) for w in enumerate_ball(2, first_diff))
 
 
 class TestLiveItinerary:
@@ -324,7 +320,7 @@ class TestLiveItinerary:
                 composed = compose_word(cgs, w)
                 expected = (cgs.classify(composed.apply(point))
                             if composed.defined_at(point) else S_EMPTY)
-                assert itin.value(w) == expected, (system, pre, cycle, w)
+                assert itin.eval_word(w) == expected, (system, pre, cycle, w)
 
 
 class TestEmbedPseudo:
@@ -463,7 +459,7 @@ def test_random_system_itinerary_matches_compose_word(case):
     for x in points:
         itin = itinerary(cgs, x, 4)
         for w, c in zip(words, composed):
-            assert itin.value(w) == (cgs.classify(c.apply(x)) if c.defined_at(x) else S_EMPTY)
+            assert itin.eval_word(w) == (cgs.classify(c.apply(x)) if c.defined_at(x) else S_EMPTY)
 
 
 @settings(max_examples=60, deadline=None)
@@ -475,6 +471,90 @@ def test_random_system_trees_are_partially_equivariant(case, seed):
     rebased_cases(cgs, enc, points, 4)
 
 
+@st.composite
+def agreeing_points(draw, symbols):
+    """Two eventually periodic points as JSON: a drawn prefix of up to eight
+    symbols that both share, then a tail of each drawn on its own."""
+    def word(longest, shortest=0):
+        return st.lists(st.sampled_from(symbols), min_size=shortest, max_size=longest)
+
+    shared = draw(word(8))
+    return [{"pre": shared + draw(word(3)), "cycle": draw(word(3, 1))} for _ in range(2)]
+
+
+def agreement(x: SymbolStream, y: SymbolStream) -> int | None:
+    """How many leading symbols two points share, or None if they are equal.
+    Past both pre-periods each repeats with the lcm of the cycles, so a
+    difference shows within that many more symbols or never."""
+    n = max(len(x.pre), len(y.pre)) + math.lcm(len(x.cycle), len(y.cycle))
+    return next((i for i, (a, b) in enumerate(zip(x.prefix(n), y.prefix(n))) if a != b), None)
+
+
+def tree_distance(cgs, enc, points, depth):
+    x, y = (stream_from_json(p, cgs.base_alphabet) for p in points)
+    trees = [embed_pseudo(itinerary(cgs, p, depth), enc, depth).tree for p in (x, y)]
+    return agreement(x, y), box_distance(*trees)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([["0", "1"], ["0", "1", "2"]]).flatmap(
+    lambda symbols: st.tuples(st.just(symbols), agreeing_points(symbols))),
+    st.integers(1, 5), st.integers(0, 2**16))
+def test_n0_trees_are_as_far_apart_as_their_points(case, depth, seed):
+    """Under the one-sided shift, points that first differ at symbol i get
+    trees at exact(i) when i < D, and at-least(D) otherwise.
+
+    A drop removes a leading symbol and a prepend adds one at both points,
+    and liveness and pieces read one symbol.  So along a reduced word of
+    length at most i the points share a symbol at every step, and read
+    alike, except at the end of the word of x's first i drops, where x reads
+    its symbol i and y its own.  Only the edges that leave that vertex by a
+    drop read it, at radius i + 1, where x has the drop of its symbol and y
+    the drop of another.
+    """
+    symbols, points = case
+    cgs = builtin_n0_shift(alphabet(symbols))
+    enc = random_encoding(len(symbols), cgs.symbols, len(symbols) ** 2, seed)
+    i, distance = tree_distance(cgs, enc, points, depth)
+    assert distance == (BoxDistance(i, exact=True) if i is not None and i < depth
+                        else BoxDistance(depth, exact=False))
+
+
+@settings(max_examples=100, deadline=None)
+@given(generating_systems().flatmap(
+    lambda case: st.tuples(st.just(case), agreeing_points(case[0]["alphabet"]))),
+    st.integers(0, 2**16))
+def test_random_system_trees_agree_while_their_points_do(cases, seed):
+    """Points that agree on their first N symbols get depth-D trees at
+    distance r >= min(D, floor((N - reach) / c)).
+
+    c is the longest consume or emit of a positive generator, so of any
+    generator's consume, as a negative consumes its positive's emit; reach is
+    the longest prefix of a domain, a negative's domain (an image) or a
+    partition piece.  Points that agree on their first ``reach`` symbols lie
+    in the same domains and pieces, and a step that is live at both removes
+    at most c of the symbols they share and puts the same symbols in front.
+    So after m <= J = floor((N - reach) / c) steps along a word they still
+    share N - m*c >= reach symbols: each word of the radius-J ball is live at
+    both or at neither, in the same piece, and the trees' radius-J balls,
+    whose edges read the symbols at their ends, are equal.  With c = 0 no
+    step moves a point, and N >= reach gives equal trees at any depth.
+    Counting one step less, floor((N - reach + 1) / c), is too much.
+    """
+    (system, _), points = cases
+    cgs = cgs_from_json(system)
+    depth, rank, symbols = 4, cgs.generator_count, cgs.symbols
+    enc = random_encoding(rank, symbols, rank * len(symbols), seed)
+    c = max(len(s) for pm in cgs.positive for s in (pm.consume, pm.emit))
+    unions = [pm.domain for pm in cgs.positive + cgs.negative] + [u for _, u in cgs.partition]
+    reach = max(len(part.prefix) for union in unions for part in union.parts)
+    n, distance = tree_distance(cgs, enc, points, depth)
+    if n is None or c == 0 and n >= reach:
+        assert distance == BoxDistance(depth, exact=False)
+    elif c:
+        assert distance.r >= min(depth, (n - reach) // c)
+
+
 class TestJson:
     def test_round_trip_builtin(self):
         blob = cgs_to_json(N0)
@@ -482,7 +562,7 @@ class TestJson:
         assert validate_cgs(again) == []
         assert [pm.name for pm in again.positive] == ["1_0", "1_1"]
         itin = itinerary(again, OMEGA, 1)
-        assert itin.value(wrd(1)) == 1
+        assert itin.eval_word(wrd(1)) == 1
 
     def test_spec_shaped_input(self):
         blob = {
@@ -497,7 +577,7 @@ class TestJson:
         assert validate_cgs(cgs) == []
         point = stream_from_json({"pre": [], "cycle": ["0", "1"]}, cgs.base_alphabet)
         itin = itinerary(cgs, point, 1)
-        assert itin.value(Word(2, (1,))) == "1"
+        assert itin.eval_word(Word(2, (1,))) == "1"
 
     def test_bad_partition_rejected(self):
         blob = cgs_to_json(N0)
