@@ -8,8 +8,8 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treeshift.errors import (ActionUndefinedError, InsufficientDepthError, ValidationError,
-                             alphabet)
+from treeshift.errors import (ActionUndefinedError, InsufficientDepthError, RankMismatchError,
+                             ValidationError, alphabet)
 from treeshift.freegroup import Word, enumerate_ball, identity, multiply
 from treeshift.shift import Config
 from treeshift.groups import free_group
@@ -156,6 +156,10 @@ class TestInverses:
 
 @pytest.mark.parametrize("build, error, message", [
     (lambda: N0.map_for_letter(0), ValidationError, "letter 0 outside the generating family"),
+    (lambda: itinerary(N0, OMEGA, 1).eval_word(Word(3, (1,))), RankMismatchError,
+     "word rank 3 vs table rank 2"),
+    (lambda: itinerary(N0, OMEGA, 1).eval_word(wrd(1, 1)), InsufficientDepthError,
+     "word g0 g0 lies past the table's depth 1"),
     (lambda: embed_pseudo(itinerary(N0, OMEGA, 1), ENC4, -1), ValidationError,
      "depth -1 is negative"),
 ])
