@@ -235,6 +235,13 @@ def _run_embedding(source_rank: int, depth: int, root: tuple[Any, Any],
     child of a kept word, so callers need no cache.  Each edge's target digit
     is read from a ``(letter, symbol)`` table: a positive letter reads the
     parent's symbol, a negative one the child's.
+
+    No check is needed on the result, because ``EdgeEncoding`` refuses a
+    table that is not injective.  The target letter of a source letter x is
+    sign(x) times the table's entry for (|x|, symbol), so the target letters
+    of x and y cancel only when |x| = |y| with opposite signs: only when
+    x = -y, the back-step the loop skips.  And each target letter decodes to
+    one source letter, so distinct source words land on distinct vertices.
     """
     root_symbol, root_state = root
     if root_symbol is None:
@@ -251,7 +258,6 @@ def _run_embedding(source_rank: int, depth: int, root: tuple[Any, Any],
         last = level == depth  # its words are never extended: keep no states
         for source_key, parent_symbol, parent_state, parent_key in frontier:
             back_source = inverse_digit(source_key % source_base)
-            back_digit = inverse_digit(parent_key % base)
             for x, source_digit in source_digits:
                 if source_digit == back_source:
                     continue
@@ -265,18 +271,12 @@ def _run_embedding(source_rank: int, depth: int, root: tuple[Any, Any],
                     enc.encode(abs(x), symbol)  # raises: no table entry
                     raise
                 child = source_key * source_base + source_digit
-                if digit == back_digit:
-                    raise ConsistencyError(
-                        f"cancellation while embedding {key_word(child, source_rank)}; "
-                        "encoding is not injective")
                 key = parent_key * base + digit
                 placed.append((child, key))
                 if not last:
                     nxt.append((child, child_symbol, child_state, key))
         frontier = nxt
     keys = frozenset(k for _, k in placed)
-    if len(keys) != len(placed):
-        raise ConsistencyError("embedding produced colliding vertices")
     return Embedding(_tree(enc.target_rank, depth, keys), tuple(placed), source_rank)
 
 

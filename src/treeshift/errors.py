@@ -1,4 +1,4 @@
-"""Exception taxonomy shared across the package, and the checks on JSON input."""
+"""Exception taxonomy, checks on JSON input and the equality of value types."""
 from typing import Any, Iterable
 
 
@@ -72,8 +72,27 @@ def json_kind(value, kind: type | tuple[type, ...], name: str):
     return value
 
 
-class Alphabet:
+class Value:
+    """Equality and hash by the attributes named in ``_fields``.  A value is
+    never equal to an instance of another class, even one with the same
+    fields: ``__eq__`` returns NotImplemented for it."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self._fields)
+
+    def __hash__(self) -> int:
+        return hash(tuple(getattr(self, f) for f in self._fields))
+
+
+class Alphabet(Value):
     """Ordered finite symbol set, checked as a JSON symbol list; :meth:`match` reads tokens."""
+
+    _fields = ("symbols",)
 
     def __init__(self, symbols: tuple) -> None:
         if len(symbols) < 1:
@@ -89,14 +108,6 @@ class Alphabet:
         if distinct != len(symbols):
             raise ValidationError("alphabet symbols must be distinct")
         self.symbols = symbols
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not Alphabet:
-            return NotImplemented
-        return self.symbols == other.symbols
-
-    def __hash__(self) -> int:
-        return hash(self.symbols)
 
     def __len__(self) -> int:
         return len(self.symbols)

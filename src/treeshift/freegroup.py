@@ -36,7 +36,7 @@ ball's size.
 """
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from json import dumps
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -79,7 +79,10 @@ def check_letters(letters: Sequence[int], rank: int) -> None:
 
 
 class Word:
-    """A freely reduced word; doubles as a vertex name in the Cayley tree."""
+    """A freely reduced word; doubles as a vertex name in the Cayley tree.
+
+    Not an :class:`errors.Value`: its hash doubles the letters (see above), and
+    the benchmark counts calls to its own ``__eq__``."""
 
     __slots__ = ("rank", "letters")
 
@@ -155,16 +158,20 @@ class Word:
 _TWICE = (2).__mul__
 
 
-class _LetterTexts(dict):
-    """Letter -> :func:`letter_str` token, filled as letters are met, so its
-    size follows the input, not the rank."""
+class _Filled(dict):
+    """A dict that stores ``fill(key)`` for each key it misses, so its size
+    follows the input, not the rank.  What ``fill`` raises, it raises."""
 
-    def __missing__(self, letter: int) -> str:
-        text = self[letter] = letter_str(letter)
-        return text
+    def __init__(self, fill: Callable) -> None:
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
 
 
-_LETTER_TEXTS = _LetterTexts()
+_LETTER_TEXTS = _Filled(letter_str)  # letter -> token
 
 
 def extend(w: Word, letter: int) -> Word:
@@ -370,23 +377,11 @@ def ball_size(rank: int, radius: int) -> int:
     return total
 
 
-class _TokenTable(dict):
-    """Generator tokens of one rank, mapped to their letters and filled as
-    they are met, so its size follows the input, not the rank.  A token that
-    names no letter raises the :func:`parse_letter` error."""
-
-    def __init__(self, rank: int) -> None:
-        super().__init__()
-        self.rank = rank
-
-    def __missing__(self, token: str) -> int:
-        x = self[token] = parse_letter(token, self.rank)
-        return x
-
-
 @lru_cache(maxsize=16)
-def _token_table(rank: int) -> _TokenTable:
-    return _TokenTable(rank)
+def _token_table(rank: int) -> _Filled:
+    """Generator tokens of one rank -> their letters; a token that names no
+    letter raises the :func:`parse_letter` error."""
+    return _Filled(partial(parse_letter, rank=rank))
 
 
 def _parse_letters(text: str, rank: int) -> tuple[int, ...]:

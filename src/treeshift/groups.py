@@ -27,6 +27,7 @@ from .errors import (
     GroupMismatchError,
     RankMismatchError,
     ValidationError,
+    Value,
     is_int,
     json_field,
     json_int,
@@ -37,30 +38,25 @@ if TYPE_CHECKING:  # imported where it is used: it loads decimal too
     from fractions import Fraction
 
 
-class GroupElement:
+class GroupElement(Value):
     """Canonical element of a group model: payload equality is group equality."""
 
     __slots__ = ("group_key", "payload", "rep")
+    _fields = ("group_key", "payload")
 
     def __init__(self, group_key: tuple, payload: Any, rep: Word) -> None:
         self.group_key = group_key
         self.payload = payload
         self.rep = rep
 
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not GroupElement:
-            return NotImplemented
-        return (self.group_key, self.payload) == (other.group_key, other.payload)
-
-    def __hash__(self) -> int:
-        return hash((self.group_key, self.payload))
-
     def __str__(self) -> str:
         return str(self.payload)
 
 
-class GroupModel:
+class GroupModel(Value):
     """A finitely generated group with a decidable normal form."""
+
+    _fields = ("key",)
 
     def __init__(self, kind: str, key: tuple, generator_count: int,
                  normalizer: Callable[[Word], Any],
@@ -73,12 +69,6 @@ class GroupModel:
 
     def __repr__(self) -> str:
         return f"GroupModel({self.key})"
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GroupModel) and self.key == other.key
-
-    def __hash__(self) -> int:
-        return hash(self.key)
 
     def normalize(self, w: Word) -> GroupElement:
         if w.rank != self.generator_count:

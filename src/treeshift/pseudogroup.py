@@ -30,6 +30,7 @@ from .errors import (
     Alphabet,
     InsufficientDepthError,
     ValidationError,
+    Value,
     json_field,
     json_kind,
 )
@@ -42,7 +43,8 @@ if TYPE_CHECKING:
 
 
 class SymbolStream:
-    """The one-sided stream ``pre cycle cycle ...``; ``cycle`` is nonempty."""
+    """The one-sided stream ``pre cycle cycle ...``; ``cycle`` is nonempty.
+    Compared by identity: ``((), (0, 1))`` and ``((0, 1), (0, 1))`` are one stream."""
 
     __slots__ = ("pre", "cycle")
 
@@ -91,19 +93,13 @@ def _minimal(items: Iterable, prefix_of: Callable[[Any], tuple]) -> list:
                    if not any(p[:n] in prefixes for n in lengths if n < len(p))), key=order)
 
 
-class Cylinder:
+class Cylinder(Value):
     """All streams starting with a fixed prefix."""
+
+    _fields = ("prefix",)
 
     def __init__(self, prefix: tuple) -> None:
         self.prefix = prefix
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not Cylinder:
-            return NotImplemented
-        return self.prefix == other.prefix
-
-    def __hash__(self) -> int:
-        return hash(self.prefix)
 
     def meet(self, other: "Cylinder") -> "Cylinder | None":
         a, b = self.prefix, other.prefix
@@ -115,19 +111,13 @@ class Cylinder:
         return "C(" + " ".join(str(s) for s in self.prefix) + ")" if self.prefix else "C()"
 
 
-class CylinderUnion:
+class CylinderUnion(Value):
     """Finite (possibly empty) union of cylinders; normalized by subsumption."""
+
+    _fields = ("parts",)
 
     def __init__(self, parts: tuple[Cylinder, ...]) -> None:
         self.parts = parts
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not CylinderUnion:
-            return NotImplemented
-        return self.parts == other.parts
-
-    def __hash__(self) -> int:
-        return hash(self.parts)
 
     @staticmethod
     def of(parts: Iterable[Cylinder]) -> "CylinderUnion":
@@ -188,7 +178,7 @@ def inverse_of(pm: PartialMap) -> PartialMap:
     return pm._inverse
 
 
-_fields = attrgetter("name", "domain", "consume", "emit", "inverse_name")
+_map_fields = attrgetter("name", "domain", "consume", "emit", "inverse_name")
 
 
 def _check_names(positive: Iterable[PartialMap]) -> None:
@@ -260,7 +250,7 @@ def validate_cgs(cgs: CylinderPseudogroup) -> list[str]:
     positive, negative = cgs.positive, cgs.negative
     violations = [f"negative generator {i} is not the inverse of {pm.name}"
                   for i, pm in enumerate(positive)
-                  if i >= len(negative) or _fields(negative[i]) != _fields(inverse_of(pm))]
+                  if i >= len(negative) or _map_fields(negative[i]) != _map_fields(inverse_of(pm))]
     violations += [f"negative generator {i} has no positive"
                    for i in range(len(positive), len(negative))]
     # list three faults, then count the rest

@@ -23,7 +23,8 @@ import random
 from functools import lru_cache
 from typing import Any, Callable
 
-from .errors import Alphabet, GroupMismatchError, ValidationError, is_int, json_field, json_kind
+from .errors import (Alphabet, GroupMismatchError, ValidationError, Value, is_int, json_field,
+                     json_kind)
 from .errors import alphabet  # noqa: F401  kept here: bench/ imports treeshift.shift.alphabet
 from .freegroup import (Word, inverse_digit, key_base, letter_digit, letter_str, parse_word,
                         signed_letters, word_key)
@@ -305,7 +306,7 @@ def flipped_config(sigma: Config, at: Word, seed: int = 0) -> Config:
     return Config(sigma.group, sigma.alphabet, _Overlay(base, {**table, target.payload: new}))
 
 
-class AgreementDepth:
+class AgreementDepth(Value):
     """Largest verified radius of agreement between two configurations.
 
     ``exact`` means a disagreement was found at radius value + 1; value -1
@@ -313,17 +314,11 @@ class AgreementDepth:
     shows up within the cap the result is the lower bound ">= cap".
     """
 
+    _fields = ("value", "exact")
+
     def __init__(self, value: int, exact: bool) -> None:
         self.value = value
         self.exact = exact
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not AgreementDepth:
-            return NotImplemented
-        return (self.value, self.exact) == (other.value, other.exact)
-
-    def __hash__(self) -> int:
-        return hash((self.value, self.exact))
 
     def __str__(self) -> str:
         if not self.exact:

@@ -39,6 +39,7 @@ from .errors import (
     InsufficientDepthError,
     RankMismatchError,
     ValidationError,
+    Value,
     json_field,
     json_int,
 )
@@ -58,9 +59,11 @@ from .freegroup import (
 )
 
 
-class PointedTree:
+class PointedTree(Value):
     """Refuses a rank below 1, and keys that are not a tree of the radius with
     three violations and a count of the rest, so a long path prints a short line."""
+
+    _fields = ("rank", "radius", "keys")
 
     def __init__(self, rank: int, radius: int, keys: frozenset[int]) -> None:
         check_letters((), rank)
@@ -74,14 +77,6 @@ class PointedTree:
         self.rank = rank
         self.radius = radius
         self.keys = keys
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not PointedTree:
-            return NotImplemented
-        return (self.rank, self.radius, self.keys) == (other.rank, other.radius, other.keys)
-
-    def __hash__(self) -> int:
-        return hash((self.rank, self.radius, self.keys))
 
     @cached_property
     def sorted_keys(self) -> list[int]:
@@ -168,7 +163,7 @@ def ball(t: PointedTree, r: int) -> PointedTree:
     return _tree(t.rank, r, frozenset(keys[:bisect_left(keys, t._bound(r))]))
 
 
-class BoxDistance:
+class BoxDistance(Value):
     """Result of the box metric e^(-r) at finite depth.
 
     ``exact`` means balls of radius r agree and balls of radius r + 1
@@ -177,18 +172,11 @@ class BoxDistance:
     """
 
     __slots__ = ("r", "exact")
+    _fields = ("r", "exact")
 
     def __init__(self, r: int, exact: bool) -> None:
         self.r = r
         self.exact = exact
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not BoxDistance:
-            return NotImplemented
-        return (self.r, self.exact) == (other.r, other.exact)
-
-    def __hash__(self) -> int:
-        return hash((self.r, self.exact))
 
     @property
     def value(self) -> float:

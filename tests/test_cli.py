@@ -907,24 +907,24 @@ EVERYTHING = SCENARIO | PSEUDO | {"treeshift.verify"}
 # the package modules it loads, and a ceiling on their lines of source, so that
 # growth on a command's path shows in review
 COMMANDS = [
-    (["--help"], BASE, 582),
-    (["act", "--tree", "{tree}", "--word", "g0"], TREES, 1511),
-    (["metric", "--tree", "{tree}", "--tree", "{tree}"], TREES, 1511),
-    (["separate", "--tree", "{tree}", "--tree", "{tree}"], EMBED, 1963),
-    (["embed", "--scenario", "{scenario}", "--depth", "2"], SCENARIO, 2671),
-    (["decode", "--tree", "{tree}", "--scenario", "{scenario}", "--depth", "3"], SCENARIO, 2671),
+    (["--help"], BASE, 593),
+    (["act", "--tree", "{tree}", "--word", "g0"], TREES, 1505),
+    (["metric", "--tree", "{tree}", "--tree", "{tree}"], TREES, 1505),
+    (["separate", "--tree", "{tree}", "--tree", "{tree}"], EMBED, 1957),
+    (["embed", "--scenario", "{scenario}", "--depth", "2"], SCENARIO, 2650),
+    (["decode", "--tree", "{tree}", "--scenario", "{scenario}", "--depth", "3"], SCENARIO, 2650),
     (["orbit", "--scenario", "{scenario}", "--depth", "4", "--working-radius", "1",
-      "--step-bound", "2"], SCENARIO, 2671),
-    (["equivariance", "--scenario", "{scenario}", "--depth", "2"], SCENARIO, 2671),
+      "--step-bound", "2"], SCENARIO, 2650),
+    (["equivariance", "--scenario", "{scenario}", "--depth", "2"], SCENARIO, 2650),
     (["itinerary", "--builtin-n0", "0,1", "--point", "{point}", "--depth", "2"], ITINERARY,
-     1592),
+     1588),
     (["embed-pseudo", "--builtin-n0", "0,1", "--point", "{point}", "--alpha", "{alpha}",
-      "--depth", "1"], PSEUDO, 2461),
-    (["builtin", "n0"], ITINERARY | {"treeshift.trees"}, 2009),
+      "--depth", "1"], PSEUDO, 2445),
+    (["builtin", "n0"], ITINERARY | {"treeshift.trees"}, 1993),
     # verify loads every module but pseudogroup, which only its own suite loads:
     # bench/launch.py wraps the spans of the modules that load with verify
-    (["verify", "--suite", "lattice-collapse"], EVERYTHING - {"treeshift.pseudogroup"}, 3067),
-    (["verify", "--suite", "pseudogroup"], EVERYTHING, 3565),
+    (["verify", "--suite", "lattice-collapse"], EVERYTHING - {"treeshift.pseudogroup"}, 3046),
+    (["verify", "--suite", "pseudogroup"], EVERYTHING, 3534),
 ]
 
 

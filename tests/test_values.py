@@ -3,12 +3,18 @@
 Each case gives two equal values built different ways and values that differ
 from them.  Equal values hash alike, and a value compared with an instance of
 another class is never equal to it (``__eq__`` returns NotImplemented).
+Every ``errors.Value`` of the package has a case, and so does ``Word``, which
+keeps its own pair.
 """
+import importlib
+import pkgutil
+
 import pytest
 
-from treeshift.errors import Alphabet, alphabet
+import treeshift
+from treeshift.errors import Alphabet, Value, alphabet
 from treeshift.freegroup import Word, parse_word
-from treeshift.groups import free_group, integer_lattice
+from treeshift.groups import custom_group, free_group, integer_lattice
 from treeshift.pseudogroup import Cylinder, CylinderUnion
 from treeshift.shift import AgreementDepth
 from treeshift.trees import BoxDistance, PointedTree, make_tree
@@ -24,6 +30,9 @@ CASES = {
                      [Z.normalize(parse_word("g0 g0", 1)),
                       integer_lattice(images=[[1], [0]]).normalize(parse_word("g0", 2)),
                       free_group(1).normalize(parse_word("g0", 1))]),
+    # equality reads the key, never the normalizer's identity
+    "GroupModel": (free_group(2), free_group(2),
+                   [free_group(3), integer_lattice(d=2), custom_group(2, len)]),
     "Alphabet": (alphabet([0, 1]), Alphabet((0, 1)), [alphabet([1, 0]), alphabet(["0", "1"])]),
     "Cylinder": (Cylinder((0, 1)), Cylinder((0,)).meet(Cylinder((0, 1))),
                  [Cylinder((0,)), Cylinder(())]),
@@ -55,6 +64,14 @@ def test_another_class_is_not_implemented(name):
     a, _, _ = CASES[name]
     assert a.__eq__(object()) is NotImplemented
     assert a != (a,) and a != str(a)
+
+
+def test_every_value_type_has_a_case():
+    modules = [importlib.import_module(f"treeshift.{m.name}")
+               for m in pkgutil.iter_modules(treeshift.__path__)]
+    values = {c.__name__ for m in modules for c in vars(m).values()
+              if isinstance(c, type) and issubclass(c, Value) and c is not Value}
+    assert values | {"Word"} == set(CASES)
 
 
 def test_same_fields_of_another_class_differ():
