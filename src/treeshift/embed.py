@@ -14,8 +14,9 @@ The decoder reverses this: a vertex entered through an inverse letter
 reveals its own symbol immediately, while a vertex entered through a
 positive letter reads its symbol off any outward positive continuation
 (all of them, and the entering edge of an inverse step, must agree).
-Decoding a radius-j tree therefore recovers symbols on words of length
-at most j - 1, and no further.
+A radius-j tree therefore carries the symbols on words of length at most
+j - 1, which decoding recovers, and on the last sphere's words entered
+through an inverse letter, and no others (:func:`_run_embedding`).
 
 Both walks carry each source word as its :mod:`freegroup` key, as trees do
 their vertices; a ``Word`` is built only where a user's rule reads one (a
@@ -231,10 +232,13 @@ def _run_embedding(source_rank: int, depth: int, root: tuple[Any, Any],
     Each source word is a key with a symbol and a walk state: ``root`` is the
     ``(symbol, state)`` of the empty word and ``step(state, x)`` that of w·x
     from the state of w.  A symbol None skips the word (an undefined
-    itinerary entry) and prunes its whole subtree.  ``step`` runs once per
-    child of a kept word, so callers need no cache.  Each edge's target digit
+    itinerary entry) and prunes its whole subtree.  Each edge's target digit
     is read from a ``(letter, symbol)`` table: a positive letter reads the
-    parent's symbol, a negative one the child's.
+    parent's symbol, a negative one the child's.  So no edge reads the symbol
+    of a last-sphere word entered through a positive letter, and a ``step``
+    marked ``checked``, which only fetches a symbol checked in advance
+    (:meth:`Config.walk`), is not run there.  Every other ``step`` runs once
+    per child of a kept word, so callers need no cache.
 
     No check is needed on the result, because ``EdgeEncoding`` refuses a
     table that is not injective.  The target letter of a source letter x is
@@ -256,14 +260,16 @@ def _run_embedding(source_rank: int, depth: int, root: tuple[Any, Any],
     for level in range(1, depth + 1):
         nxt = []
         last = level == depth  # its words are never extended: keep no states
+        skip = last and getattr(step, "checked", False)
         for source_key, parent_symbol, parent_state, parent_key in frontier:
             back_source = inverse_digit(source_key % source_base)
             for x, source_digit in source_digits:
                 if source_digit == back_source:
                     continue
-                child_symbol, child_state = step(parent_state, x)
-                if child_symbol is None:
-                    continue
+                if not skip or x < 0:
+                    child_symbol, child_state = step(parent_state, x)
+                    if child_symbol is None:
+                        continue
                 symbol = parent_symbol if x > 0 else child_symbol
                 try:
                     digit = digits[x, symbol]

@@ -242,7 +242,7 @@ class _PulledRule(shift._Stepped):
 
     def walk(self, start: Word, symbols: tuple):
         """``sigma``'s own walk from the image of ``start``, one step of its
-        group per word."""
+        group per word: its step is ``checked`` where ``sigma``'s is."""
         sigma = self.sigma
         return (sigma.shifted(start) if start.letters else sigma).walk()
 

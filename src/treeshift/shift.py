@@ -75,6 +75,12 @@ class Config:
         alone over a constant, and its symbol is the table's at that key, if
         the table has one; a table's symbols are checked when it is built
         (``finite_support_config``, ``flipped_config``).
+
+        A step that only fetches symbols checked in advance has a true
+        ``checked`` attribute, and a caller that needs no symbol at w·x may
+        leave it out: a random rule's, a constant's, and an overlay's or a
+        pullback's over a checked step.  A group walk's step checks what it
+        reads, so it and every step over it run for every word.
         """
         rule, symbols, start = self.rule, self.alphabet.symbols, self.translate.rep
         free = self.group.kind == "free"
@@ -112,6 +118,7 @@ class Config:
                 k = k // base if k % base == back else k * base + d
                 return keys.get(k, value), k
 
+            key_step.checked = True
             return (keys.get(k, value), k), key_step
 
         def overlay_step(ks, x: int) -> tuple[Any, Any]:
@@ -121,6 +128,7 @@ class Config:
             value, s = step(s, x)
             return keys.get(k, value), (k, s)
 
+        overlay_step.checked = getattr(step, "checked", False)
         return (keys.get(k, value), (k, state)), overlay_step
 
     def shifted(self, gamma) -> "Config":
@@ -254,6 +262,7 @@ class _RandomRule(_Stepped):
                 h.update(spaced[x])
             return table[int.from_bytes(h.digest(), "big") % m], h
 
+        step.checked = True
         return (reads[-1], len(letters)), step
 
 

@@ -1,3 +1,4 @@
+import functools
 from hashlib import blake2b
 from unittest.mock import patch
 
@@ -14,8 +15,8 @@ from treeshift.errors import (
     ValidationError,
     alphabet,
 )
-from treeshift.freegroup import (enumerate_ball, enumerate_spheres, identity, key_word, parse_word,
-                                 word_key)
+from treeshift.freegroup import (ball_size, enumerate_ball, enumerate_spheres, identity, key_word,
+                                 parse_word, word_key)
 from treeshift.groups import custom_group, free_group, induced_config, integer_lattice
 from treeshift.shift import (
     AgreementDepth,
@@ -596,6 +597,92 @@ class TestGroupWalk:
                             lambda self, w: calls.append(w) or normalize(self, w))
         assert agree_depth(sigma, sigma, cap=6) == AgreementDepth(6, exact=False)
         assert calls == [identity(3)]
+
+
+def counted_steps(monkeypatch) -> list[int]:
+    """The letter of every ``step`` the embeddings run from now on: each
+    step is wrapped, keeping its attributes, before it reaches the loop."""
+    letters, run = [], embed_module._run_embedding
+
+    def run_counting(source_rank, depth, root, step, enc):
+        @functools.wraps(step)
+        def counted(state, x):
+            letters.append(x)
+            return step(state, x)
+
+        return run(source_rank, depth, root, counted, enc)
+
+    monkeypatch.setattr(embed_module, "_run_embedding", run_counting)
+    return letters
+
+
+def _random_on(rank):
+    return random_config(free_group(rank), alphabet(range(3)), seed=5)
+
+
+def _finite_on(rank):
+    support = {w: i % 3 for i, w in enumerate(enumerate_ball(rank, 2)[::2])}
+    return finite_support_config(free_group(rank), alphabet(range(3)), support, 1)
+
+
+# configurations whose walk only fetches symbols checked in advance ...
+CHECKED = {
+    "random": _random_on,
+    "finite": _finite_on,
+    "flipped": lambda rank: flipped_config(_random_on(rank), parse_word("g0 g0", rank), seed=1),
+    "flipped finite": lambda rank: flipped_config(_finite_on(rank), parse_word("g0'", rank)),
+    "shifted": lambda rank: _finite_on(rank).shifted(parse_word("g0 g0", rank)),
+    "pulled back": lambda rank: induced_config(free_group(rank), _random_on(rank)),
+}
+# ... and those whose walk checks each symbol it reads
+READ_AND_CHECKED = {
+    "lattice": lambda rank: random_config(integer_lattice(d=rank), alphabet(range(3)), seed=5),
+    "lattice pulled back": lambda rank: induced_config(
+        integer_lattice(d=rank),
+        random_config(integer_lattice(d=rank), alphabet(range(3)), seed=5)),
+    "rule": lambda rank: Config(free_group(rank), alphabet(range(3)), lambda w: len(w) % 3),
+}
+
+
+class TestLastSphereReads:
+    """A radius-d tree reads no symbol of a last-sphere word entered through
+    a positive letter, so a walk that only fetches symbols checked in advance
+    is not stepped there; every other walk is."""
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    @pytest.mark.parametrize("kind", [*CHECKED, *READ_AND_CHECKED])
+    def test_steps_per_embedding(self, monkeypatch, kind, rank):
+        sigma = {**CHECKED, **READ_AND_CHECKED}[kind](rank)
+        enc = random_encoding(rank, sigma.alphabet, 3 * rank, seed=2)
+        letters = counted_steps(monkeypatch)
+        for depth in range(1, 6):
+            letters.clear()
+            tree = embed_config(sigma, enc, depth).tree
+            assert tree.keys == embed_by_words(sigma, enc, depth)[0].keys
+            skipped = sum(w.last > 0 for w in enumerate_spheres(rank, depth)[depth])
+            assert len(letters) == ball_size(rank, depth) - 1 - skipped * (kind in CHECKED)
+
+    def test_embed_pseudo_steps_every_child_of_a_live_word(self, monkeypatch):
+        # a step decides whether a word is live, so none is left out
+        enc4 = edge_encoding(2, BITS, 4, {(1, 0): 1, (1, 1): 2, (2, 0): 3, (2, 1): 4})
+        stream = SymbolStream.eventually_periodic((1,), (0, 1))
+        letters = counted_steps(monkeypatch)
+        for depth in range(1, 6):
+            itin = itinerary(builtin_n0_shift(BITS), stream, depth)
+            letters.clear()
+            embed_pseudo(itin, enc4, depth)
+            lengths = [len(key_word(k, 2)) for k in itin.values]
+            assert len(letters) == sum(4 if n == 0 else 3 for n in lengths if n < depth)
+            assert len(lengths) < ball_size(2, depth)  # some words are dead
+
+    def test_a_pullback_of_a_checking_walk_reads_the_last_sphere(self):
+        # cell 2 of Z is reached only by g0 g0, a last-sphere word entered
+        # through a positive letter: no edge reads its symbol, but the
+        # lattice's walk checks it
+        pulled = induced_config(Z, periodic_config(Z, BITS, [0, 0, 2, 0, 0]))
+        embed_config(pulled, E1, 1)
+        with pytest.raises(ValidationError, match="outside the alphabet"):
+            embed_config(pulled, E1, 2)
 
 
 @pytest.mark.parametrize("build, error, message", [
