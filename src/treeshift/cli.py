@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, NoReturn
 
 from .errors import InsufficientDepthError, TreeshiftError, alphabet, json_field, json_kind
 
@@ -381,5 +382,29 @@ def main(argv=None) -> int:
         return 1
 
 
+def run() -> NoReturn:
+    """The process entry point of ``python -m treeshift.cli`` and of the
+    ``treeshift`` script: run :func:`main`, flush both streams and end the
+    process with ``os._exit``.  That skips the interpreter's teardown, which
+    frees every module and object and changes no output, so nothing in the
+    package may rely on ``atexit`` or on finalizers.  A missing stdout, or a
+    write or flush that fails on it (a reader that closed its pipe), ends in
+    an ``error:`` line and status 1: ``main`` does no other I/O that can
+    raise ``OSError``, as ``load_json`` turns its own into TreeshiftError."""
+    if sys.stdout is None:
+        sys.stderr.write("error: cannot write to standard output: it is closed\n")
+        status = 1
+    else:
+        try:
+            status = main()
+            sys.stdout.flush()
+        except OSError as exc:
+            sys.stderr.write(f"error: cannot write to standard output: {exc}\n")
+            status = 1
+    if sys.stderr is not None:
+        sys.stderr.flush()
+    os._exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

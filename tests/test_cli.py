@@ -862,13 +862,98 @@ class TestOneFieldMutations:
         assert unclean == []
 
 
-def _modules_after(code: str) -> set[str]:
-    """Every module in ``sys.modules`` after ``code`` runs in a fresh interpreter."""
+def package_env() -> dict:
+    """This process's environment with the package's sources first on
+    ``PYTHONPATH``, for a fresh interpreter."""
     src = str(Path(treeshift.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
+    return dict(os.environ, PYTHONPATH=path)
+
+
+class TestProcessExit:
+    """``python -m treeshift.cli`` ends through ``cli.run``, which flushes both
+    streams and skips the interpreter's teardown: the process prints what
+    ``main`` prints in-process and exits with its status; a closed reader or
+    a closed stdout ends in one ``error:`` line and status 1, and a bug still
+    ends in a traceback."""
+
+    @pytest.fixture(scope="class")
+    def paths(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("process")
+        scenario, tree = root / "free.json", root / "tree.json"
+        scenario.write_text(dumps_json(FREE_SCENARIO))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["embed", "--scenario", str(scenario), "--depth", "2"]) == 0
+        tree.write_text(out.getvalue())
+        return {"scenario": str(scenario), "tree": str(tree)}
+
+    @staticmethod
+    def env(unbuffered: bool) -> dict:
+        env = package_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        return dict(env, PYTHONUNBUFFERED="1") if unbuffered else env
+
+    @pytest.mark.parametrize("argv,status,unbuffered", [
+        # a radius-7 tree prints about 130 KB, in two of the printers' pieces
+        (["embed", "--scenario", "{scenario}", "--depth", "7"], 0, False),
+        (["embed", "--scenario", "{scenario}", "--depth", "7"], 0, True),
+        # a block-buffered stdout holds a short text until run() flushes it
+        (["builtin", "n0"], 0, False),
+        (["embed", "--scenario", "{tree}", "--depth", "1"], 1, False),
+        (["embed", "--scenario", "{scenario}"], 1, False),
+        (["act", "--tree", "{tree}", "--word", "g0 g1 g0"], 2, False),
+    ], ids=["long", "long-unbuffered", "short", "invalid", "usage", "depth"])
+    def test_process_prints_what_main_prints(self, paths, capsys, argv, status, unbuffered):
+        argv = [arg.format(**paths) for arg in argv]
+        expected = run(capsys, *argv)
+        assert expected[0] == status
+        assert status == 0 or expected[2].splitlines()[-1].startswith("error:")
+        done = subprocess.run([sys.executable, "-m", "treeshift.cli", *argv],
+                              env=self.env(unbuffered), capture_output=True, timeout=60)
+        assert (done.returncode, done.stdout.decode(), done.stderr.decode()) == expected
+
+    @pytest.mark.parametrize("argv", [
+        ["embed", "--scenario", "{scenario}", "--depth", "7"],  # fails in a write
+        ["builtin", "n0"],  # fails in run()'s flush of the buffered tail
+    ], ids=["embed", "builtin"])
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_a_closed_reader_ends_in_an_error_line(self, paths, argv, unbuffered):
+        argv = [arg.format(**paths) for arg in argv]
+        proc = subprocess.Popen([sys.executable, "-m", "treeshift.cli", *argv],
+                                env=self.env(unbuffered), stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE)
+        proc.stdout.close()  # before the command can have written anything
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert err == "error: cannot write to standard output: [Errno 32] Broken pipe\n"
+
+    def test_a_closed_stdout_ends_in_an_error_line(self):
+        done = subprocess.run(["sh", "-c", '"$0" -m treeshift.cli builtin n0 >&-', sys.executable],
+                              env=package_env(), capture_output=True, text=True, timeout=60)
+        assert done.returncode == 1
+        assert done.stderr == "error: cannot write to standard output: it is closed\n"
+
+    def test_a_closed_stderr_changes_nothing(self, capsys):
+        done = subprocess.run(["sh", "-c", '"$0" -m treeshift.cli builtin n0 2>&-', sys.executable],
+                              env=package_env(), capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout) == run(capsys, "builtin", "n0")[:2]
+
+    def test_a_bug_still_ends_in_a_traceback(self):
+        probe = "import treeshift.cli as c; c.main = lambda argv=None: 1 / 0; c.run()"
+        done = subprocess.run([sys.executable, "-c", probe], env=package_env(),
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 1
+        assert done.stderr.startswith("Traceback (most recent call last):")
+        assert done.stderr.endswith("ZeroDivisionError: division by zero\n")
+
+
+def _modules_after(code: str) -> set[str]:
+    """Every module in ``sys.modules`` after ``code`` runs in a fresh interpreter."""
     probe = code + "\nimport sys\nprint(*sys.modules)\n"
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    done = subprocess.run([sys.executable, "-c", probe], env=package_env(), capture_output=True,
+                          text=True)
     assert done.returncode == 0, done.stderr
     return set(done.stdout.split())
 
@@ -907,24 +992,24 @@ EVERYTHING = SCENARIO | PSEUDO | {"treeshift.verify"}
 # the package modules it loads, and a ceiling on their lines of source, so that
 # growth on a command's path shows in review
 COMMANDS = [
-    (["--help"], BASE, 593),
-    (["act", "--tree", "{tree}", "--word", "g0"], TREES, 1505),
-    (["metric", "--tree", "{tree}", "--tree", "{tree}"], TREES, 1505),
-    (["separate", "--tree", "{tree}", "--tree", "{tree}"], EMBED, 1963),
-    (["embed", "--scenario", "{scenario}", "--depth", "2"], SCENARIO, 2665),
-    (["decode", "--tree", "{tree}", "--scenario", "{scenario}", "--depth", "3"], SCENARIO, 2665),
+    (["--help"], BASE, 618),
+    (["act", "--tree", "{tree}", "--word", "g0"], TREES, 1530),
+    (["metric", "--tree", "{tree}", "--tree", "{tree}"], TREES, 1530),
+    (["separate", "--tree", "{tree}", "--tree", "{tree}"], EMBED, 1988),
+    (["embed", "--scenario", "{scenario}", "--depth", "2"], SCENARIO, 2690),
+    (["decode", "--tree", "{tree}", "--scenario", "{scenario}", "--depth", "3"], SCENARIO, 2690),
     (["orbit", "--scenario", "{scenario}", "--depth", "4", "--working-radius", "1",
-      "--step-bound", "2"], SCENARIO, 2665),
-    (["equivariance", "--scenario", "{scenario}", "--depth", "2"], SCENARIO, 2665),
+      "--step-bound", "2"], SCENARIO, 2690),
+    (["equivariance", "--scenario", "{scenario}", "--depth", "2"], SCENARIO, 2690),
     (["itinerary", "--builtin-n0", "0,1", "--point", "{point}", "--depth", "2"], ITINERARY,
-     1588),
+     1613),
     (["embed-pseudo", "--builtin-n0", "0,1", "--point", "{point}", "--alpha", "{alpha}",
-      "--depth", "1"], PSEUDO, 2451),
-    (["builtin", "n0"], ITINERARY | {"treeshift.trees"}, 1993),
+      "--depth", "1"], PSEUDO, 2476),
+    (["builtin", "n0"], ITINERARY | {"treeshift.trees"}, 2018),
     # verify loads every module but pseudogroup, which only its own suite loads:
     # bench/launch.py wraps the spans of the modules that load with verify
-    (["verify", "--suite", "lattice-collapse"], EVERYTHING - {"treeshift.pseudogroup"}, 3061),
-    (["verify", "--suite", "pseudogroup"], EVERYTHING, 3549),
+    (["verify", "--suite", "lattice-collapse"], EVERYTHING - {"treeshift.pseudogroup"}, 3086),
+    (["verify", "--suite", "pseudogroup"], EVERYTHING, 3574),
 ]
 
 

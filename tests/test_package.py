@@ -1,8 +1,10 @@
 """The package root resolves its public names lazily, on first use; every
 definition in the package is run by the package, the benchmark or a demo,
 or is a public name that one of them runs or README names; no module
-outgrows the parser's token buffer; and every package name the benchmark
-reaches by name resolves, and its traced launcher wraps each span."""
+outgrows the parser's token buffer; every package name the benchmark
+reaches by name resolves, and its traced launcher wraps each span; and both
+process entries end through ``cli.run``, whose skipped teardown nothing in
+the package relies on."""
 import ast
 import importlib
 import os
@@ -180,3 +182,26 @@ def test_the_traced_launcher_wraps_every_span():
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == []
+
+
+def test_both_process_entries_end_through_run():
+    # read without tomllib, which Python 3.10 lacks
+    scripts = re.search(r"^\[project\.scripts\]\n(.*?)(?:^\[|\Z)",
+                        (ROOT / "pyproject.toml").read_text(), re.M | re.S).group(1)
+    assert re.findall(r'^treeshift = "(.*)"$', scripts, re.M) == ["treeshift.cli:run"]
+    main_blocks = [ast.unparse(node) for node in ast.parse((SRC / "cli.py").read_text()).body
+                   if isinstance(node, ast.If) and "__main__" in ast.unparse(node.test)]
+    assert main_blocks == ["if __name__ == '__main__':\n    run()"]
+
+
+def test_nothing_relies_on_the_teardown_that_run_skips():
+    # cli.run ends the process with os._exit, which runs no atexit handler and
+    # no finalizer of an object still alive
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            imported = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                        else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if "atexit" in imported or isinstance(node, ast.FunctionDef) and node.name == "__del__":
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

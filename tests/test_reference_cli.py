@@ -1,6 +1,7 @@
 """The command line against ``bench/reference.py``, the one implementation of
 the paper's constructions that imports nothing from treeshift: random
-scenarios go through ``cli.main`` and their answers must be the reference's."""
+scenarios go through ``cli.main``, embedded and then decoded, and the answers
+must be the reference's."""
 import contextlib
 import importlib
 import io
@@ -28,8 +29,10 @@ def reference():
 
 
 @pytest.fixture(scope="module")
-def scenario_path(tmp_path_factory):
-    return tmp_path_factory.mktemp("reference") / "scenario.json"
+def paths(tmp_path_factory):
+    """A scenario file's path and that of its embedded tree."""
+    root = tmp_path_factory.mktemp("reference")
+    return root / "scenario.json", root / "tree.json"
 
 
 def _words(draw, rank: int, radius: int) -> list[str]:
@@ -85,8 +88,9 @@ def scenarios(draw) -> tuple[dict, int]:
 
 @settings(max_examples=100, deadline=None)
 @given(scenarios())
-def test_embed_matches_the_reference(reference, scenario_path, case):
+def test_embed_and_decode_match_the_reference(reference, paths, case):
     obj, depth = case
+    scenario_path, tree_path = paths
     scenario_path.write_text(json.dumps(obj))
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -95,3 +99,10 @@ def test_embed_matches_the_reference(reference, scenario_path, case):
     expected = reference.embed_tree(reference.Scenario(obj), depth)
     assert (tree.rank, tree.radius) == (expected.rank, expected.radius)
     assert tree.vertices == expected.vertices
+    if depth:  # the symbols of radius depth - 1; decoding refuses depth 0
+        tree_path.write_text(out.getvalue())
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["decode", "--tree", str(tree_path), "--scenario", str(scenario_path),
+                         "--depth", str(depth)]) == 0
+        assert json.loads(out.getvalue()) == reference.decode_json(reference.Scenario(obj), depth)
